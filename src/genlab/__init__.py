@@ -19,6 +19,7 @@ from .groups import (
 )
 from .balls import (
     BallCensus,
+    BallIndex,
     center_coset_census,
     enumerate_ball,
     free_ball_count,

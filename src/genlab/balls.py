@@ -4,6 +4,11 @@ All computations run over canonical keys, so deduplication and equality are
 exact.  Ball enumeration is a breadth-first search whose frontier may be
 split across worker threads; the merge is order-insensitive, so the output
 is deterministic regardless of the worker count.
+
+:class:`BallIndex` keeps one shortlex BFS of a ball (the last S-letter of
+each element's shortlex-least geodesic) and answers geodesic and norm
+queries inside it by walking back, where :func:`geodesic_representative`
+and :func:`word_distance` each run a new search per query.
 """
 
 from __future__ import annotations
@@ -246,6 +251,16 @@ class GeodesicWord:
         return len(self.s_letters)
 
 
+def _closed_form_geodesic(model: GroupModel, gens: GeneratingSet, key) -> Optional[GeodesicWord]:
+    """The identity's empty spelling, and a free group's reduced word under
+    its standard generators; None when a search is needed."""
+    if key == model.identity_key():
+        return GeodesicWord((), ())
+    if gens.standard and isinstance(model, FreeGroup):
+        return GeodesicWord(tuple(key), tuple(key))
+    return None
+
+
 def geodesic_representative(
     model: GroupModel,
     gens: GeneratingSet,
@@ -253,12 +268,11 @@ def geodesic_representative(
     node_budget: Optional[int] = None,
 ) -> Optional[GeodesicWord]:
     """Shortlex-least geodesic word for g, or None if the budget runs out."""
+    closed = _closed_form_geodesic(model, gens, g.key)
+    if closed is not None:
+        return closed
     target = g.key
     ident = model.identity_key()
-    if target == ident:
-        return GeodesicWord((), ())
-    if gens.standard and isinstance(model, FreeGroup):
-        return GeodesicWord(tuple(target), tuple(target))
     # BFS in shortlex order: letters sorted ascending by signed index, and
     # within a radius the frontier is scanned in discovery (= shortlex) order.
     letters = sorted(gens.signed_letters())
@@ -281,6 +295,103 @@ def geodesic_representative(
             return None
         frontier = nxt
     return None
+
+
+class BallIndex:
+    """The ball of a given radius from one shortlex BFS, answering geodesic
+    and norm queries without a new search.
+
+    The BFS runs as in :func:`geodesic_representative`, so the first visit
+    of each element comes from the shortlex-least geodesic of its parent
+    followed by the least letter; only that last S-letter is stored, and
+    ``geodesic`` walks back along it.  ``spheres[r]`` lists the keys at
+    distance r in sorted order, as ``enumerate_ball(..., keep_elements=True)``
+    does.  If ``node_budget`` is hit the index stops at the last complete
+    radius and is ``truncated``.  Queries about keys outside the ball fall
+    back to the searches they replace.
+    """
+
+    def __init__(
+        self,
+        model: GroupModel,
+        gens: GeneratingSet,
+        radius: int,
+        node_budget: Optional[int] = None,
+    ):
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
+        self.model, self.gens = model, gens
+        ident = model.identity_key()
+        self._letter_keys = {s: gens.letter_element(s).key for s in gens.signed_letters()}
+        # of several letters naming one element only the least can discover
+        # anything, so the others are not multiplied at all
+        step, seen = [], set()
+        for s in sorted(self._letter_keys):
+            if self._letter_keys[s] not in seen:
+                seen.add(self._letter_keys[s])
+                step.append((s, self._letter_keys[s]))
+        last = {ident: 0}  # key -> last S-letter of its geodesic; 0 at the identity
+        self.spheres = [[ident]]
+        self.truncated = False
+        frontier = [ident]
+        mul = model.mul_keys
+        for _r in range(radius):
+            nxt = []
+            for k in frontier:
+                for s, gk in step:
+                    nk = mul(k, gk)
+                    if nk not in last:
+                        last[nk] = s
+                        nxt.append(nk)
+            if node_budget is not None and len(last) > node_budget:
+                for k in nxt:
+                    del last[k]
+                self.truncated = True
+                break
+            frontier = nxt
+            self.spheres.append(sorted(nxt))
+        self._last = last
+        self.radius = len(self.spheres) - 1
+
+    def __contains__(self, key) -> bool:
+        return key in self._last
+
+    def _walk(self, key) -> list:
+        """The S-letters of the shortlex-least geodesic of a key in the
+        ball, last letter first."""
+        out = []
+        last, inverse, mul = self._last, self._letter_keys, self.model.mul_keys
+        s = last[key]
+        while s:
+            out.append(s)
+            key = mul(key, inverse[-s])
+            s = last[key]
+        return out
+
+    def geodesic(self, g: GroupElement) -> Optional[GeodesicWord]:
+        """``geodesic_representative(model, gens, g)``, by a walk back
+        through the ball when g lies in it."""
+        closed = _closed_form_geodesic(self.model, self.gens, g.key)
+        if closed is not None:
+            return closed
+        if g.key not in self._last:
+            return geodesic_representative(self.model, self.gens, g)
+        s_letters = tuple(reversed(self._walk(g.key)))
+        return GeodesicWord(s_letters, self.gens.spell(s_letters))
+
+    def distance_from_identity(self, h: GroupElement, cap: int) -> Optional[int]:
+        """``word_distance(model, gens, identity, h, cap)``: exact d_S(id, h)
+        when it is at most ``cap``, else None."""
+        if self.gens.standard:
+            n = self.model.exact_length(h.key)
+            if n is not None:
+                return n if n <= cap else None
+        if h.key in self._last:
+            d = len(self._walk(h.key))
+            return d if d <= cap else None
+        if cap <= self.radius:
+            return None
+        return word_distance(self.model, self.gens, self.model.identity(), h, cap)
 
 
 @dataclass

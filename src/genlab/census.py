@@ -3,13 +3,18 @@ letter-block replacement maps with fiber censuses, and genericity curves.
 
 Free-group threshold counts use an exact transfer-matrix closed form
 (cross-checked against brute enumeration on small balls); everything else
-is exhaustive over enumerated balls.  All ratios are exact rationals; only
-fitted decay exponents are floating point.
+is exhaustive over enumerated balls.  A fiber census builds one
+:class:`~genlab.balls.BallIndex` per radius and reads every geodesic and
+norm of its thick search and replacement maps from it; the negligibility
+probe decides core norms by membership in the spheres of its enumerated
+ball.  All ratios are exact rationals; only fitted decay exponents are
+floating point.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +23,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .alignment import AlignmentReport, check_alignment
-from .balls import enumerate_ball, free_ball_count, geodesic_representative, word_distance
+from .balls import (
+    BallIndex,
+    BudgetExceeded,
+    enumerate_ball,
+    free_ball_count,
+    geodesic_representative,
+    word_distance,
+)
 from .groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import GroupAction, OrbitSegment
@@ -246,21 +258,23 @@ def a_thick_certify(
     ledger: ConstantLedger,
     segment: OrbitSegment,
     norm: Optional[int] = None,
+    ball: Optional[BallIndex] = None,
 ) -> ThickCertificate:
     """Exact check of the two thick-set conditions for a candidate segment:
-    the word distance window and the basepoint alignment."""
+    the word distance window and the basepoint alignment.  Norms are read
+    from ``ball`` when one is given."""
     if segment.length != ledger.segment_length:
         raise ValueError(
             f"segment length {segment.length} differs from ledger length {ledger.segment_length}"
         )
     if norm is None:
-        norm = _norm(model, gens, g)
+        norm = _norm(model, gens, g, ball)
     lo = ledger.window[0] * norm
     hi = ledger.window[1] * norm
     cap = int(hi) + 1
     best = None
     for h in segment.points:
-        d = word_distance(model, gens, model.identity(), h, cap)
+        d = _distance_from_identity(model, gens, h, cap, ball)
         if d is not None and (best is None or d < best):
             best = d
     if best is None or not (lo <= best <= hi):
@@ -288,10 +302,12 @@ def a_thick_search(
     g: GroupElement,
     ledger: ConstantLedger,
     perturb_letters: Optional[Sequence[GroupElement]] = None,
+    ball: Optional[BallIndex] = None,
 ) -> ThickSearchResult:
     """Window scan along the fixed geodesic representative, with bounded
-    left perturbations.  Sound when it answers yes; a no is heuristic."""
-    geo = geodesic_representative(model, gens, g)
+    left perturbations.  Sound when it answers yes; a no is heuristic.
+    Geodesics and norms are read from ``ball`` when one is given."""
+    geo = _geodesic(model, gens, g, ball)
     if geo is None:
         return ThickSearchResult(False)
     n = len(geo.s_letters)
@@ -305,16 +321,26 @@ def a_thick_search(
         prefix = model.element(gens.spell(geo.s_letters[:i]))
         for s in perturb_letters:
             seg = OrbitSegment(action, prefix * s, phi, ledger.segment_length)
-            cert = a_thick_certify(model, gens, action, g, ledger, seg, norm=n)
+            cert = a_thick_certify(model, gens, action, g, ledger, seg, norm=n, ball=ball)
             if cert.certified:
                 return ThickSearchResult(True, witness=seg, certificate=cert)
     return ThickSearchResult(False)
 
 
-def _norm(model, gens, g: GroupElement) -> int:
+def _geodesic(model, gens, g: GroupElement, ball: Optional[BallIndex]):
+    return geodesic_representative(model, gens, g) if ball is None else ball.geodesic(g)
+
+
+def _distance_from_identity(model, gens, h: GroupElement, cap: int, ball: Optional[BallIndex]):
+    if ball is None:
+        return word_distance(model, gens, model.identity(), h, cap)
+    return ball.distance_from_identity(h, cap)
+
+
+def _norm(model, gens, g: GroupElement, ball: Optional[BallIndex] = None) -> int:
     if gens.standard and model.exact_length(g.key) is not None:
         return model.exact_length(g.key)
-    d = word_distance(model, gens, model.identity(), g, 4 * len(g.word) + 4)
+    d = _distance_from_identity(model, gens, g, 4 * len(g.word) + 4, ball)
     if d is None:
         raise RuntimeError("norm exceeded budget")
     return d
@@ -352,14 +378,16 @@ def replacement_map(
     g: GroupElement,
     i: int,
     ledger: ConstantLedger,
+    ball: Optional[BallIndex] = None,
 ) -> Replacement:
     """Cut the fixed geodesic at i, excise a block, splice in a linked
     power of the distinguished element: g = w l v  ->  w s phi^L t v.
 
     The linkage pair (s, t) is the first one in deterministic order whose
-    splice alignment certifies at the ledger level.
+    splice alignment certifies at the ledger level.  The geodesic and the
+    output norm are read from ``ball`` when one is given.
     """
-    geo = geodesic_representative(model, gens, g)
+    geo = _geodesic(model, gens, g, ball)
     n = len(geo.s_letters)
     lo = math.ceil(ledger.cut_window[0] * n)
     hi = math.floor(ledger.cut_window[1] * n)
@@ -383,7 +411,7 @@ def replacement_map(
             if report.aligned:
                 return Replacement(
                     out, i, s, t, report,
-                    norm_in=n, norm_out=_norm(model, gens, out),
+                    norm_in=n, norm_out=_norm(model, gens, out, ball),
                 )
             if best is None or report.worst() < best.worst():
                 best = report
@@ -491,20 +519,28 @@ def fiber_census(
     ledger: ConstantLedger,
     n: int,
     shell: Fraction = Fraction(99, 100),
+    node_budget: Optional[int] = None,
 ) -> FiberReport:
     """Exact fibers of the replacement map over its domain: the outer shell
     of the radius-n ball, minus certified thick elements, crossed with the
-    cut window."""
-    census = enumerate_ball(model, gens, n, keep_elements=True)
+    cut window.
+
+    One :class:`BallIndex` of radius n supplies the shell and answers every
+    geodesic and norm query of the thick search and the replacement map.
+    Raises :class:`BudgetExceeded` if that ball outgrows ``node_budget``.
+    """
+    ball = BallIndex(model, gens, n, node_budget=node_budget)
+    if ball.truncated:
+        raise BudgetExceeded(f"the radius-{n} ball outgrew the node budget {node_budget}")
     inner = math.floor(shell * n)
     fibers: dict = {}
     domain = 0
     thick_skipped = 0
     degenerate = 0
     for r in range(inner + 1, n + 1):
-        for key in census.elements[r]:
+        for key in ball.spheres[r]:
             g = GroupElement(model, model.key_word(key), key)
-            found = a_thick_search(model, gens, action, phi, g, ledger)
+            found = a_thick_search(model, gens, action, phi, g, ledger, ball=ball)
             if found.found:
                 thick_skipped += 1
                 continue
@@ -516,7 +552,7 @@ def fiber_census(
                 degenerate += 1
                 continue
             for i in indices:
-                rep = replacement_map(model, gens, action, phi, g, i, ledger)
+                rep = replacement_map(model, gens, action, phi, g, i, ledger, ball=ball)
                 domain += 1
                 fibers[rep.element.key] = fibers.get(rep.element.key, 0) + 1
     histogram: dict = {}
@@ -705,15 +741,19 @@ def exponential_negligibility_probe(
     shell: Fraction = Fraction(99, 100),
 ) -> NegligibilityProbe:
     """Fraction of the outer shell admitting a conjugation decomposition
-    h^-1 g' h with the stated norm windows, exhaustive over short h."""
+    h^-1 g' h with the stated norm windows, exhaustive over short h.
+
+    The core's word norm d_S(core) <= core_window * n is decided exactly,
+    for every generating set, by membership in the spheres of the
+    enumerated ball up to radius floor(core_window * n)."""
     points = []
     n_max = max(n_values)
-    census = enumerate_ball(model, gens, n_max, keep_elements=True)
+    census = enumerate_ball(model, gens, max(n_max, math.floor(core_window * n_max)), keep_elements=True)
     conj_census = enumerate_ball(model, gens, math.floor(conj_window * n_max), keep_elements=True)
     for n in n_values:
         inner = math.floor(shell * n)
         h_cap = math.floor(conj_window * n)
-        core_cap = core_window * n
+        short_core = set(itertools.chain.from_iterable(census.elements[:math.floor(core_window * n) + 1]))
         h_keys = [k for r in range(h_cap + 1) for k in conj_census.elements[r]]
         shell_size = 0
         decomposable = 0
@@ -723,8 +763,7 @@ def exponential_negligibility_probe(
                 for hk in h_keys:
                     hw = model.key_word(hk)
                     conj = model.normalize(hw + model.key_word(key) + tuple(-a for a in reversed(hw)))
-                    length = model.exact_length(conj)
-                    if length is not None and length <= core_cap:
+                    if conj in short_core:
                         decomposable += 1
                         break
         points.append(NegligibilityPoint(n, shell_size, decomposable,

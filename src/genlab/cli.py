@@ -63,7 +63,7 @@ def _build_model_gens(raw: dict, path: str):
             std = [model.alphabet.parse(w) if isinstance(w, str) else tuple(w) for w in gens_words]
             is_std = sorted(std) == sorted((i,) for i in range(1, model.alphabet.size + 1))
             gens = GeneratingSet(model, gens_words, standard=is_std)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"{path}.gens", str(e))
     return model, gens
 
@@ -86,7 +86,7 @@ def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, profile:
     phi_word = raw.get("phi", "a" if isinstance(model, FreeGroup) else ("xy" if isinstance(model, FreeProductZ2Z3) else "aB"))
     try:
         phi = model.element(phi_word)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}.phi", str(e))
     if profile == "faithful":
         raise ConfigError(f"{path}", "faithful-profile constants are out of desk-scale reach; use scaled")
@@ -105,18 +105,104 @@ def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, profile:
     return phi, ledger
 
 
+def _check_int(value, path: str, minimum: int | None = 0) -> None:
+    """An integer field (an int, or a string of one) of at least ``minimum``
+    (of any value when ``minimum`` is None)."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        n = int(value)
+    except ValueError:
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if minimum is not None and n < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {n}")
+
+
+def _check_fraction(value, path: str) -> None:
+    """A rational field: a number, or a string such as ``"35/100"``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(path, f"must be a rational number, got {value!r}")
+
+
+def _check_ledger(lraw, path: str) -> None:
+    if not isinstance(lraw, dict):
+        raise ConfigError(path, "must be an object")
+    for key in ("dominating", "coeff"):
+        if key in lraw:
+            _check_fraction(lraw[key], f"{path}.{key}")
+    for key in ("segment_length", "power"):
+        if key in lraw:
+            _check_int(lraw[key], f"{path}.{key}", 1)
+    for key in ("window", "cut_window"):
+        if key in lraw:
+            if not isinstance(lraw[key], list) or len(lraw[key]) != 2:
+                raise ConfigError(f"{path}.{key}", "must be a list of two rationals")
+            for j, x in enumerate(lraw[key]):
+                _check_fraction(x, f"{path}.{key}[{j}]")
+
+
+# integer fields of each kind: (field, required, minimum)
+_INT_FIELDS = {
+    "enumerate": (("radius", True, 0),),
+    "genericity": (("radius", True, 0), ("tree_threshold", False, 0)),
+    "verify-lemmas": (("trials", False, 0), ("rank", False, 1)),
+}
+
+
+def _check_experiment(kind: str, raw: dict, path: str) -> None:
+    """Type-check the fields ``run`` reads, so that a malformed value is a
+    config error before any experiment starts."""
+    if kind != "verify-lemmas":
+        if not isinstance(_require(raw, "model", path), str):
+            raise ConfigError(f"{path}.model", "must be a string")
+        model, _ = _build_model_gens(raw, path)
+        words = [("phi", raw["phi"])] if "phi" in raw else []
+        if kind == "classify":
+            listed = _require(raw, "words", path)
+            if not isinstance(listed, list) or not listed:
+                raise ConfigError(f"{path}.words", "must be a non-empty list of words")
+            words += [(f"words[{j}]", w) for j, w in enumerate(listed)]
+        for key, w in words:
+            try:
+                model.element(w)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"{path}.{key}", str(e))
+    for key, required, minimum in _INT_FIELDS.get(kind, ()):
+        if required or key in raw:
+            _check_int(_require(raw, key, path), f"{path}.{key}", minimum)
+    if kind in ("fibers", "probe-negligibility"):
+        n_values = _require(raw, "n_values", path)
+        if not isinstance(n_values, list) or not n_values:
+            raise ConfigError(f"{path}.n_values", "must be a non-empty list of integers")
+        for j, n in enumerate(n_values):
+            _check_int(n, f"{path}.n_values[{j}]")
+    if kind == "fibers":
+        _check_ledger(raw.get("ledger", {}), f"{path}.ledger")
+    if kind == "genericity" and "word_threshold" in raw:
+        _check_fraction(raw["word_threshold"], f"{path}.word_threshold")
+
+
 def validate_config(doc: dict) -> list[ExperimentConfig]:
     if not isinstance(doc, dict):
         raise ConfigError("$", "top level must be an object")
+    if "seed" in doc:
+        _check_int(doc["seed"], "$.seed", None)
     experiments = doc.get("experiments", [])
     if not isinstance(experiments, list):
         raise ConfigError("$.experiments", "must be a list")
     out = []
     for idx, raw in enumerate(experiments):
         path = f"$.experiments[{idx}]"
+        if not isinstance(raw, dict):
+            raise ConfigError(path, "must be an object")
         kind = _require(raw, "kind", path)
         if kind not in _KINDS:
             raise ConfigError(f"{path}.kind", f"unknown kind {kind!r} (choose from {_KINDS})")
+        _check_experiment(kind, raw, path)
         name = raw.get("name", f"{kind}-{idx}")
         out.append(ExperimentConfig(kind, name, raw))
     return out
@@ -140,6 +226,7 @@ def _json_text(doc) -> str:
 def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | None, workers: int = 1) -> int:
     """Execute every experiment in the config; returns the process exit code."""
     experiments = validate_config(doc)
+    seed = int(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the worker count is deliberately absent: results are contracted to be
     # identical for every worker setting, manifests included
@@ -196,8 +283,16 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
             phi, ledger = _build_ledger(model, gens, action, raw, path, seed, profile)
             n_values = [int(n) for n in _require(raw, "n_values", path)]
             reports = []
+            too_big = None  # the least n whose ball outgrew the node budget
             for n in n_values:
-                reports.append(census.fiber_census(model, gens, action, phi, ledger, n).to_json())
+                if too_big is not None and n >= too_big:
+                    continue
+                try:
+                    reports.append(census.fiber_census(model, gens, action, phi, ledger, n,
+                                                       node_budget=budget_nodes).to_json())
+                except balls.BudgetExceeded:
+                    too_big = n
+                    manifest["partial"] = True
             _write(out_dir, f"{name}.json", _json_text({"ledger": ledger.to_json(), "reports": reports}), manifest)
             rows = ["n,domain,image,max_fiber,sqrt_ratio"]
             rows += [f"{r['n']},{r['domain']},{r['image']},{r['max_fiber']},{r['sqrt_ratio']!r}" for r in reports]
@@ -322,12 +417,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            doc = json.loads(args.config.read_text())
+            try:
+                doc = json.loads(args.config.read_text())
+            except (OSError, json.JSONDecodeError) as e:
+                raise ConfigError("$", f"cannot read {args.config}: {e}")
         elif args.command and args.command != "run":
             doc = _single_experiment_doc(args)
         else:
             doc = {"experiments": []}
-        seed = doc.get("seed", args.seed) if args.config else args.seed
+        seed = doc.get("seed", args.seed) if args.config and isinstance(doc, dict) else args.seed
         return run(doc, args.out_dir, seed, args.profile, args.budget_nodes, args.workers)
     except ConfigError as e:
         print(str(e), file=sys.stderr)

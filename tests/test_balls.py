@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from genlab.balls import (
+    BallIndex,
     center_coset_census,
     enumerate_ball,
     free_ball_count,
@@ -15,7 +16,7 @@ from genlab.balls import (
     translation_length,
     word_distance,
 )
-from genlab.groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet
+from genlab.groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement
 
 from conftest import random_reduced_word, random_word
 
@@ -234,3 +235,59 @@ def test_census_export_shapes(f2, tmp_path):
 
     doc = json.loads(json_path.read_text())
     assert doc["ball_counts"][3] == free_ball_count(2, 3)
+
+
+def _index_cases():
+    f2, braid, zz23 = FreeGroup(2), Braid3(), FreeProductZ2Z3()
+    return [
+        (zz23, zz23.standard_gens(), 10),
+        (braid, braid.standard_gens(), 6),
+        (braid, GeneratingSet(braid, ["a", "b", "aba"]), 5),
+        (f2, GeneratingSet(f2, ["a", "b", "ab"]), 5),
+        (f2, f2.standard_gens(), 6),
+    ]
+
+
+@pytest.mark.parametrize("model,gens,radius", _index_cases(), ids=["zz23", "braid3", "braid3-aba", "f2-ab", "f2"])
+def test_ball_index_matches_searches(model, gens, radius):
+    index = BallIndex(model, gens, radius)
+    assert not index.truncated and index.radius == radius
+    assert index.spheres == enumerate_ball(model, gens, radius, keep_elements=True).elements
+    ident = model.identity()
+    for r, sphere in enumerate(index.spheres):
+        for key in sphere:
+            g = GroupElement(model, model.key_word(key), key)
+            assert key in index
+            assert index.geodesic(g) == geodesic_representative(model, gens, g)
+            for cap in (radius - 2, radius, radius + 2):
+                want = word_distance(model, gens, ident, g, cap)
+                assert want == (r if r <= cap else None)
+                assert index.distance_from_identity(g, cap) == want
+
+
+@pytest.mark.parametrize("model,gens,radius", _index_cases(), ids=["zz23", "braid3", "braid3-aba", "f2-ab", "f2"])
+def test_ball_index_falls_back_outside_the_ball(model, gens, radius):
+    index = BallIndex(model, gens, radius - 2)
+    ident = model.identity()
+    outside = [GroupElement(model, model.key_word(k), k) for k in index.spheres[-1][:3]]
+    outside = [g * x for g in outside for x in gens.elements]
+    outside = [g for g in outside if g.key not in index]
+    assert outside
+    for g in outside:
+        assert index.geodesic(g) == geodesic_representative(model, gens, g)
+        for cap in (radius - 3, radius - 2, radius + 2):
+            assert index.distance_from_identity(g, cap) == word_distance(model, gens, ident, g, cap)
+
+
+def test_ball_index_budget_matches_enumeration(braid):
+    gens = braid.standard_gens()
+    index = BallIndex(braid, gens, 8, node_budget=100)
+    census = enumerate_ball(braid, gens, 8, keep_elements=True, node_budget=100)
+    assert index.truncated and census.truncated
+    assert index.radius == census.radius
+    assert index.spheres == census.elements
+    # the discarded layer is not in the index
+    assert sum(1 for r in index.spheres for _ in r) == census.ball_count()
+    beyond = braid.element("aaaa")
+    assert beyond.key not in index
+    assert index.distance_from_identity(beyond, 8) == 4

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from genlab.balls import enumerate_ball, free_ball_count
+from genlab.balls import enumerate_ball, free_ball_count, word_distance
 from genlab.census import (
     LinkageFailure,
     a_thick_certify,
@@ -311,3 +311,36 @@ def test_negligibility_probe(f2):
     assert probe.points[1].ratio > probe.points[2].ratio > 0
     doc = probe.to_json()
     assert doc["points"][0]["n"] == 2
+
+
+def _brute_probe_pairs(model, gens, n_values):
+    """(shell, decomposable) by a word_distance search for every core."""
+    ident = model.identity()
+    census = enumerate_ball(model, gens, max(n_values), keep_elements=True)
+    out = {}
+    for n in n_values:
+        inner = math.floor(Fraction(99, 100) * n)
+        h_cap = math.floor(Fraction(31, 100) * n)
+        core_cap = math.floor(Fraction(57, 100) * n)
+        hs = [model.element(model.key_word(k)) for r in range(h_cap + 1) for k in census.elements[r]]
+        shell = decomposable = 0
+        for r in range(inner + 1, n + 1):
+            for key in census.elements[r]:
+                shell += 1
+                g = model.element(model.key_word(key))
+                decomposable += any(
+                    word_distance(model, gens, ident, h * g * h.inverse(), core_cap) is not None for h in hs
+                )
+        out[n] = (shell, decomposable)
+    return out
+
+
+@pytest.mark.parametrize("gens_words", [["a", "b", "ab"], None], ids=["f2-ab", "braid3"])
+def test_negligibility_probe_uses_the_word_metric(f2, braid, gens_words):
+    # F2 over {a, b, ab} has no closed-form length (|abab|_S = 2, not 4);
+    # braid3 has none at all and used to report a silent ratio of 0
+    model, gens = (f2, GeneratingSet(f2, gens_words)) if gens_words else (braid, braid.standard_gens())
+    probe = exponential_negligibility_probe(model, gens, [4, 5])
+    got = {p.n: (p.shell_size, p.decomposable) for p in probe.points}
+    assert got == _brute_probe_pairs(model, gens, [4, 5])
+    assert got[4][1] > 0

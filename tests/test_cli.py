@@ -117,3 +117,84 @@ def test_cli_single_subcommand(tmp_path):
     ])
     assert code == 0
     assert (tmp_path / "g.dat").exists()
+
+
+def _main_with_config(tmp_path, doc) -> int:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("doc", [
+    [{"kind": "enumerate", "model": "free:2", "radius": 2}],
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": "x"}]},
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": -1}]},
+    {"experiments": [{"kind": "genericity", "model": "braid3", "radius": -3}]},
+    {"experiments": [{"kind": "genericity", "model": "free:2", "radius": 4, "word_threshold": "abc"}]},
+    {"experiments": [{"kind": "genericity", "model": "free:2", "radius": 4, "word_threshold": float("inf")}]},
+    {"experiments": [{"kind": "fibers", "model": "zz23", "n_values": [8, 2.5]}]},
+    {"experiments": [{"kind": "probe-negligibility", "model": "free:2", "n_values": ["x"]}]},
+    {"experiments": [{"kind": "probe-negligibility", "model": "free:2", "n_values": 6}]},
+    {"experiments": ["enumerate"]},
+    {"seed": [1], "experiments": []},
+    {"seed": "abc", "experiments": []},
+    {"seed": "1.5", "experiments": []},
+    {"experiments": [{"kind": "fibers", "model": "zz23", "n_values": [8], "ledger": {"window": ["1/4"]}}]},
+    {"experiments": [{"kind": "fibers", "model": "zz23", "n_values": [8], "ledger": {"dominating": "x"}}]},
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 2}, {"kind": "enumerate", "model": "nope", "radius": 2}]},
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 2, "gens": 5}]},
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 2, "gens": [5]}]},
+    {"experiments": [{"kind": "fibers", "model": "zz23", "n_values": [8], "phi": 5}]},
+    {"experiments": [{"kind": "classify", "model": "braid3", "words": 5}]},
+    {"experiments": [{"kind": "classify", "model": "braid3", "words": ["a", 5]}]},
+], ids=["top-level-list", "radius-string", "radius-negative", "genericity-radius-negative",
+        "word-threshold", "word-threshold-infinite", "n-values-float", "n-values-string", "n-values-scalar",
+        "experiment-not-object", "seed-list", "seed-word", "seed-decimal", "ledger-window", "ledger-dominating",
+        "second-model-unknown", "gens-scalar", "gens-int-word", "phi-int", "words-scalar", "words-int"])
+def test_malformed_config_exits_2(tmp_path, doc, capsys):
+    assert _main_with_config(tmp_path, doc) == 2
+    assert "config error at $" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # rejected before any work starts
+
+
+def test_string_seed_is_the_integer_seed(tmp_path):
+    outputs = []
+    for seed in ("7", 7):
+        d = tmp_path / type(seed).__name__
+        d.mkdir()
+        doc = {"seed": seed, "experiments": [{"kind": "verify-lemmas", "name": "vl", "trials": 10}]}
+        assert _main_with_config(d, doc) == 0
+        manifest = json.loads((d / "o" / "manifest.json").read_text())
+        assert manifest["seed"] == 7
+        outputs.append(manifest["outputs"])
+    assert outputs[0] == outputs[1]
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiments": [')
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert main(["--config", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("config error at $") == 2
+
+
+def test_fibers_budget_is_partial(tmp_path):
+    out = tmp_path / "o"
+    code = main(["--out-dir", str(out), "--budget-nodes", "10", "fibers", "--model", "free:2", "--n-values", "6"])
+    assert code == 3
+    assert json.loads((out / "manifest.json").read_text())["partial"]
+    assert json.loads((out / "fibers.json").read_text())["reports"] == []
+
+
+def test_fibers_budget_skips_larger_n(tmp_path):
+    doc = {"experiments": [{
+        "kind": "fibers", "name": "fib", "model": "zz23", "phi": "xy",
+        "n_values": [8, 12, 14, 9],
+        "ledger": {"dominating": "1", "segment_length": 2,
+                   "window": ["1/4", "2/5"], "cut_window": ["1/4", "2/5"]},
+    }]}
+    # a budget of 300 admits the zz23 balls #B(9) = 154 but not #B(12) = 442
+    assert run(doc, tmp_path, 0, "scaled", 300) == 3
+    reports = json.loads((tmp_path / "fib.json").read_text())["reports"]
+    assert [r["n"] for r in reports] == [8, 9]
+    assert json.loads((tmp_path / "manifest.json").read_text())["partial"]
