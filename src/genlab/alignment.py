@@ -4,10 +4,18 @@ Gromov products, nearest-point projections, fellow traveling, K-alignment
 of geodesic sequences, the projection dichotomy for aligned pairs, and the
 chain-alignment and subsegment-capture lemmas as executable checks.  All
 quantities are exact integers or rationals; reruns are bit-identical.
+
+:func:`check_alignment` loops :func:`pair_diameters` over adjacent items.
+On trees a pair costs only the distances that decide it: the projection of
+anything onto a one-point item is its only point, a one-point item has one
+endpoint projection, and every other endpoint projection is the median of
+three points (two distances).  Diameters are integers, so they are compared
+with ``ceil(level)`` and no rational arithmetic runs per pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -39,11 +47,12 @@ def project(space: MetricSpaceModel, x, geo: Geodesic) -> ProjectionSet:
     On trees the projection is the median of x with the endpoints, found
     from three distances; elsewhere every point is scanned.
     """
-    if space.is_tree and len(geo) > 0:
+    n = len(geo)
+    if space.is_tree and n > 0:
         d_start = space.distance(x, geo.start)
         d_end = space.distance(x, geo.end)
-        two_i = d_start + len(geo) - d_end  # twice the Gromov product (x, end)_start
-        if two_i % 2 == 0 and 0 <= two_i <= 2 * len(geo):
+        two_i = d_start + n - d_end  # twice the Gromov product (x, end)_start
+        if two_i % 2 == 0 and 0 <= two_i <= 2 * n:
             i = two_i // 2
             return ProjectionSet(geo, d_start - i, (i,))
     dists = [space.distance(x, p) for p in geo.points]
@@ -125,6 +134,47 @@ class AlignmentReport:
         }
 
 
+def _tree_endpoint_indices(space: MetricSpaceModel, src: Geodesic, target: Geodesic) -> tuple:
+    """Indices on ``target`` of the projections of ``src``'s endpoints in a
+    tree; their span is the projection of all of ``src``."""
+    if len(target) == 0:
+        return (0,)
+    first = project(space, src.start, target).indices[0]
+    if len(src) == 0:
+        return (first,)
+    return (first, project(space, src.end, target).indices[0])
+
+
+def pair_diameters(space: MetricSpaceModel, g1: Geodesic, g2: Geodesic) -> tuple:
+    """(forward, backward) projection diameters of one adjacent pair: of
+    g2's projection onto g1 joined with g1's end, and of g1's projection
+    onto g2 joined with g2's start."""
+    if space.is_tree:
+        # a geodesic's projection onto another is the interval spanned by
+        # the projections of its endpoints
+        fwd = len(g1) - min(_tree_endpoint_indices(space, g2, g1))
+        bwd = max(_tree_endpoint_indices(space, g1, g2))
+        return fwd, bwd
+    fwd_pts = set()
+    for p in g2.points:
+        fwd_pts.update(project(space, p, g1).points)
+    bwd_pts = set()
+    for p in g1.points:
+        bwd_pts.update(project(space, p, g2).points)
+    return (
+        set_diameter(space, list(fwd_pts) + [g1.end]),
+        set_diameter(space, list(bwd_pts) + [g2.start]),
+    )
+
+
+def assemble_report(level: Fraction, pairs: list) -> AlignmentReport:
+    """The report on per-pair (forward, backward) diameters at ``level``.
+    Diameters are integers, so d >= level exactly when d >= ceil(level)."""
+    bound = math.ceil(level)
+    aligned = all(f < bound and b < bound for f, b in pairs)
+    return AlignmentReport(level, pairs, aligned)
+
+
 def check_alignment(space: MetricSpaceModel, sequence: Sequence[SequenceItem], level) -> AlignmentReport:
     """Is the sequence of geodesics/points K-aligned at the given level?
 
@@ -134,32 +184,8 @@ def check_alignment(space: MetricSpaceModel, sequence: Sequence[SequenceItem], l
     items = [as_geodesic(it) for it in sequence]
     if not items:
         raise ValueError("empty alignment sequence")
-    level = Fraction(level)
-    pair_diameters = []
-    ok = True
-    for g1, g2 in zip(items, items[1:]):
-        if space.is_tree:
-            # a geodesic's projection onto another is the interval spanned
-            # by the projections of its endpoints
-            i_a = project(space, g2.start, g1).indices[0]
-            i_b = project(space, g2.end, g1).indices[0]
-            fwd = len(g1) - min(i_a, i_b)
-            j_a = project(space, g1.start, g2).indices[0]
-            j_b = project(space, g1.end, g2).indices[0]
-            bwd = max(j_a, j_b)
-        else:
-            fwd_pts = set()
-            for p in g2.points:
-                fwd_pts.update(project(space, p, g1).points)
-            fwd = set_diameter(space, list(fwd_pts) + [g1.end])
-            bwd_pts = set()
-            for p in g1.points:
-                bwd_pts.update(project(space, p, g2).points)
-            bwd = set_diameter(space, list(bwd_pts) + [g2.start])
-        pair_diameters.append((fwd, bwd))
-        if fwd >= level or bwd >= level:
-            ok = False
-    return AlignmentReport(level, pair_diameters, ok)
+    pairs = [pair_diameters(space, g1, g2) for g1, g2 in zip(items, items[1:])]
+    return assemble_report(Fraction(level), pairs)
 
 
 class AlignmentError(ValueError):

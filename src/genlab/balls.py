@@ -1,9 +1,9 @@
 """Word-metric balls: enumeration, distances, geodesics, translation lengths.
 
 All computations run over canonical keys, so deduplication and equality are
-exact.  Ball enumeration is a breadth-first search whose frontier may be
-split across worker threads; the merge is order-insensitive, so the output
-is deterministic regardless of the worker count.
+exact.  Ball enumeration is a single-threaded breadth-first search; its
+``workers`` argument is accepted and ignored (a GIL-bound thread pool gave
+no speedup), so outputs are the same for every worker setting.
 
 :class:`BallIndex` keeps one shortlex BFS of a ball (the last S-letter of
 each element's shortlex-least geodesic) and answers geodesic and norm
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -79,15 +78,6 @@ class BallCensus:
         return doc
 
 
-def _expand_chunk(model: GroupModel, gen_keys, chunk):
-    out = []
-    mul = model.mul_keys
-    for key in chunk:
-        for gk in gen_keys:
-            out.append(mul(key, gk))
-    return out
-
-
 def enumerate_ball(
     model: GroupModel,
     gens: GeneratingSet,
@@ -98,11 +88,9 @@ def enumerate_ball(
 ) -> BallCensus:
     """BFS the ball of the given radius, deduplicating by canonical key.
 
-    With ``workers > 1`` the frontier is split into equal chunks expanded in
-    a thread pool; results are merged in chunk order, so counts and element
-    lists are identical for every worker count.  If ``node_budget`` is hit
-    the census is returned truncated (sphere counts up to the last complete
-    radius are kept).
+    ``workers`` is a no-op kept for callers that pass it.  If
+    ``node_budget`` is hit the census is returned truncated (sphere counts
+    up to the last complete radius are kept).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -112,38 +100,23 @@ def enumerate_ball(
     sphere_counts = [1]
     spheres = [[ident]] if keep_elements else None
     gen_keys = [g.key for g in gens.elements]
+    mul = model.mul_keys
     truncated = False
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for _r in range(radius):
-            if not frontier:
-                sphere_counts.append(0)
-                if spheres is not None:
-                    spheres.append([])
-                continue
-            if workers > 1 and len(frontier) >= 4 * workers:
-                size = (len(frontier) + workers - 1) // workers
-                chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-                produced = pool.map(lambda c: _expand_chunk(model, gen_keys, c), chunks)
-                candidates = [k for part in produced for k in part]
-            else:
-                candidates = _expand_chunk(model, gen_keys, frontier)
-            new_frontier = []
-            for k in candidates:
+    for _r in range(radius):
+        new_frontier = []
+        for key in frontier:
+            for gk in gen_keys:
+                k = mul(key, gk)
                 if k not in visited:
                     visited.add(k)
                     new_frontier.append(k)
-            if node_budget is not None and len(visited) > node_budget:
-                truncated = True
-                break
-            frontier = new_frontier
-            sphere_counts.append(len(frontier))
-            if spheres is not None:
-                spheres.append(sorted(frontier))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if node_budget is not None and len(visited) > node_budget:
+            truncated = True
+            break
+        frontier = new_frontier
+        sphere_counts.append(len(frontier))
+        if spheres is not None:
+            spheres.append(sorted(frontier))
 
     return BallCensus(
         model_name=model.name,

@@ -4,11 +4,15 @@ letter-block replacement maps with fiber censuses, and genericity curves.
 Free-group threshold counts use an exact transfer-matrix closed form
 (cross-checked against brute enumeration on small balls); everything else
 is exhaustive over enumerated balls.  A fiber census builds one
-:class:`~genlab.balls.BallIndex` per radius and reads every geodesic and
-norm of its thick search and replacement maps from it; the negligibility
-probe decides core norms by membership in the spheres of its enumerated
-ball.  All ratios are exact rationals; only fitted decay exponents are
-floating point.
+:class:`~genlab.balls.BallIndex` and one :class:`SegmentTable` per radius:
+the index answers every geodesic and norm query of its thick search and
+replacement maps, and the table builds each orbit segment once, with its
+basepoint alignment pair and the least norm of its points, so that an
+alignment check per element costs only the pair (segment, g x0).  The
+negligibility probe decides core norms by membership in the spheres of its
+enumerated ball.  ``genericity`` and the probe stop at the last radius
+their ball completes within a node budget.  All ratios are exact
+rationals; only fitted decay exponents are floating point.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentReport, check_alignment
+from .alignment import AlignmentReport, as_geodesic, assemble_report, check_alignment, pair_diameters
 from .balls import (
     BallIndex,
     BudgetExceeded,
@@ -250,6 +254,75 @@ class ThickCertificate:
     report: Optional[AlignmentReport] = None
 
 
+@dataclass
+class SegmentEntry:
+    """One orbit segment of a :class:`SegmentTable`: the segment, the
+    alignment pair (basepoint, segment), and the least word norm of its
+    points under each cap asked for so far."""
+
+    segment: OrbitSegment
+    head: tuple  # pair_diameters(basepoint, segment.projected)
+    norms: dict = field(default_factory=dict)  # cap -> least norm at most cap, or None
+
+
+class SegmentTable:
+    """The orbit segments g * (id, phi, ..., phi^L) of one census, by the key
+    of their base g, each built and measured once (L is the ledger's
+    segment length).
+
+    Every alignment sequence of the thick search and the replacement maps
+    is (basepoint, segment, h x0).  Its first pair depends on the segment
+    alone, so it is stored; a report costs only the pair (segment, h x0).
+    Norms are read from ``ball`` when one is given.
+    """
+
+    def __init__(self, model: GroupModel, gens: GeneratingSet, action: GroupAction, phi: GroupElement,
+                 ledger: ConstantLedger, ball: Optional[BallIndex] = None):
+        self.model, self.gens, self.action = model, gens, action
+        self.phi, self.ledger, self.ball = phi, ledger, ball
+        self._basepoint = as_geodesic(action.space.basepoint)
+        self._entries: dict = {}
+        self._windows: dict = {}
+
+    def entry(self, base: GroupElement, segment: Optional[OrbitSegment] = None) -> SegmentEntry:
+        """The entry of the segment based at ``base``; a new entry takes
+        ``segment`` when one is given."""
+        found = self._entries.get(base.key)
+        if found is None:
+            if segment is None:
+                segment = OrbitSegment(self.action, base, self.phi, self.ledger.segment_length)
+            head = pair_diameters(self.action.space, self._basepoint, segment.projected)
+            found = self._entries[base.key] = SegmentEntry(segment, head)
+        return found
+
+    def thick_window(self, norm: int) -> tuple:
+        """The integers in the ledger's distance window times ``norm``, as
+        (least, greatest); norms are integers, so this is the window."""
+        bounds = self._windows.get(norm)
+        if bounds is None:
+            lo, hi = self.ledger.window
+            bounds = self._windows[norm] = (math.ceil(lo * norm), math.floor(hi * norm))
+        return bounds
+
+    def least_norm(self, entry: SegmentEntry, cap: int) -> Optional[int]:
+        """The least d_S(id, h) over the segment's points h, among those at
+        most ``cap``; None if there are none."""
+        if cap not in entry.norms:
+            best = None
+            for h in entry.segment.points:
+                d = _distance_from_identity(self.model, self.gens, h, cap, self.ball)
+                if d is not None and (best is None or d < best):
+                    best = d
+            entry.norms[cap] = best
+        return entry.norms[cap]
+
+    def report(self, entry: SegmentEntry, point, level: Fraction) -> AlignmentReport:
+        """``check_alignment`` of (basepoint, segment, point) at ``level``,
+        a Fraction (as every ledger constant is)."""
+        tail = pair_diameters(self.action.space, entry.segment.projected, as_geodesic(point))
+        return assemble_report(level, [entry.head, tail])
+
+
 def a_thick_certify(
     model: GroupModel,
     gens: GeneratingSet,
@@ -259,28 +332,26 @@ def a_thick_certify(
     segment: OrbitSegment,
     norm: Optional[int] = None,
     ball: Optional[BallIndex] = None,
+    table: Optional[SegmentTable] = None,
 ) -> ThickCertificate:
     """Exact check of the two thick-set conditions for a candidate segment:
     the word distance window and the basepoint alignment.  Norms are read
-    from ``ball`` when one is given."""
+    from ``ball`` when one is given, and the segment's norms and basepoint
+    pair from ``table`` (of the segment's φ and this ledger)."""
     if segment.length != ledger.segment_length:
         raise ValueError(
             f"segment length {segment.length} differs from ledger length {ledger.segment_length}"
         )
+    if table is None:
+        table = SegmentTable(model, gens, action, segment.phi, ledger, ball)
+    entry = table.entry(segment.base, segment)
     if norm is None:
         norm = _norm(model, gens, g, ball)
-    lo = ledger.window[0] * norm
-    hi = ledger.window[1] * norm
-    cap = int(hi) + 1
-    best = None
-    for h in segment.points:
-        d = _distance_from_identity(model, gens, h, cap, ball)
-        if d is not None and (best is None or d < best):
-            best = d
+    lo, hi = table.thick_window(norm)
+    best = table.least_norm(entry, hi + 1)
     if best is None or not (lo <= best <= hi):
         return ThickCertificate(False, "distance-window", best)
-    seq = [action.space.basepoint, segment.projected, action.proj(g)]
-    report = check_alignment(action.space, seq, ledger.dominating)
+    report = table.report(entry, action.proj(g), ledger.dominating)
     if not report.aligned:
         return ThickCertificate(False, "alignment", best, report)
     return ThickCertificate(True, "ok", best, report)
@@ -303,10 +374,12 @@ def a_thick_search(
     ledger: ConstantLedger,
     perturb_letters: Optional[Sequence[GroupElement]] = None,
     ball: Optional[BallIndex] = None,
+    table: Optional[SegmentTable] = None,
 ) -> ThickSearchResult:
     """Window scan along the fixed geodesic representative, with bounded
     left perturbations.  Sound when it answers yes; a no is heuristic.
-    Geodesics and norms are read from ``ball`` when one is given."""
+    Geodesics and norms are read from ``ball`` when one is given, and
+    segments from ``table`` (of φ and this ledger)."""
     geo = _geodesic(model, gens, g, ball)
     if geo is None:
         return ThickSearchResult(False)
@@ -317,11 +390,13 @@ def a_thick_search(
         return ThickSearchResult(False, degenerate=True)
     if perturb_letters is None:
         perturb_letters = [model.identity()] + list(gens.elements)
+    if table is None:
+        table = SegmentTable(model, gens, action, phi, ledger, ball)
     for i in range(lo, hi + 1):
         prefix = model.element(gens.spell(geo.s_letters[:i]))
         for s in perturb_letters:
-            seg = OrbitSegment(action, prefix * s, phi, ledger.segment_length)
-            cert = a_thick_certify(model, gens, action, g, ledger, seg, norm=n, ball=ball)
+            seg = table.entry(prefix * s).segment
+            cert = a_thick_certify(model, gens, action, g, ledger, seg, norm=n, ball=ball, table=table)
             if cert.certified:
                 return ThickSearchResult(True, witness=seg, certificate=cert)
     return ThickSearchResult(False)
@@ -379,13 +454,15 @@ def replacement_map(
     i: int,
     ledger: ConstantLedger,
     ball: Optional[BallIndex] = None,
+    table: Optional[SegmentTable] = None,
 ) -> Replacement:
     """Cut the fixed geodesic at i, excise a block, splice in a linked
     power of the distinguished element: g = w l v  ->  w s phi^L t v.
 
     The linkage pair (s, t) is the first one in deterministic order whose
     splice alignment certifies at the ledger level.  The geodesic and the
-    output norm are read from ``ball`` when one is given.
+    output norm are read from ``ball`` when one is given, and the segments
+    w s (phi^0, ..., phi^L) from ``table``.
     """
     geo = _geodesic(model, gens, g, ball)
     n = len(geo.s_letters)
@@ -396,6 +473,8 @@ def replacement_map(
     block = ledger.block_length()
     if i + block > n:
         raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
+    if table is None:
+        table = SegmentTable(model, gens, action, phi, ledger, ball)
     w = model.element(gens.spell(geo.s_letters[:i]))
     v = model.element(gens.spell(geo.s_letters[i + block :]))
     power = phi**ledger.segment_length
@@ -403,11 +482,12 @@ def replacement_map(
     candidates = [model.identity()] + list(gens.elements)
     best = None
     for s in candidates:
-        seg = OrbitSegment(action, w * s, phi, ledger.segment_length)
+        ws = w * s
+        entry = table.entry(ws)
+        head = ws * power
         for t in candidates:
-            out = w * s * power * t * v
-            seq = [action.space.basepoint, seg.projected, action.proj(out)]
-            report = check_alignment(action.space, seq, level)
+            out = head * t * v
+            report = table.report(entry, action.proj(out), level)
             if report.aligned:
                 return Replacement(
                     out, i, s, t, report,
@@ -532,6 +612,7 @@ def fiber_census(
     ball = BallIndex(model, gens, n, node_budget=node_budget)
     if ball.truncated:
         raise BudgetExceeded(f"the radius-{n} ball outgrew the node budget {node_budget}")
+    table = SegmentTable(model, gens, action, phi, ledger, ball)
     inner = math.floor(shell * n)
     fibers: dict = {}
     domain = 0
@@ -540,7 +621,7 @@ def fiber_census(
     for r in range(inner + 1, n + 1):
         for key in ball.spheres[r]:
             g = GroupElement(model, model.key_word(key), key)
-            found = a_thick_search(model, gens, action, phi, g, ledger, ball=ball)
+            found = a_thick_search(model, gens, action, phi, g, ledger, ball=ball, table=table)
             if found.found:
                 thick_skipped += 1
                 continue
@@ -552,7 +633,7 @@ def fiber_census(
                 degenerate += 1
                 continue
             for i in indices:
-                rep = replacement_map(model, gens, action, phi, g, i, ledger, ball=ball)
+                rep = replacement_map(model, gens, action, phi, g, i, ledger, ball=ball, table=table)
                 domain += 1
                 fibers[rep.element.key] = fibers.get(rep.element.key, 0) + 1
     histogram: dict = {}
@@ -593,6 +674,7 @@ class GenericityCurve:
     fitted_exponent: Optional[float]
     tail_monotone: bool
     thresholds: dict
+    truncated: bool = False  # the ball outgrew the node budget; radii stop short
 
     def to_csv(self) -> str:
         lines = ["radius,special_count,total,ratio"]
@@ -640,13 +722,16 @@ def genericity_experiment(
     r_max: int,
     tree_threshold: int = 0,
     word_threshold: Fraction = Fraction(35, 100),
+    node_budget: Optional[int] = None,
 ) -> GenericityCurve:
     """Per-radius ratios of the slow-elements set, exact over enumerated
     balls.  For 3-braids the count is of center cosets whose elements are
     not pseudo-Anosov, following the coset-counting reduction; for the
     tree models it is of elements with small tree translation length or
-    small stable word norm."""
-    census = enumerate_ball(model, gens, r_max, keep_elements=True)
+    small stable word norm.  If the ball outgrows ``node_budget`` the curve
+    stops at its last complete radius and is ``truncated``."""
+    census = enumerate_ball(model, gens, r_max, keep_elements=True, node_budget=node_budget)
+    r_max = census.radius
     radii = list(range(r_max + 1))
     special, totals, ratios = [], [], []
     if isinstance(model, Braid3):
@@ -700,6 +785,7 @@ def genericity_experiment(
         fitted_exponent=_fit_decay_exponent(radii, ratios),
         tail_monotone=tail_monotone,
         thresholds={"tree_threshold": tree_threshold, "word_threshold": word_threshold},
+        truncated=census.truncated,
     )
 
 
@@ -720,6 +806,7 @@ class NegligibilityProbe:
     points: list
     fitted_rate: Optional[float]
     windows: dict
+    truncated: bool = False  # the ball outgrew the node budget; larger n left out
 
     def to_json(self) -> dict:
         return {
@@ -739,22 +826,28 @@ def exponential_negligibility_probe(
     conj_window: Fraction = Fraction(31, 100),
     core_window: Fraction = Fraction(57, 100),
     shell: Fraction = Fraction(99, 100),
+    node_budget: Optional[int] = None,
 ) -> NegligibilityProbe:
     """Fraction of the outer shell admitting a conjugation decomposition
     h^-1 g' h with the stated norm windows, exhaustive over short h.
 
-    The core's word norm d_S(core) <= core_window * n is decided exactly,
-    for every generating set, by membership in the spheres of the
-    enumerated ball up to radius floor(core_window * n)."""
+    One enumerated ball supplies the shell, the conjugators h and the
+    cores: d_S(core) <= core_window * n is decided exactly, for every
+    generating set, by membership in its spheres up to radius
+    floor(core_window * n).  If the ball outgrows ``node_budget``, every n
+    it does not reach is left out and the probe is ``truncated``."""
+    def reach(n: int) -> int:  # the radius the shell, the cores and the conjugators of n need
+        return max(n, math.floor(core_window * n), math.floor(conj_window * n))
+
     points = []
-    n_max = max(n_values)
-    census = enumerate_ball(model, gens, max(n_max, math.floor(core_window * n_max)), keep_elements=True)
-    conj_census = enumerate_ball(model, gens, math.floor(conj_window * n_max), keep_elements=True)
+    census = enumerate_ball(model, gens, reach(max(n_values)), keep_elements=True, node_budget=node_budget)
     for n in n_values:
+        if reach(n) > census.radius:
+            continue
         inner = math.floor(shell * n)
         h_cap = math.floor(conj_window * n)
         short_core = set(itertools.chain.from_iterable(census.elements[:math.floor(core_window * n) + 1]))
-        h_keys = [k for r in range(h_cap + 1) for k in conj_census.elements[r]]
+        h_keys = [k for r in range(h_cap + 1) for k in census.elements[r]]
         shell_size = 0
         decomposable = 0
         for r in range(inner + 1, n + 1):
@@ -777,4 +870,4 @@ def exponential_negligibility_probe(
         fitted = float(slope)
     return NegligibilityProbe(points, fitted, {
         "conj_window": conj_window, "core_window": core_window, "shell": shell,
-    })
+    }, truncated=census.truncated)

@@ -273,7 +273,10 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
                 model, action, gens, radius,
                 tree_threshold=int(raw.get("tree_threshold", 0)),
                 word_threshold=Fraction(raw.get("word_threshold", "35/100")),
+                node_budget=budget_nodes,
             )
+            if curve.truncated:
+                manifest["partial"] = True
             _write(out_dir, f"{name}.csv", curve.to_csv(), manifest)
             _write(out_dir, f"{name}.json", _json_text(curve.to_json()), manifest)
             _write(out_dir, f"{name}.dat", curve.plot_data(), manifest)
@@ -312,7 +315,9 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
         elif exp.kind == "probe-negligibility":
             model, gens = _build_model_gens(raw, path)
             n_values = [int(n) for n in _require(raw, "n_values", path)]
-            probe = census.exponential_negligibility_probe(model, gens, n_values)
+            probe = census.exponential_negligibility_probe(model, gens, n_values, node_budget=budget_nodes)
+            if probe.truncated:
+                manifest["partial"] = True
             _write(out_dir, f"{name}.json", _json_text(probe.to_json()), manifest)
             _write(out_dir, f"{name}.dat", "".join(f"{p.n} {float(p.ratio)!r}\n" for p in probe.points), manifest)
     _write(out_dir, "manifest.json", _json_text({k: v for k, v in manifest.items() if k != "outputs"} | {"outputs": manifest["outputs"]}), manifest)

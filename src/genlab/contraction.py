@@ -25,12 +25,6 @@ class NonLoxodromicError(ValueError):
     """The distinguished element does not translate along the space."""
 
 
-def space_translation_sample(action: GroupAction, phi: GroupElement, n: int = 4) -> Fraction:
-    """Upper estimate d(x0, phi^n x0)/n; positive iff phi makes progress."""
-    x0 = action.space.basepoint
-    return Fraction(action.space.distance(x0, action.proj(phi**n)), n)
-
-
 def require_loxodromic(action: GroupAction, phi: GroupElement, n: int = 4) -> None:
     d1 = action.space.distance(action.space.basepoint, action.proj(phi**n))
     d2 = action.space.distance(action.space.basepoint, action.proj(phi ** (2 * n)))

@@ -109,19 +109,33 @@ class GroupElement:
     key: object = None
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        """The product; its key is the product of the keys, and its word the
+        concatenation of the words (which is not re-normalized)."""
         if other.model is not self.model:
             raise ValueError("elements of different models")
-        w = self.word + other.word
-        return GroupElement(self.model, w, self.model.normalize(w))
+        return GroupElement(self.model, self.word + other.word, self.model.mul_keys(self.key, other.key))
 
     def inverse(self) -> "GroupElement":
         w = invert(self.word)
         return GroupElement(self.model, w, self.model.normalize(w))
 
     def __pow__(self, n: int) -> "GroupElement":
+        """The n-th power, with its key by repeated squaring of keys and its
+        word the |n|-fold concatenation."""
         base = self if n >= 0 else self.inverse()
-        w = base.word * abs(n)
-        return GroupElement(self.model, w, self.model.normalize(w))
+        e = abs(n)
+        if e == 0:
+            return self.model.identity()
+        mul = self.model.mul_keys
+        key, square = None, base.key
+        while True:
+            if e & 1:
+                key = square if key is None else mul(key, square)
+            e >>= 1
+            if not e:
+                break
+            square = mul(square, square)
+        return GroupElement(self.model, base.word * abs(n), key)
 
     def is_identity(self) -> bool:
         return self.key == self.model.identity_key()

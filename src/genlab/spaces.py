@@ -8,6 +8,7 @@ All distances are exact integers; there is no floating-point geometry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
@@ -447,9 +448,10 @@ class OrbitSegment:
         self.points = tuple(pts)
         self.orbit_points = tuple(action.proj(g) for g in self.points)
 
-    @property
+    @functools.cached_property
     def projected(self) -> Geodesic:
-        """The geodesic [g x0, g phi^n x0] the segment projects onto."""
+        """The geodesic [g x0, g phi^n x0] the segment projects onto
+        (computed once per segment)."""
         return self.action.space.geodesic(self.orbit_points[0], self.orbit_points[-1])
 
     def midpoint_element(self) -> GroupElement:

@@ -39,21 +39,6 @@ def free_reduce(word: Iterable[int]) -> Word:
     return tuple(out)
 
 
-def reduced_concat(u: Sequence[int], v: Sequence[int]) -> Word:
-    """Concatenate two already-reduced words and cancel at the junction.
-
-    >>> reduced_concat((1, 2), (-2, 3))
-    (1, 3)
-    """
-    out = list(u)
-    for a in v:
-        if out and out[-1] == -a:
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)
-
-
 def cyclic_reduce(word: Sequence[int]) -> Word:
     """Strip matching first/last inverse pairs off a reduced word.
 
@@ -73,20 +58,6 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
         lo += 1
         hi -= 1
     return tuple(w[lo:hi])
-
-
-def common_prefix_length(u: Sequence[int], v: Sequence[int]) -> int:
-    """Length of the longest common prefix of two words.
-
-    >>> common_prefix_length((1, 2, 3), (1, 2, -3))
-    2
-    """
-    n = 0
-    for a, b in zip(u, v):
-        if a != b:
-            break
-        n += 1
-    return n
 
 
 def parse_word(text: str, labels: Sequence[str]) -> Word:

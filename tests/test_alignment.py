@@ -17,7 +17,7 @@ from genlab.alignment import (
     project,
     set_diameter,
 )
-from genlab.spaces import Geodesic, cycle_graph
+from genlab.spaces import BassSerreTree, CayleyTree, Geodesic, cycle_graph
 
 from conftest import random_reduced_word
 
@@ -87,6 +87,59 @@ def test_projection_fast_path_matches_generic(tree2):
         fast = check_alignment(tree, items, 2)
         slow_rep = check_alignment(slow, items, 2)
         assert fast.pair_diameters == slow_rep.pair_diameters
+
+
+def _random_vertex(rng, tree, steps):
+    v = tree.basepoint
+    for _ in range(steps):
+        v = rng.choice(sorted(tree.neighbors(v)))
+    return v
+
+
+@pytest.mark.parametrize("tree", [CayleyTree(2), BassSerreTree()], ids=["cayley2", "bass-serre"])
+def test_tree_alignment_matches_generic_scan(tree):
+    # the tree pair helper (endpoint medians, no distance onto a point)
+    # against the generic scan of every projection and every diameter
+    class Slow:
+        is_tree = False
+        delta = tree.delta
+        basepoint = tree.basepoint
+        distance = staticmethod(tree.distance)
+        geodesic = staticmethod(tree.geodesic)
+
+    slow = Slow()
+    rng = random.Random(3)
+    levels = (1, Fraction(3, 2), 2, Fraction(7, 3), 3, Fraction(9, 2))
+
+    def geo():
+        # one-point geodesics included
+        return tree.geodesic(_random_vertex(rng, tree, rng.randrange(0, 8)),
+                             _random_vertex(rng, tree, rng.randrange(0, 8)))
+
+    def point():
+        return _random_vertex(rng, tree, rng.randrange(0, 9))
+
+    one_point = 0
+    for _ in range(400):
+        sequences = [
+            [point(), geo(), point()],
+            [geo(), geo()],
+            [point(), geo()],
+            [geo(), point()],
+            [geo(), geo(), point(), geo()],
+        ]
+        for items in sequences:
+            one_point += sum(isinstance(it, Geodesic) and len(it) == 0 for it in items)
+            level = rng.choice(levels)
+            fast = check_alignment(tree, items, level)
+            slow_rep = check_alignment(slow, items, level)
+            assert fast.pair_diameters == slow_rep.pair_diameters
+            assert fast.aligned == slow_rep.aligned
+            assert fast.level == slow_rep.level == Fraction(level)
+            # the integer comparison with ceil(level) against the rational one
+            assert fast.aligned == all(max(p) < Fraction(level) for p in fast.pair_diameters)
+            assert fast.aligned == (fast.first_violation() is None)
+    assert one_point > 0
 
 
 def test_alignment_examples(tree2):

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from genlab.balls import enumerate_ball, free_ball_count, word_distance
+from genlab.alignment import check_alignment
+from genlab.balls import BallIndex, enumerate_ball, free_ball_count, word_distance
 from genlab.census import (
     LinkageFailure,
+    SegmentTable,
     a_thick_certify,
     a_thick_search,
     classify,
@@ -23,7 +25,7 @@ from genlab.census import (
     single_letter_replacement,
     single_replacement_fibers,
 )
-from genlab.groups import FreeGroup, GeneratingSet
+from genlab.groups import FreeGroup, GeneratingSet, GroupElement
 from genlab.spaces import OrbitSegment, build_cayley_tree
 
 from conftest import random_word
@@ -344,3 +346,75 @@ def test_negligibility_probe_uses_the_word_metric(f2, braid, gens_words):
     got = {p.n: (p.shell_size, p.decomposable) for p in probe.points}
     assert got == _brute_probe_pairs(model, gens, [4, 5])
     assert got[4][1] > 0
+
+
+@pytest.mark.parametrize("which", ["f2", "zz23"])
+def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23, bass_serre, zz23_ledger):
+    # every report the table assembles from its stored (basepoint, segment)
+    # pair equals check_alignment on the whole sequence, and its least norms
+    # equal a word_distance search over the segment's points
+    if which == "f2":
+        model, action, ledger, phi, n = f2, tree2[1], f2_ledger, f2.element("a"), 8
+    else:
+        model, action, ledger, phi, n = zz23, bass_serre[1], zz23_ledger, zz23.element("xy"), 10
+    gens = model.standard_gens()
+    ball = BallIndex(model, gens, n)
+    table = SegmentTable(model, gens, action, phi, ledger, ball)
+    space, ident = action.space, model.identity()
+    power = phi**ledger.segment_length
+    candidates = [ident] + list(gens.elements)
+    levels = (ledger.dominating, ledger.alignment_level(), Fraction(3, 2), Fraction(7, 3))
+    compared = aligned = windowed = 0
+    for key in ball.spheres[n][:: max(1, len(ball.spheres[n]) // 25)]:
+        g = GroupElement(model, model.key_word(key), key)
+        geo = ball.geodesic(g)
+        for i in range(1, n):
+            w = model.element(gens.spell(geo.s_letters[:i]))
+            v = model.element(gens.spell(geo.s_letters[i + 1 :]))
+            for s in candidates:
+                entry = table.entry(w * s)
+                seg = OrbitSegment(action, w * s, phi, ledger.segment_length)
+                assert entry.segment.orbit_points == seg.orbit_points
+                cap = n // 2
+                direct = [word_distance(model, gens, ident, h, cap) for h in seg.points]
+                assert table.least_norm(entry, cap) == min((d for d in direct if d is not None), default=None)
+                # the thick-window test against the rational window
+                lo, hi = ledger.window[0] * n, ledger.window[1] * n
+                direct = [word_distance(model, gens, ident, h, int(hi) + 1) for h in seg.points]
+                best = min((d for d in direct if d is not None), default=None)
+                cert = a_thick_certify(model, gens, action, g, ledger, entry.segment, norm=n, ball=ball, table=table)
+                assert cert.distance == best
+                assert (cert.reason != "distance-window") == (best is not None and lo <= best <= hi)
+                windowed += cert.reason != "distance-window"
+                points = [action.proj(g)] + [action.proj(w * s * power * t * v) for t in candidates]
+                for p in points:
+                    for level in levels:
+                        got = table.report(entry, p, level)
+                        want = check_alignment(space, [space.basepoint, seg.projected, p], level)
+                        assert got == want
+                        compared += 1
+                        aligned += want.aligned
+    assert compared > 1000 and 0 < aligned < compared
+    assert windowed > 0
+
+
+def test_census_queries_agree_with_and_without_a_table(zz23, bass_serre, zz23_ledger):
+    _, action, _ = bass_serre
+    gens = zz23.standard_gens()
+    phi = zz23.element("xy")
+    n = 10
+    ball = BallIndex(zz23, gens, n)
+    table = SegmentTable(zz23, gens, action, phi, zz23_ledger, ball)
+    lo = math.ceil(zz23_ledger.cut_window[0] * n)
+    for key in ball.spheres[n][::5]:
+        g = GroupElement(zz23, zz23.key_word(key), key)
+        shared = a_thick_search(zz23, gens, action, phi, g, zz23_ledger, ball=ball, table=table)
+        alone = a_thick_search(zz23, gens, action, phi, g, zz23_ledger)
+        assert shared.found == alone.found
+        if shared.found:
+            assert shared.certificate == alone.certificate
+            assert shared.witness.base == alone.witness.base
+            continue
+        shared_rep = replacement_map(zz23, gens, action, phi, g, lo, zz23_ledger, ball=ball, table=table)
+        alone_rep = replacement_map(zz23, gens, action, phi, g, lo, zz23_ledger)
+        assert shared_rep == alone_rep

@@ -198,3 +198,34 @@ def test_fibers_budget_skips_larger_n(tmp_path):
     reports = json.loads((tmp_path / "fib.json").read_text())["reports"]
     assert [r["n"] for r in reports] == [8, 9]
     assert json.loads((tmp_path / "manifest.json").read_text())["partial"]
+
+
+def test_genericity_budget_is_partial(tmp_path):
+    out = tmp_path / "o"
+    code = main(["--out-dir", str(out), "--budget-nodes", "10", "genericity", "--model", "braid3", "--radius", "6"])
+    assert code == 3
+    assert json.loads((out / "manifest.json").read_text())["partial"]
+    # #B(1) = 5 fits the budget, #B(2) does not: the curve stops at radius 1
+    assert json.loads((out / "genericity.json").read_text())["radii"] == [0, 1]
+
+
+def test_probe_budget_skips_larger_n(tmp_path):
+    out = tmp_path / "o"
+    # a budget of 100 admits the F2 ball #B(3) = 53 but not #B(4) = 161
+    code = main(["--out-dir", str(out), "--budget-nodes", "100", "probe-negligibility", "--model", "free:2",
+                 "--n-values", "3", "4", "2"])
+    assert code == 3
+    assert json.loads((out / "manifest.json").read_text())["partial"]
+    points = json.loads((out / "probe-negligibility.json").read_text())["points"]
+    assert [p["n"] for p in points] == [3, 2]
+
+
+def test_unbudgeted_genericity_and_probe_are_not_partial(tmp_path):
+    doc = {"experiments": [
+        {"kind": "genericity", "name": "curve", "model": "braid3", "radius": 4},
+        {"kind": "probe-negligibility", "name": "probe", "model": "free:2", "n_values": [3, 4]},
+    ]}
+    assert run(doc, tmp_path / "a", 0, "scaled", None) == 0
+    assert run(doc, tmp_path / "b", 0, "scaled", 10**6) == 0
+    assert not json.loads((tmp_path / "a" / "manifest.json").read_text())["partial"]
+    assert _hashes(tmp_path / "a") == _hashes(tmp_path / "b")

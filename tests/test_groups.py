@@ -131,3 +131,27 @@ def test_make_model():
     assert make_model("zz23").name == "zz23"
     with pytest.raises(ValueError):
         make_model("nope")
+
+
+_PRODUCT_MODELS = (FreeGroup(2), FreeProductZ2Z3(), Braid3(), FiniteSample.cyclic(5))
+
+
+@given(st.data())
+@settings(max_examples=400)
+def test_product_and_power_keys_are_normal_forms(data):
+    # products multiply keys and powers square them; each key must still be
+    # the normal form of the concatenated word the element carries
+    model = data.draw(st.sampled_from(_PRODUCT_MODELS), label="model")
+    words = st.lists(st.sampled_from(model.alphabet.signed_letters()), max_size=12).map(tuple)
+    u, v = data.draw(words, label="u"), data.draw(words, label="v")
+    n = data.draw(st.integers(-7, 7), label="n")
+    g, h = model.element(u), model.element(v)
+    prod = g * h
+    assert prod.word == u + v
+    assert prod.key == model.normalize(u + v)
+    power = g**n
+    spelled = (u if n >= 0 else invert(u)) * abs(n)
+    assert power.word == spelled
+    assert power.key == model.normalize(spelled)
+    chained = g * h * g.inverse()
+    assert chained.key == model.normalize(u + v + invert(u))
