@@ -23,8 +23,9 @@ f2 = tree.group
 a, b = f2.element("a"), f2.element("b")
 print("Cayley tree of F2: d(a x0, b x0) =", tree.distance(action.proj(a), action.proj(b)))
 geo = tree.geodesic(action.proj(b), action.proj(b * b))
-print("projection of a x0 onto [b x0, b^2 x0]:", project(tree, action.proj(a), geo).points)
-print("Gromov product (a x0, b x0)_x0 =", gromov_product(tree, action.proj(a), action.proj(b), ()))
+print("projection of a x0 onto [b x0, b^2 x0]:",
+      tuple(f2.key_word(p) for p in project(tree, action.proj(a), geo).points))
+print("Gromov product (a x0, b x0)_x0 =", gromov_product(tree, action.proj(a), action.proj(b), tree.basepoint))
 
 bst, _, braid_action = build_bass_serre_tree()
 braid = Braid3()

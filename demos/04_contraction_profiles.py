@@ -26,8 +26,8 @@ from genlab import (
 
 tree, action = build_cayley_tree(2)
 f2 = tree.group
-geo = tree.geodesic((), (1, 1, 1, 1))
-res = strong_contraction_check(tree, geo, 1, tree.ball((1, 1), 4))
+geo = tree.geodesic(tree.basepoint, f2.normalize((1, 1, 1, 1)))
+res = strong_contraction_check(tree, geo, 1, tree.ball(f2.normalize((1, 1)), 4))
 print("tree geodesic: 1-strongly contracting:", res.passes, "(least passing level:", res.least_passing, ")")
 
 grid = grid_graph(10, 10)

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .groups import Braid3, FreeGroup, GeneratingSet, GroupElement, GroupModel
 from .words import Word, invert
@@ -37,6 +37,7 @@ class BallCensus:
     sphere_counts: list[int]
     elements: Optional[list[list]] = None  # per-radius sorted key lists
     truncated: bool = False
+    key_repr: Callable = field(default=repr, repr=False, compare=False)  # the model's key text
 
     @property
     def ball_counts(self) -> list[int]:
@@ -74,7 +75,7 @@ class BallCensus:
             "truncated": self.truncated,
         }
         if self.elements is not None:
-            doc["elements"] = [[repr(k) for k in sphere] for sphere in self.elements]
+            doc["elements"] = [[self.key_repr(k) for k in sphere] for sphere in self.elements]
         return doc
 
 
@@ -125,6 +126,7 @@ def enumerate_ball(
         sphere_counts=sphere_counts,
         elements=spheres,
         truncated=truncated,
+        key_repr=model.key_repr,
     )
 
 
@@ -155,7 +157,8 @@ def word_distance(
     """Exact d_S(g, h) when it is at most ``r_max``, else None.
 
     Bidirectional BFS over canonical keys.  For free groups with their
-    standard generators the reduced-word length is used directly.
+    standard generators the reduced-word length is used directly.  Raises
+    :class:`BudgetExceeded` if the search outgrows ``node_budget`` nodes.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
@@ -200,7 +203,7 @@ def word_distance(
                         nxt.append(nk)
             b_frontier = nxt
         if node_budget is not None and len(fwd) + len(bwd) > node_budget:
-            return None
+            raise BudgetExceeded(f"a distance search outgrew the node budget {node_budget}")
     return None
 
 
@@ -230,7 +233,8 @@ def _closed_form_geodesic(model: GroupModel, gens: GeneratingSet, key) -> Option
     if key == model.identity_key():
         return GeodesicWord((), ())
     if gens.standard and isinstance(model, FreeGroup):
-        return GeodesicWord(tuple(key), tuple(key))
+        word = model.key_word(key)
+        return GeodesicWord(word, word)
     return None
 
 
@@ -279,9 +283,11 @@ class BallIndex:
     followed by the least letter; only that last S-letter is stored, and
     ``geodesic`` walks back along it.  ``spheres[r]`` lists the keys at
     distance r in sorted order, as ``enumerate_ball(..., keep_elements=True)``
-    does.  If ``node_budget`` is hit the index stops at the last complete
-    radius and is ``truncated``.  Queries about keys outside the ball fall
-    back to the searches they replace.
+    does.  Queries about keys outside the ball fall back to the searches
+    they replace.  ``node_budget`` bounds the nodes held at once: if the
+    ball outgrows it, the index stops at the last complete radius and is
+    ``truncated``; a fallback search may hold what the ball leaves of it
+    and raises :class:`BudgetExceeded` if it outgrows that.
     """
 
     def __init__(
@@ -293,7 +299,7 @@ class BallIndex:
     ):
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        self.model, self.gens = model, gens
+        self.model, self.gens, self.node_budget = model, gens, node_budget
         ident = model.identity_key()
         self._letter_keys = {s: gens.letter_element(s).key for s in gens.signed_letters()}
         # of several letters naming one element only the least can discover
@@ -348,7 +354,10 @@ class BallIndex:
         if closed is not None:
             return closed
         if g.key not in self._last:
-            return geodesic_representative(self.model, self.gens, g)
+            geo = geodesic_representative(self.model, self.gens, g, self._search_budget())
+            if geo is None:
+                raise BudgetExceeded(f"a geodesic search outgrew the node budget {self.node_budget}")
+            return geo
         s_letters = tuple(reversed(self._walk(g.key)))
         return GeodesicWord(s_letters, self.gens.spell(s_letters))
 
@@ -364,7 +373,11 @@ class BallIndex:
             return d if d <= cap else None
         if cap <= self.radius:
             return None
-        return word_distance(self.model, self.gens, self.model.identity(), h, cap)
+        return word_distance(self.model, self.gens, self.model.identity(), h, cap, self._search_budget())
+
+    def _search_budget(self) -> Optional[int]:
+        """The nodes a fallback search may hold next to the ball."""
+        return None if self.node_budget is None else self.node_budget - len(self._last)
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .balls import (
 from .groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import GroupAction, OrbitSegment
+from .words import invert
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,8 @@ def free_group_threshold_count(rank: int, n: int, threshold: int) -> ThresholdCo
 def single_letter_replacement(model: FreeGroup, word, i: int):
     """The basic loxodromic-making move: swap the i-th letter (1-based) of a
     reduced word for the least letter keeping the word reduced and pushing
-    the translation length to at least len - 2i."""
+    the translation length to at least len - 2i.  Takes and returns words
+    (signed-letter tuples), not keys."""
     word = tuple(word)
     n = len(word)
     if not (1 <= i <= n):
@@ -205,7 +207,7 @@ def single_letter_replacement(model: FreeGroup, word, i: int):
         if i < n and cand == -word[i]:
             continue
         new = word[: i - 1] + (cand,) + word[i:]
-        if model.translation_length_exact(new) >= target:
+        if model.translation_length_exact(model.normalize(new)) >= target:
             return new
     return None
 
@@ -228,9 +230,10 @@ def single_replacement_fibers(rank: int, n: int, threshold: int) -> SingleReplac
     census = enumerate_ball(model, gens, n, keep_elements=True)
     fibers: dict = {}
     domain = 0
-    for word in census.elements[n]:
-        if model.translation_length_exact(word) > threshold:
+    for key in census.elements[n]:
+        if model.translation_length_exact(key) > threshold:
             continue
+        word = model.key_word(key)
         half = (n - threshold) // 2
         for i in range(1, max(half, 1)):
             new = single_letter_replacement(model, word, i)
@@ -273,16 +276,24 @@ class SegmentTable:
     Every alignment sequence of the thick search and the replacement maps
     is (basepoint, segment, h x0).  Its first pair depends on the segment
     alone, so it is stored; a report costs only the pair (segment, h x0).
-    Norms are read from ``ball`` when one is given.
+    Norms are read from ``ball`` when one is given.  The ledger constants
+    the replacement maps use are computed here once: the alignment
+    ``level``, the excised ``block`` length, the spliced ``power``
+    phi^L, and the linkage ``candidates`` (the identity, then S).
     """
 
     def __init__(self, model: GroupModel, gens: GeneratingSet, action: GroupAction, phi: GroupElement,
                  ledger: ConstantLedger, ball: Optional[BallIndex] = None):
         self.model, self.gens, self.action = model, gens, action
         self.phi, self.ledger, self.ball = phi, ledger, ball
+        self.level = ledger.alignment_level()
+        self.block = ledger.block_length()
+        self.power = phi**ledger.segment_length
+        self.candidates = [model.identity()] + list(gens.elements)
         self._basepoint = as_geodesic(action.space.basepoint)
         self._entries: dict = {}
         self._windows: dict = {}
+        self._cuts: dict = {}
 
     def entry(self, base: GroupElement, segment: Optional[OrbitSegment] = None) -> SegmentEntry:
         """The entry of the segment based at ``base``; a new entry takes
@@ -298,11 +309,12 @@ class SegmentTable:
     def thick_window(self, norm: int) -> tuple:
         """The integers in the ledger's distance window times ``norm``, as
         (least, greatest); norms are integers, so this is the window."""
-        bounds = self._windows.get(norm)
-        if bounds is None:
-            lo, hi = self.ledger.window
-            bounds = self._windows[norm] = (math.ceil(lo * norm), math.floor(hi * norm))
-        return bounds
+        return _scaled_window(self._windows, self.ledger.window, norm)
+
+    def cut_window(self, norm: int) -> tuple:
+        """The integers in the ledger's cut window times ``norm``, as
+        (least, greatest)."""
+        return _scaled_window(self._cuts, self.ledger.cut_window, norm)
 
     def least_norm(self, entry: SegmentEntry, cap: int) -> Optional[int]:
         """The least d_S(id, h) over the segment's points h, among those at
@@ -321,6 +333,14 @@ class SegmentTable:
         a Fraction (as every ledger constant is)."""
         tail = pair_diameters(self.action.space, entry.segment.projected, as_geodesic(point))
         return assemble_report(level, [entry.head, tail])
+
+
+def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
+    bounds = memo.get(norm)
+    if bounds is None:
+        lo, hi = window
+        bounds = memo[norm] = (math.ceil(lo * norm), math.floor(hi * norm))
+    return bounds
 
 
 def a_thick_certify(
@@ -384,14 +404,13 @@ def a_thick_search(
     if geo is None:
         return ThickSearchResult(False)
     n = len(geo.s_letters)
-    lo = math.ceil(ledger.window[0] * n)
-    hi = math.floor(ledger.window[1] * n)
+    if table is None:
+        table = SegmentTable(model, gens, action, phi, ledger, ball)
+    lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
     if perturb_letters is None:
-        perturb_letters = [model.identity()] + list(gens.elements)
-    if table is None:
-        table = SegmentTable(model, gens, action, phi, ledger, ball)
+        perturb_letters = table.candidates
     for i in range(lo, hi + 1):
         prefix = model.element(gens.spell(geo.s_letters[:i]))
         for s in perturb_letters:
@@ -413,11 +432,14 @@ def _distance_from_identity(model, gens, h: GroupElement, cap: int, ball: Option
 
 
 def _norm(model, gens, g: GroupElement, ball: Optional[BallIndex] = None) -> int:
+    """d_S(id, g).  A search for g outside ``ball`` stays within the
+    ball's node budget or raises :class:`BudgetExceeded`."""
     if gens.standard and model.exact_length(g.key) is not None:
         return model.exact_length(g.key)
-    d = _distance_from_identity(model, gens, g, 4 * len(g.word) + 4, ball)
+    cap = 4 * len(g.word) + 4
+    d = _distance_from_identity(model, gens, g, cap, ball)
     if d is None:
-        raise RuntimeError("norm exceeded budget")
+        raise RuntimeError(f"norm above the search cap {cap}")
     return d
 
 
@@ -466,25 +488,23 @@ def replacement_map(
     """
     geo = _geodesic(model, gens, g, ball)
     n = len(geo.s_letters)
-    lo = math.ceil(ledger.cut_window[0] * n)
-    hi = math.floor(ledger.cut_window[1] * n)
-    if not (lo <= i <= hi):
-        raise ValueError(f"cut index {i} outside window [{lo}, {hi}]")
-    block = ledger.block_length()
-    if i + block > n:
-        raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
     if table is None:
         table = SegmentTable(model, gens, action, phi, ledger, ball)
+    lo, hi = table.cut_window(n)
+    if not (lo <= i <= hi):
+        raise ValueError(f"cut index {i} outside window [{lo}, {hi}]")
+    block = table.block
+    if i + block > n:
+        raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
     w = model.element(gens.spell(geo.s_letters[:i]))
     v = model.element(gens.spell(geo.s_letters[i + block :]))
-    power = phi**ledger.segment_length
-    level = ledger.alignment_level()
-    candidates = [model.identity()] + list(gens.elements)
+    level = table.level
+    candidates = table.candidates
     best = None
     for s in candidates:
         ws = w * s
         entry = table.entry(ws)
-        head = ws * power
+        head = ws * table.power
         for t in candidates:
             out = head * t * v
             report = table.report(entry, action.proj(out), level)
@@ -625,10 +645,8 @@ def fiber_census(
             if found.found:
                 thick_skipped += 1
                 continue
-            lo = math.ceil(ledger.cut_window[0] * r)
-            hi = math.floor(ledger.cut_window[1] * r)
-            block = ledger.block_length()
-            indices = [i for i in range(max(lo, 1), hi + 1) if i + block <= r]
+            lo, hi = table.cut_window(r)
+            indices = [i for i in range(max(lo, 1), hi + 1) if i + table.block <= r]
             if not indices:
                 degenerate += 1
                 continue
@@ -840,6 +858,7 @@ def exponential_negligibility_probe(
         return max(n, math.floor(core_window * n), math.floor(conj_window * n))
 
     points = []
+    mul = model.mul_keys
     census = enumerate_ball(model, gens, reach(max(n_values)), keep_elements=True, node_budget=node_budget)
     for n in n_values:
         if reach(n) > census.radius:
@@ -847,16 +866,16 @@ def exponential_negligibility_probe(
         inner = math.floor(shell * n)
         h_cap = math.floor(conj_window * n)
         short_core = set(itertools.chain.from_iterable(census.elements[:math.floor(core_window * n) + 1]))
-        h_keys = [k for r in range(h_cap + 1) for k in census.elements[r]]
+        # each conjugator h with its inverse, to test h g h^-1 on keys
+        h_pairs = [(hk, model.normalize(invert(model.key_word(hk))))
+                   for r in range(h_cap + 1) for hk in census.elements[r]]
         shell_size = 0
         decomposable = 0
         for r in range(inner + 1, n + 1):
             for key in census.elements[r]:
                 shell_size += 1
-                for hk in h_keys:
-                    hw = model.key_word(hk)
-                    conj = model.normalize(hw + model.key_word(key) + tuple(-a for a in reversed(hw)))
-                    if conj in short_core:
+                for hk, hinv in h_pairs:
+                    if mul(mul(hk, key), hinv) in short_core:
                         decomposable += 1
                         break
         points.append(NegligibilityPoint(n, shell_size, decomposable,

@@ -2,9 +2,13 @@
 
 Every model supplies a total normal form (``normalize``) mapping words over
 its alphabet to canonical hashable keys, so element equality is exact key
-equality and no generic word problem has to be solved.  Supported models:
+equality and no generic word problem has to be solved.  Keys compare,
+hash and sort; ``key_word`` turns a key back into a word, ``mul_keys``
+multiplies two keys and ``key_repr`` is the text a ball census writes for
+one.  Supported models:
 
-* :class:`FreeGroup` -- free reduction, exact geodesic lengths;
+* :class:`FreeGroup` -- free reduction, exact geodesic lengths; keys are
+  the reduced words stored as bytes (letter x as the byte 128 + x);
 * :class:`FreeProductZ2Z3` -- syllable normal form for Z/2 * Z/3
   (isomorphic to PSL(2,Z));
 * :class:`Braid3` -- the 3-strand braid group as a central extension of
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .words import Word, free_reduce, cyclic_reduce, invert, parse_word, format_word
+from .words import Word, invert, parse_word, format_word
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,10 @@ class GroupModel:
     def key_word(self, key) -> Word:
         """Some word over the alphabet representing ``key``."""
         raise NotImplementedError
+
+    def key_repr(self, key) -> str:
+        """The text a ball census writes for ``key``."""
+        return repr(key)
 
     def identity_key(self):
         return self.normalize(())
@@ -221,7 +229,14 @@ class GeneratingSet:
 
 
 class FreeGroup(GroupModel):
-    """Free group of rank k; keys are freely reduced words."""
+    """Free group of rank k; keys are freely reduced words stored as bytes.
+
+    Letter x is the byte ``128 + x``, so the inverse of byte c is
+    ``256 - c``.  The map is monotone: keys sort exactly as the signed-letter
+    tuples they encode, so sorted spheres and shortlex order are those of
+    the words.  Byte strings cache a SipHash, where the hashes of small-int
+    tuples collide (``hash(-1) == hash(-2)``), and products are C slices.
+    """
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -231,30 +246,43 @@ class FreeGroup(GroupModel):
         self.alphabet = GeneratorAlphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:rank]))
 
     def normalize(self, word):
-        return free_reduce(word)
-
-    def mul_keys(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        out = list(a)
-        for x in b:
-            if out and out[-1] == -x:
+        out = bytearray()
+        for a in word:
+            c = 128 + a
+            if out and out[-1] + c == 256:
                 out.pop()
             else:
-                out.append(x)
-        return tuple(out)
+                out.append(c)
+        return bytes(out)
+
+    def mul_keys(self, a, b):
+        if not a or not b or a[-1] + b[0] != 256:
+            return a + b
+        la, m = len(a), min(len(a), len(b))
+        n = 1
+        while n < m and a[la - 1 - n] + b[n] == 256:
+            n += 1
+        return a[: la - n] + b[n:]
 
     def key_word(self, key):
-        return key
+        return tuple(map(_BYTE_LETTER.__getitem__, key))
+
+    def key_repr(self, key) -> str:
+        return repr(self.key_word(key))
 
     def exact_length(self, key):
         return len(key)
 
     def translation_length_exact(self, key) -> int:
         """Standard-gens translation length: length of the cyclic reduction."""
-        return len(cyclic_reduce(key))
+        lo, hi = 0, len(key)
+        while hi - lo >= 2 and key[lo] + key[hi - 1] == 256:
+            lo += 1
+            hi -= 1
+        return hi - lo
+
+
+_BYTE_LETTER = tuple(c - 128 for c in range(256))  # key byte -> signed letter
 
 
 # ---------------------------------------------------------------------------

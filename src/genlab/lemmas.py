@@ -108,7 +108,7 @@ class ChainInstance:
     def word_geodesic_elements(self) -> list:
         """The vertices of [g, h]_S; exact for standard free-group generators."""
         rel = self.g.inverse() * self.h
-        word = rel.key  # reduced word = geodesic spelling
+        word = self.group.key_word(rel.key)  # reduced word = geodesic spelling
         out = [self.g]
         cur = self.g
         for a in word:
@@ -553,7 +553,7 @@ def appendix_suite_tree(rank: int, trials: int, rng: random.Random, max_len: int
         for _ in range(rng.randrange(0, max_len)):
             pool = [c for c in letters if not out or c != -out[-1]]
             out.append(rng.choice(pool))
-        return tuple(out)
+        return group.normalize(out)
 
     def rand_geodesic(min_len=1):
         while True:
@@ -636,7 +636,7 @@ def _aligned_tree_pair(tree, rng, max_word: int = 10):
     for _ in range(max_word + 14):
         pool = [c for c in letters if not out or c != -out[-1]]
         out.append(rng.choice(pool))
-    line = tree.geodesic((), tuple(out))
+    line = tree.geodesic(tree.basepoint, group.normalize(out))
     L = len(line)
     a = rng.randrange(0, L - 8)
     b = a + rng.randrange(2, 5)

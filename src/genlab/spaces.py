@@ -108,7 +108,8 @@ class MetricSpaceModel:
 class CayleyTree(MetricSpaceModel):
     """The Cayley graph of a free group w.r.t. its standard basis (a tree).
 
-    Points are reduced words (the canonical keys of the group model).
+    Points are the group's keys (reduced words, stored as bytes); the
+    basepoint is the identity key.
     """
 
     is_tree = True
@@ -118,7 +119,9 @@ class CayleyTree(MetricSpaceModel):
         self.group = FreeGroup(rank)
         self.name = f"cayley-tree:{rank}"
         self.delta = Fraction(0)
-        self.basepoint = ()
+        self.basepoint = self.group.identity_key()
+        # one step along a, A, b, B, ...
+        self._steps = tuple(self.group.normalize((a,)) for s in range(1, rank + 1) for a in (s, -s))
 
     def distance(self, p, q) -> int:
         n = 0
@@ -139,14 +142,8 @@ class CayleyTree(MetricSpaceModel):
         return Geodesic(tuple(pts))
 
     def neighbors(self, p) -> list:
-        out = []
-        for s in range(1, self.rank + 1):
-            for a in (s, -s):
-                if p and p[-1] == -a:
-                    out.append(p[:-1])
-                else:
-                    out.append(p + (a,))
-        return out
+        mul = self.group.mul_keys
+        return [mul(p, step) for step in self._steps]
 
 
 # ---------------------------------------------------------------------------

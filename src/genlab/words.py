@@ -2,6 +2,10 @@
 
 A word is a tuple of nonzero integers.  Letter ``+i`` is the i-th generator
 (1-based) and ``-i`` is its formal inverse.  The empty tuple is the identity.
+Words are what configs, generating sets and ``GroupElement.word`` hold; a
+group model's key (``normalize(word)``) is a separate, model-specific
+value, which ``key_word`` turns back into a word.  A free group's key is
+its reduced word stored as bytes, so these helpers apply to words only.
 """
 
 from typing import Iterable, Sequence, Tuple

@@ -148,12 +148,12 @@ def test_criterion_5_contraction():
     # permutation isometries: one representative per length, deep x-scan
     ok = True
     for ell in range(1, 13):
-        geo = tree.geodesic((), (1,) * ell)
-        xs = tree.ball((1,) * (ell // 2), 5)
+        geo = tree.geodesic(tree.basepoint, f2.normalize((1,) * ell))
+        xs = tree.ball(f2.normalize((1,) * (ell // 2)), 5)
         res = strong_contraction_check(tree, geo, 1, xs)
         ok = ok and res.passes and res.worst == 0
     # raw scan over every geodesic with both endpoints in the radius-3 ball
-    ball3 = tree.ball((), 3)
+    ball3 = tree.ball(tree.basepoint, 3)
     for u in ball3:
         for v in ball3:
             if u >= v:

@@ -47,15 +47,15 @@ def test_project_examples(tree2, f2):
     tree, action = tree2
     geo = tree.geodesic(f2.normalize((2,)), f2.normalize((2, 2)))
     ps = project(tree, action.proj(f2.element("a")), geo)
-    assert ps.points == ((2,),)
-    on = project(tree, (2,), geo)
-    assert on.points == ((2,),) and on.distance == 0
+    assert ps.points == (f2.normalize((2,)),)
+    on = project(tree, f2.normalize((2,)), geo)
+    assert on.points == (f2.normalize((2,)),) and on.distance == 0
     # at delta = 0 the projection equals the Gromov-product point exactly
     rng = random.Random(1)
     for _ in range(300):
-        x = random_reduced_word(rng, 2, rng.randrange(0, 8))
-        u = random_reduced_word(rng, 2, rng.randrange(0, 8))
-        v = random_reduced_word(rng, 2, rng.randrange(0, 8))
+        x = f2.normalize(random_reduced_word(rng, 2, rng.randrange(0, 8)))
+        u = f2.normalize(random_reduced_word(rng, 2, rng.randrange(0, 8)))
+        v = f2.normalize(random_reduced_word(rng, 2, rng.randrange(0, 8)))
         if u == v:
             continue
         geo = tree.geodesic(u, v)
@@ -306,8 +306,8 @@ def test_subsegment_fellow_travel_sixfold_alignment(tree2):
     rng = random.Random(5)
     checked = 0
     for _ in range(1000):
-        base = random_reduced_word(rng, 2, 24)
-        line = tree.geodesic((), base)
+        base = tree.group.normalize(random_reduced_word(rng, 2, 24))
+        line = tree.geodesic(tree.basepoint, base)
         if len(line) < 20:
             continue
         a = rng.randrange(0, 4)

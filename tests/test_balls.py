@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlab.balls import (
     BallIndex,
+    _closed_form_geodesic,
     center_coset_census,
     enumerate_ball,
     free_ball_count,
@@ -145,6 +148,26 @@ def test_geodesic_representative(f2, braid):
     # deterministic: rerun gives the same spelling
     geo_b2 = geodesic_representative(braid, Sb, braid.element("bab"))
     assert geo_b2.s_letters == geo_b.s_letters
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_free_closed_form_geodesic_matches_search(data):
+    # the reduced word under the standard generators against the shortlex
+    # BFS on the same generators flagged non-standard, which forces the search
+    model = data.draw(st.sampled_from((FreeGroup(2), FreeGroup(3))), label="model")
+    w = data.draw(st.lists(st.sampled_from(model.alphabet.signed_letters()), max_size=7).map(tuple), label="w")
+    words = [(i,) for i in range(1, model.rank + 1)]
+    std, forced = GeneratingSet(model, words, standard=True), GeneratingSet(model, words, standard=False)
+    g = model.element(w)
+    closed = _closed_form_geodesic(model, std, g.key)
+    assert closed is not None
+    searched = geodesic_representative(model, forced, g)
+    assert closed.word == searched.word == model.key_word(g.key)
+    assert len(closed) == len(searched)
+    # the two spellings may name the inverse letters differently (A is
+    # both -1 and 3), but they spell the same word
+    assert std.spell(closed.s_letters) == forced.spell(searched.s_letters)
 
 
 def test_translation_length_examples(f2):

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import genlab
 from genlab.cli import ConfigError, main, run, validate_config
 
 
@@ -229,3 +233,43 @@ def test_unbudgeted_genericity_and_probe_are_not_partial(tmp_path):
     assert run(doc, tmp_path / "b", 0, "scaled", 10**6) == 0
     assert not json.loads((tmp_path / "a" / "manifest.json").read_text())["partial"]
     assert _hashes(tmp_path / "a") == _hashes(tmp_path / "b")
+
+
+def test_fibers_budget_binds_fallback_searches(tmp_path):
+    doc = {"experiments": [{
+        "kind": "fibers", "name": "fib", "model": "braid3", "phi": "aB", "n_values": [6],
+        "ledger": {"dominating": "1", "segment_length": 2,
+                   "window": ["1/4", "2/5"], "cut_window": ["1/4", "2/5"]},
+    }]}
+    # #B(6) = 577 fits a budget of 600, but the norm searches for spliced
+    # braids outside the ball need 94 more nodes next to it
+    assert run(doc, tmp_path / "tight", 0, "scaled", 600) == 3
+    assert json.loads((tmp_path / "tight" / "fib.json").read_text())["reports"] == []
+    assert json.loads((tmp_path / "tight" / "manifest.json").read_text())["partial"]
+    assert run(doc, tmp_path / "a", 0, "scaled", None) == 0
+    assert run(doc, tmp_path / "b", 0, "scaled", 577 + 94) == 0
+    assert [r["n"] for r in json.loads((tmp_path / "a" / "fib.json").read_text())["reports"]] == [6]
+    assert _hashes(tmp_path / "a") == _hashes(tmp_path / "b")
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # byte keys hash with a per-process seed; no output may follow hash order
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 7, "experiments": [
+        {"kind": "enumerate", "name": "ball", "model": "free:2", "radius": 4, "keep_elements": True},
+        {"kind": "genericity", "name": "curve", "model": "free:2", "radius": 6},
+        {"kind": "probe-negligibility", "name": "probe", "model": "free:2", "n_values": [6, 8]},
+        {"kind": "verify-lemmas", "name": "lemmas", "trials": 25},
+    ]}))
+    src = str(Path(genlab.__file__).resolve().parent.parent)
+    digests = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "genlab.cli", "--config", str(cfg), "--out-dir", str(out), "run"],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(_hashes(out))
+    assert len(digests[0]) == 10  # nine outputs and the manifest
+    assert digests[0] == digests[1]

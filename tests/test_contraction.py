@@ -23,8 +23,8 @@ from conftest import random_reduced_word
 
 def test_tree_geodesics_strongly_contracting(tree2):
     tree, _ = tree2
-    geo = tree.geodesic((), (1, 1, 1, 1))
-    xs = tree.ball((1, 1), 4)
+    geo = tree.geodesic(tree.basepoint, tree.group.normalize((1, 1, 1, 1)))
+    xs = tree.ball(tree.group.normalize((1, 1)), 4)
     res = strong_contraction_check(tree, geo, 1, xs)
     assert res.passes
     assert res.least_passing == 0  # tree projections of far balls are points
@@ -33,8 +33,8 @@ def test_tree_geodesics_strongly_contracting(tree2):
 
 def test_degenerate_geodesic_vacuously_contracting(tree2):
     tree, _ = tree2
-    geo = Geodesic(((),))
-    res = strong_contraction_check(tree, geo, 1, tree.ball((), 3))
+    geo = Geodesic((tree.basepoint,))
+    res = strong_contraction_check(tree, geo, 1, tree.ball(tree.basepoint, 3))
     assert res.passes
 
 

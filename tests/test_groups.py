@@ -1,11 +1,14 @@
 """Normal forms and the word machinery behind them."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genlab.balls import enumerate_ball
+from genlab.cli import run
 from genlab.groups import Braid3, FiniteSample, FreeGroup, FreeProductZ2Z3, GeneratingSet, make_model
 from genlab.words import cyclic_reduce, free_reduce, invert, parse_word
 
@@ -155,3 +158,65 @@ def test_product_and_power_keys_are_normal_forms(data):
     assert power.key == model.normalize(spelled)
     chained = g * h * g.inverse()
     assert chained.key == model.normalize(u + v + invert(u))
+
+
+# -- free-group keys: reduced words stored as the bytes 128 + x ------------
+
+_FREE_GROUPS = tuple(FreeGroup(k) for k in range(1, 5))
+
+
+@st.composite
+def _free_group_and_words(draw, count):
+    model = draw(st.sampled_from(_FREE_GROUPS), label="model")
+    words = st.lists(st.sampled_from(model.alphabet.signed_letters()), max_size=16).map(tuple)
+    return (model,) + tuple(draw(words, label=f"w{j}") for j in range(count))
+
+
+@given(_free_group_and_words(1))
+@settings(max_examples=300)
+def test_free_key_decodes_to_the_reduced_word(args):
+    model, w = args
+    assert model.key_word(model.normalize(w)) == free_reduce(w)
+
+
+@given(_free_group_and_words(2))
+@settings(max_examples=300)
+def test_free_key_product_is_normal_form_of_concatenation(args):
+    model, u, v = args
+    assert model.mul_keys(model.normalize(u), model.normalize(v)) == model.normalize(u + v)
+
+
+@given(_free_group_and_words(1))
+@settings(max_examples=300)
+def test_free_key_translation_length_is_cyclic_reduction(args):
+    model, w = args
+    assert model.translation_length_exact(model.normalize(w)) == len(cyclic_reduce(w))
+
+
+@given(_free_group_and_words(2))
+@settings(max_examples=300)
+def test_free_key_order_is_word_order(args):
+    # the byte map 128 + x is monotone, so keys sort as their words do
+    model, u, v = args
+    ku, kv = model.normalize(u), model.normalize(v)
+    assert (ku < kv) == (free_reduce(u) < free_reduce(v))
+    assert (ku == kv) == (free_reduce(u) == free_reduce(v))
+
+
+def test_free_ball_keys_have_distinct_hashes(f2):
+    # tuples of small ints collide (hash(-1) == hash(-2)); byte keys must not
+    gens = GeneratingSet(f2, ["a", "b", "ab"])
+    census = enumerate_ball(f2, gens, 6, keep_elements=True)
+    keys = [k for sphere in census.elements for k in sphere]
+    assert len(keys) == census.ball_count() == 1 + 6 * (4**6 - 1) // 3
+    assert len({hash(k) for k in keys}) == len(keys)
+
+
+def test_free_ball_elements_written_as_words(tmp_path):
+    # the element strings of a kept free-group ball are the reprs of the
+    # signed-letter tuples, not of the byte keys
+    doc = {"experiments": [{"kind": "enumerate", "name": "e", "model": "free:2", "radius": 1,
+                            "keep_elements": True}]}
+    assert run(doc, tmp_path, 0, "scaled", None) == 0
+    elements = json.loads((tmp_path / "e.json").read_text())["elements"]
+    assert elements == [["()"], ["(-2,)", "(-1,)", "(1,)", "(2,)"]]

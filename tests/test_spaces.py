@@ -26,10 +26,10 @@ from conftest import random_reduced_word, random_word
 def test_cayley_tree_examples(tree2, f2):
     tree, action = tree2
     assert tree.distance(action.proj(f2.element("a")), action.proj(f2.element("b"))) == 2
-    assert tree.distance((), ()) == 0
-    geo = tree.geodesic((), f2.normalize((1, 2)))
-    assert (1,) in geo.points
-    assert geo.points[0] == () and geo.points[-1] == (1, 2)
+    assert tree.distance(tree.basepoint, tree.basepoint) == 0
+    geo = tree.geodesic(tree.basepoint, f2.normalize((1, 2)))
+    assert f2.normalize((1,)) in geo.points
+    assert geo.points[0] == tree.basepoint and geo.points[-1] == f2.normalize((1, 2))
 
 
 def test_tree_geodesics_unique_and_reversible(tree2):
@@ -92,8 +92,8 @@ def test_actions_are_isometric(tree2, bass_serre, f2, zz23, braid):
     tree, action = tree2
     for _ in range(1000):
         g = f2.element(random_reduced_word(rng, 2, rng.randrange(0, 6)))
-        p = random_reduced_word(rng, 2, rng.randrange(0, 7))
-        q = random_reduced_word(rng, 2, rng.randrange(0, 7))
+        p = f2.normalize(random_reduced_word(rng, 2, rng.randrange(0, 7)))
+        q = f2.normalize(random_reduced_word(rng, 2, rng.randrange(0, 7)))
         assert tree.distance(action.act(g, p), action.act(g, q)) == tree.distance(p, q)
     bst, quot_action, braid_action = bass_serre
     pts = bst.ball(bst.basepoint, 5)
@@ -109,7 +109,7 @@ def test_action_composition(tree2, f2):
     for _ in range(300):
         g = f2.element(random_reduced_word(rng, 2, rng.randrange(0, 5)))
         h = f2.element(random_reduced_word(rng, 2, rng.randrange(0, 5)))
-        p = random_reduced_word(rng, 2, rng.randrange(0, 6))
+        p = f2.normalize(random_reduced_word(rng, 2, rng.randrange(0, 6)))
         assert action.act(g * h, p) == action.act(g, action.act(h, p))
         assert action.act(f2.identity(), p) == p
 
