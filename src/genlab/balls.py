@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .groups import Braid3, FreeGroup, GeneratingSet, GroupElement, GroupModel
+from .groups import GeneratingSet, GroupElement, GroupModel
 from .words import Word, invert
 
 
@@ -156,8 +156,8 @@ def word_distance(
 ) -> Optional[int]:
     """Exact d_S(g, h) when it is at most ``r_max``, else None.
 
-    Bidirectional BFS over canonical keys.  For free groups with their
-    standard generators the reduced-word length is used directly.  Raises
+    Bidirectional BFS over canonical keys.  Under the standard generators
+    the model's closed-form length is used when it has one.  Raises
     :class:`BudgetExceeded` if the search outgrows ``node_budget`` nodes.
     """
     if r_max < 0:
@@ -216,8 +216,9 @@ class GeodesicWord:
     """A geodesic spelling of an element over a generating set.
 
     ``s_letters`` are signed 1-based indices into the generating set; the
-    flattened alphabet word is in ``word``.  The spelling is the shortlex
-    least one (length first, then lexicographic on signed S-indices).
+    flattened alphabet word is in ``word``.  A search gives the shortlex
+    least spelling (length first, then lexicographic on signed S-indices);
+    a closed form may give another (see :func:`geodesic_representative`).
     """
 
     s_letters: tuple
@@ -228,11 +229,12 @@ class GeodesicWord:
 
 
 def _closed_form_geodesic(model: GroupModel, gens: GeneratingSet, key) -> Optional[GeodesicWord]:
-    """The identity's empty spelling, and a free group's reduced word under
-    its standard generators; None when a search is needed."""
+    """The identity's empty spelling, and under the standard generators the
+    word ``key_word(key)`` of a model with a closed-form length (a geodesic
+    by the ``exact_length`` contract); None when a search is needed."""
     if key == model.identity_key():
         return GeodesicWord((), ())
-    if gens.standard and isinstance(model, FreeGroup):
+    if gens.standard and model.exact_length(key) is not None:
         word = model.key_word(key)
         return GeodesicWord(word, word)
     return None
@@ -244,7 +246,10 @@ def geodesic_representative(
     g: GroupElement,
     node_budget: Optional[int] = None,
 ) -> Optional[GeodesicWord]:
-    """Shortlex-least geodesic word for g, or None if the budget runs out."""
+    """A geodesic word for g, or None if the budget runs out: the shortlex
+    least one of a BFS, or the closed form's normal-form word, which need
+    not be shortlex-least (a generating set lists each inverse as a
+    generator of its own, so in F_2 A is both S-letter -1 and 3)."""
     closed = _closed_form_geodesic(model, gens, g.key)
     if closed is not None:
         return closed
@@ -397,21 +402,13 @@ def translation_length(
 ) -> TranslationBounds:
     """Bounds on the stable word norm lim d_S(id, g^n)/n.
 
-    The upper bound min_n d(id, g^n)/n is valid by subadditivity.  For free
-    groups and Z/2 * Z/3 with standard generators the exact value (cyclic
-    reduction length) is reported.
+    The upper bound min_n d(id, g^n)/n is valid by subadditivity.  Under
+    the standard generators the model's exact translation length is
+    reported when it has one.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    from .groups import FreeProductZ2Z3
-
-    exact_val = None
-    if gens.standard:
-        if isinstance(model, FreeGroup):
-            exact_val = Fraction(model.translation_length_exact(g.key))
-        elif isinstance(model, FreeProductZ2Z3):
-            core = model.cyclic_syllable_reduction(g.key)
-            exact_val = Fraction(len(core) if len(core) >= 2 else 0)
+    exact_val = model.translation_length_exact(g.key) if gens.standard else None
 
     samples = []
     upper = None
@@ -430,7 +427,7 @@ def translation_length(
         upper = q if upper is None or q < upper else upper
 
     if exact_val is not None:
-        return TranslationBounds(exact_val, exact_val, True, samples)
+        return TranslationBounds(Fraction(exact_val), Fraction(exact_val), True, samples)
     if not samples:
         return TranslationBounds(Fraction(0), Fraction(10**9), False, samples)
     n_last, d_last = samples[-1]
@@ -466,8 +463,9 @@ def center_coset_census(model: GroupModel, gens: GeneratingSet, radius: int) -> 
             if model.center_membership(key):
                 running += 1
                 witnesses.append(key)
-            if isinstance(model, Braid3):
-                coset_sizes[model.quotient_key(key)] = coset_sizes.get(model.quotient_key(key), 0) + 1
+            q = model.quotient_key(key)
+            if q is not None:
+                coset_sizes[q] = coset_sizes.get(q, 0) + 1
         center_counts.append(running)
     slope = Fraction(0)
     for r in range(1, len(center_counts)):

@@ -1,9 +1,9 @@
 """Counting experiments: classification tallies, thick-set membership,
 letter-block replacement maps with fiber censuses, and genericity curves.
 
-Free-group threshold counts use an exact transfer-matrix closed form
-(cross-checked against brute enumeration on small balls); everything else
-is exhaustive over enumerated balls.  A fiber census builds one
+Free-group threshold counts use Rivin's closed form for cyclically reduced
+words (cross-checked against brute enumeration on small balls); everything
+else is exhaustive over enumerated balls.  A fiber census builds one
 :class:`~genlab.balls.BallIndex` and one :class:`SegmentTable` per radius:
 the index answers every geodesic and norm query of its thick search and
 replacement maps, and the table builds each orbit segment once, with its
@@ -12,7 +12,8 @@ alignment check per element costs only the pair (segment, g x0).  The
 negligibility probe decides core norms by membership in the spheres of its
 enumerated ball.  ``genericity`` and the probe stop at the last radius
 their ball completes within a node budget.  All ratios are exact
-rationals; only fitted decay exponents are floating point.
+rationals; only fitted decay exponents are floating point, each an exact
+least-squares slope over the float logs, rounded once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .alignment import AlignmentReport, as_geodesic, assemble_report, check_alignment, pair_diameters
 from .balls import (
     BallIndex,
@@ -35,7 +34,7 @@ from .balls import (
     geodesic_representative,
     word_distance,
 )
-from .groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement, GroupModel
+from .groups import FreeGroup, GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import GroupAction, OrbitSegment
 from .words import invert
@@ -52,84 +51,25 @@ class Classification:
     evidence: dict
 
 
-def _projective_order(m) -> Optional[int]:
-    cur = m
-    for n in range(1, 13):
-        if cur in ((1, 0, 0, 1), (-1, 0, 0, -1)):
-            return n
-        cur = (
-            cur[0] * m[0] + cur[1] * m[2],
-            cur[0] * m[1] + cur[1] * m[3],
-            cur[2] * m[0] + cur[3] * m[2],
-            cur[2] * m[1] + cur[3] * m[3],
-        )
-    return None
-
-
 def classify(model: GroupModel, action: Optional[GroupAction], g: GroupElement) -> Classification:
-    """Nielsen-Thurston type for 3-braids via the integral matrix trace;
-    loxodromy via exact tree translation length for the tree models."""
-    word_str = model.alphabet.format(g.word)
-    if isinstance(model, Braid3):
-        m = model.sl2_image(g.word)
-        tr = m[0] + m[3]
-        proj_trivial = m in ((1, 0, 0, 1), (-1, 0, 0, -1))
-        if abs(tr) > 2:
-            verdict = "pseudoAnosov"
-        elif abs(tr) == 2 and not proj_trivial:
-            verdict = "reducible"
-        else:
-            verdict = "periodic"
-        return Classification(word_str, verdict, {
-            "trace": tr,
-            "projective_order": _projective_order(m),
-            "central_exponent": model.central_exponent(g.key),
-        })
-    if isinstance(model, FreeGroup):
-        tau = model.translation_length_exact(g.key)
-        verdict = "contracting-loxodromic" if tau > 0 else "non-loxodromic"
-        return Classification(word_str, verdict, {"tree_translation_length": tau})
-    if isinstance(model, FreeProductZ2Z3):
-        tau = model.tree_translation_length_exact(g.key)
-        verdict = "contracting-loxodromic" if tau > 0 else "non-loxodromic"
-        return Classification(word_str, verdict, {"tree_translation_length": tau})
-    raise ValueError(f"classification unsupported for model {model.name}")
+    """The model's verdict on g (``GroupModel.verdict``): the Nielsen-Thurston
+    type for 3-braids, loxodromy by exact tree translation length for the
+    tree models.  ``action`` is not read."""
+    verdict, evidence = model.verdict(g.key)
+    return Classification(model.alphabet.format(g.word), verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
 # Free-group threshold counts (exact closed form + the counting inequality)
 
 
-def _reduced_transfer_counts(rank: int, length: int) -> tuple[int, int]:
-    """(total reduced words, reduced words with last = inverse of first)."""
-    if length == 0:
-        return 1, 0
-    letters = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
-    idx = {a: i for i, a in enumerate(letters)}
-    size = len(letters)
-    mat = [[0] * size for _ in range(size)]
-    for a in letters:
-        for b in letters:
-            if b != -a:
-                mat[idx[a]][idx[b]] = 1
-    vecs = {a: [0] * size for a in letters}
-    for a in letters:
-        vecs[a][idx[a]] = 1
-    for _ in range(length - 1):
-        for a in letters:
-            v = vecs[a]
-            vecs[a] = [sum(v[i] * mat[i][j] for i in range(size)) for j in range(size)]
-    total = sum(sum(vecs[a]) for a in letters)
-    bad = sum(vecs[a][idx[-a]] for a in letters)
-    return total, bad
-
-
 def count_cyclically_reduced(rank: int, length: int) -> int:
-    """Exact count of cyclically reduced words of the given length."""
+    """Exact count of cyclically reduced words of the given length n:
+    (2k-1)^n + (k-1)(-1)^n + k for n >= 1 (Rivin, Growth in free groups
+    (and other stories), 1999)."""
     if length == 0:
         return 1
-    total, bad = _reduced_transfer_counts(rank, length)
-    return total - bad
+    return (2 * rank - 1) ** length + (rank - 1) * (-1) ** length + rank
 
 
 def count_translation_below(rank: int, n: int, threshold: int) -> int:
@@ -198,8 +138,7 @@ def single_letter_replacement(model: FreeGroup, word, i: int):
     if not (1 <= i <= n):
         raise ValueError("replacement index out of range")
     target = n - 2 * i
-    candidates = list(range(1, model.rank + 1)) + list(range(-1, -model.rank - 1, -1))
-    for cand in candidates:
+    for cand in model.alphabet.signed_letters():
         if cand == word[i - 1]:
             continue
         if i >= 2 and cand == -word[i - 2]:
@@ -722,15 +661,19 @@ def _count_leq(sorted_vals, cut) -> int:
     return bisect.bisect_right(sorted_vals, cut)
 
 
+def _least_squares_slope(points) -> Optional[float]:
+    """Slope of the least-squares line through float points (x, y), exact
+    over their rationals and rounded once; None without two distinct x."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    n, sx, sy = len(pts), sum(x for x, _ in pts), sum(y for _, y in pts)
+    den = n * sum(x * x for x, _ in pts) - sx * sx
+    return float((n * sum(x * y for x, y in pts) - sx * sy) / den) if den else None
+
+
 def _fit_decay_exponent(radii, ratios) -> Optional[float]:
     pts = [(r, q) for r, q in zip(radii, ratios) if r >= 1 and q > 0]
-    if len(pts) < 2:
-        return None
     tail = pts[-math.ceil(len(pts) / 2) :]
-    xs = np.log([float(r) for r, _ in tail])
-    ys = np.log([float(q) for _, q in tail])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return _least_squares_slope((math.log(r), math.log(float(q))) for r, q in tail)
 
 
 def genericity_experiment(
@@ -743,39 +686,36 @@ def genericity_experiment(
     node_budget: Optional[int] = None,
 ) -> GenericityCurve:
     """Per-radius ratios of the slow-elements set, exact over enumerated
-    balls.  For 3-braids the count is of center cosets whose elements are
-    not pseudo-Anosov, following the coset-counting reduction; for the
-    tree models it is of elements with small tree translation length or
-    small stable word norm.  If the ball outgrows ``node_budget`` the curve
-    stops at its last complete radius and is ``truncated``."""
+    balls.  For a model with a center quotient (3-braids) the count is of
+    center cosets whose elements are not pseudo-Anosov, following the
+    coset-counting reduction; for a model with a tree translation length
+    it is of elements with small translation length or small stable word
+    norm.  ``action`` is not read.  If the ball outgrows ``node_budget``
+    the curve stops at its last complete radius and is ``truncated``."""
+    ident = model.identity_key()
+    coset_mode = model.quotient_key(ident) is not None
+    if not coset_mode and model.translation_length_exact(ident) is None:
+        raise ValueError(f"genericity unsupported for model {model.name}")
     census = enumerate_ball(model, gens, r_max, keep_elements=True, node_budget=node_budget)
     r_max = census.radius
     radii = list(range(r_max + 1))
     special, totals, ratios = [], [], []
-    if isinstance(model, Braid3):
-        seen: dict = {}
+    if coset_mode:
+        seen = set()
         running_special = 0
         for r in range(r_max + 1):
             for key in census.elements[r]:
                 q = model.quotient_key(key)
-                if q in seen:
-                    continue
-                rep = GroupElement(model, model.key_word((0, q)), (0, q))
-                verdict = classify(model, None, rep).verdict
-                seen[q] = verdict
-                if verdict != "pseudoAnosov":
-                    running_special += 1
+                if q not in seen:
+                    seen.add(q)
+                    # the verdict is constant on a coset
+                    running_special += model.verdict(key)[0] != "pseudoAnosov"
             special.append(running_special)
             totals.append(len(seen))
             ratios.append(Fraction(running_special, len(seen)))
         mode = "braid-cosets"
-    elif isinstance(model, (FreeGroup, FreeProductZ2Z3)):
-        tau_fn = (
-            model.translation_length_exact
-            if isinstance(model, FreeGroup)
-            else model.tree_translation_length_exact
-        )
-        taus = [sorted(tau_fn(key) for key in sphere) for sphere in census.elements]
+    else:
+        taus = [sorted(map(model.translation_length_exact, sphere)) for sphere in census.elements]
         for r in range(r_max + 1):
             count = total = 0
             # the stable-norm threshold moves with the radius, so recount
@@ -788,8 +728,6 @@ def genericity_experiment(
             totals.append(total)
             ratios.append(Fraction(count, total))
         mode = "tree"
-    else:
-        raise ValueError(f"genericity unsupported for model {model.name}")
     tail = [q for r, q in zip(radii, ratios) if r >= max(2, r_max // 2)]
     tail_monotone = all(b <= a for a, b in zip(tail, tail[1:]))
     return GenericityCurve(
@@ -880,13 +818,7 @@ def exponential_negligibility_probe(
                         break
         points.append(NegligibilityPoint(n, shell_size, decomposable,
                                          Fraction(decomposable, shell_size) if shell_size else Fraction(0)))
-    rates = [(p.n, p.ratio) for p in points if p.ratio > 0]
-    fitted = None
-    if len(rates) >= 2:
-        xs = [float(n) for n, _ in rates]
-        ys = [math.log(float(q)) for _, q in rates]
-        slope, _ = np.polyfit(xs, ys, 1)
-        fitted = float(slope)
+    fitted = _least_squares_slope((p.n, math.log(float(p.ratio))) for p in points if p.ratio > 0)
     return NegligibilityProbe(points, fitted, {
         "conj_window": conj_window, "core_window": core_window, "shell": shell,
     }, truncated=census.truncated)

@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import balls, census, lemmas
 from .contraction import measure_scaled_ledger
-from .groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet, make_model
-from .spaces import build_bass_serre_tree, build_cayley_tree
+from .groups import Braid3, GeneratingSet, make_model
 
 
 class ConfigError(ValueError):
@@ -68,22 +67,9 @@ def _build_model_gens(raw: dict, path: str):
     return model, gens
 
 
-def _build_action(model, raw: dict, path: str):
-    if isinstance(model, FreeGroup):
-        _, action = build_cayley_tree(model.rank)
-        return action
-    if isinstance(model, FreeProductZ2Z3):
-        _, action, _ = build_bass_serre_tree()
-        return action
-    if isinstance(model, Braid3):
-        _, _, action = build_bass_serre_tree()
-        return action
-    raise ConfigError(f"{path}.model", f"no default action for {model.name}")
-
-
 def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, profile: str):
     lraw = raw.get("ledger", {})
-    phi_word = raw.get("phi", "a" if isinstance(model, FreeGroup) else ("xy" if isinstance(model, FreeProductZ2Z3) else "aB"))
+    phi_word = raw.get("phi", model.default_phi)
     try:
         phi = model.element(phi_word)
     except (TypeError, ValueError) as e:
@@ -149,7 +135,7 @@ def _check_ledger(lraw, path: str) -> None:
 _INT_FIELDS = {
     "enumerate": (("radius", True, 0),),
     "genericity": (("radius", True, 0), ("tree_threshold", False, 0)),
-    "verify-lemmas": (("trials", False, 0), ("rank", False, 1)),
+    "verify-lemmas": (("trials", False, 0), ("rank", False, 2)),
 }
 
 
@@ -171,6 +157,8 @@ def _check_experiment(kind: str, raw: dict, path: str) -> None:
                 model.element(w)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{path}.{key}", str(e))
+        if kind == "fibers" and model.tree_action() is None:
+            raise ConfigError(f"{path}.model", f"no tree action for {model.name}")
     for key, required, minimum in _INT_FIELDS.get(kind, ()):
         if required or key in raw:
             _check_int(_require(raw, key, path), f"{path}.{key}", minimum)
@@ -266,11 +254,8 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
         elif exp.kind == "genericity":
             model, gens = _build_model_gens(raw, path)
             radius = int(_require(raw, "radius", path))
-            action = None
-            if not isinstance(model, Braid3):
-                action = _build_action(model, raw, path)
             curve = census.genericity_experiment(
-                model, action, gens, radius,
+                model, None, gens, radius,
                 tree_threshold=int(raw.get("tree_threshold", 0)),
                 word_threshold=Fraction(raw.get("word_threshold", "35/100")),
                 node_budget=budget_nodes,
@@ -282,7 +267,7 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
             _write(out_dir, f"{name}.dat", curve.plot_data(), manifest)
         elif exp.kind == "fibers":
             model, gens = _build_model_gens(raw, path)
-            action = _build_action(model, raw, path)
+            action = model.tree_action()
             phi, ledger = _build_ledger(model, gens, action, raw, path, seed, profile)
             n_values = [int(n) for n in _require(raw, "n_values", path)]
             reports = []
@@ -352,8 +337,7 @@ def _run_concat_suite(rng: random.Random, trials: int) -> dict:
             failures += 0 if vd.passed else 1
     braid = Braid3()
     gens = braid.standard_gens()
-    _, _, action = build_bass_serre_tree()
-    ledger = measure_scaled_ledger(braid, gens, action, braid.element("aB"),
+    ledger = measure_scaled_ledger(braid, gens, braid.tree_action(), braid.element("aB"),
                                    random.Random(rng.randrange(10**9)), segment_length=4, sample_radius=4)
     m = int(ledger.chain_threshold(2)) + 1
     for _ in range(max(5, trials // 4)):

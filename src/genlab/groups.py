@@ -5,7 +5,10 @@ its alphabet to canonical hashable keys, so element equality is exact key
 equality and no generic word problem has to be solved.  Keys compare,
 hash and sort; ``key_word`` turns a key back into a word, ``mul_keys``
 multiplies two keys and ``key_repr`` is the text a ball census writes for
-one.  Supported models:
+one.  A model answers for its own closed forms and geometry through
+optional oracles that return None when it lacks them (``exact_length``,
+``translation_length_exact``, ``quotient_key``, ``tree_action``, ...), and
+classifies its elements with ``verdict``.  Supported models:
 
 * :class:`FreeGroup` -- free reduction, exact geodesic lengths; keys are
   the reduced words stored as bytes (letter x as the byte 128 + x);
@@ -80,14 +83,39 @@ class GroupModel:
     def identity_key(self):
         return self.normalize(())
 
-    # Optional oracles ------------------------------------------------
+    # Optional oracles: each answers None when the model lacks it ------
+
+    default_phi: Optional[str] = None  # the distinguished element a config's phi defaults to
 
     def exact_length(self, key) -> Optional[int]:
-        """Geodesic length w.r.t. the standard generators, when closed-form."""
+        """Geodesic length w.r.t. the standard generators, when closed-form;
+        then ``key_word(key)`` has this length and is a geodesic."""
         return None
 
     def center_membership(self, key) -> Optional[bool]:
         return None
+
+    def translation_length_exact(self, key) -> Optional[int]:
+        """Translation length on the model's tree, which is also the stable
+        norm under the standard generators, when closed-form."""
+        return None
+
+    def quotient_key(self, key):
+        """Key of the image modulo the center, for a central extension."""
+        return None
+
+    def tree_action(self):
+        """The :class:`~genlab.spaces.GroupAction` on the model's tree."""
+        return None
+
+    def verdict(self, key) -> Tuple[str, dict]:
+        """(verdict, evidence) of the element: loxodromic on the tree iff its
+        translation length is positive.  Raises ValueError when the model
+        has no translation length."""
+        tau = self.translation_length_exact(key)
+        if tau is None:
+            raise ValueError(f"classification unsupported for model {self.name}")
+        return ("contracting-loxodromic" if tau > 0 else "non-loxodromic"), {"tree_translation_length": tau}
 
     # Convenience ------------------------------------------------------
 
@@ -245,6 +273,8 @@ class FreeGroup(GroupModel):
         self.name = f"free:{rank}"
         self.alphabet = GeneratorAlphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:rank]))
 
+    default_phi = "a"
+
     def normalize(self, word):
         out = bytearray()
         for a in word:
@@ -281,6 +311,14 @@ class FreeGroup(GroupModel):
             hi -= 1
         return hi - lo
 
+    def tree_action(self):
+        """Left multiplication on the Cayley tree; None for rank 1."""
+        if self.rank < 2:
+            return None
+        from .spaces import build_cayley_tree  # spaces imports groups
+
+        return build_cayley_tree(self.rank)[1]
+
 
 _BYTE_LETTER = tuple(c - 128 for c in range(256))  # key byte -> signed letter
 
@@ -308,6 +346,8 @@ class FreeProductZ2Z3(GroupModel):
     def __init__(self):
         self.name = "zz23"
         self.alphabet = GeneratorAlphabet(("x", "y"))
+
+    default_phi = "xy"
 
     @staticmethod
     def _push_x(sylls: list[int]) -> None:
@@ -383,10 +423,15 @@ class FreeProductZ2Z3(GroupModel):
                 break
         return tuple(sylls)
 
-    def tree_translation_length_exact(self, key) -> int:
+    def translation_length_exact(self, key) -> int:
         """Translation length on the Bass-Serre tree (0 iff elliptic)."""
         core = self.cyclic_syllable_reduction(key)
         return len(core) if len(core) >= 2 else 0
+
+    def tree_action(self):
+        from .spaces import build_bass_serre_tree  # spaces imports groups
+
+        return build_bass_serre_tree()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +451,19 @@ def _sl2_mul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+_SL2_CENTER = ((1, 0, 0, 1), (-1, 0, 0, -1))
+
+
+def _projective_order(m) -> Optional[int]:
+    """The least n <= 12 with m^n = +-I, or None."""
+    cur = m
+    for n in range(1, 13):
+        if cur in _SL2_CENTER:
+            return n
+        cur = _sl2_mul(cur, m)
+    return None
+
+
 class Braid3(GroupModel):
     """B_3 = <s1, s2 | s1 s2 s1 = s2 s1 s2> via the trefoil-group normal form.
 
@@ -418,7 +476,8 @@ class Braid3(GroupModel):
     def __init__(self):
         self.name = "braid3"
         self.alphabet = GeneratorAlphabet(("a", "b"))
-        self._quotient = FreeProductZ2Z3()
+
+    default_phi = "aB"
 
     # -- normal form arithmetic over (z, syllable list) ---------------
 
@@ -506,12 +565,35 @@ class Braid3(GroupModel):
     def center_membership(self, key):
         return len(key[1]) == 0
 
-    def central_exponent(self, key) -> int:
-        return key[0]
-
     def quotient_key(self, key) -> Tuple[int, ...]:
         """Image in Z/2 * Z/3 (= B_3 modulo its center)."""
         return key[1]
+
+    def tree_action(self):
+        """The action on the Bass-Serre tree through the central quotient."""
+        from .spaces import build_bass_serre_tree  # spaces imports groups
+
+        return build_bass_serre_tree()[2]
+
+    def verdict(self, key) -> Tuple[str, dict]:
+        """Nielsen-Thurston type from the trace of the SL(2, Z) image; the
+        type is constant on a center coset."""
+        z, sylls = key
+        m = self.sl2_image(self.key_word((0, sylls)))
+        if z % 2:  # the center's generator c maps to -I
+            m = tuple(-e for e in m)
+        tr = m[0] + m[3]
+        if abs(tr) > 2:
+            verdict = "pseudoAnosov"
+        elif abs(tr) == 2 and m not in _SL2_CENTER:
+            verdict = "reducible"
+        else:
+            verdict = "periodic"
+        return verdict, {
+            "trace": tr,
+            "projective_order": _projective_order(m),
+            "central_exponent": z,
+        }
 
     @staticmethod
     def exponent_sum(word: Sequence[int]) -> int:

@@ -120,6 +120,16 @@ class ChainInstance:
         return len((u.inverse() * v).key)
 
 
+def random_reduced_word(rng: random.Random, letters, n: int, avoid_first=None) -> tuple:
+    """A freely reduced word of length n, one ``rng.choice`` per letter from
+    ``letters`` in their order, whose first letter is not ``avoid_first``."""
+    out: list = []
+    for _ in range(n):
+        banned = -out[-1] if out else avoid_first
+        out.append(rng.choice([c for c in letters if c != banned]))
+    return tuple(out)
+
+
 def random_chain_instance(
     rng: random.Random,
     n_segments: int,
@@ -147,19 +157,10 @@ def random_chain_instance(
     if segment_length is None:
         m = int(ledger.chain_threshold(level)) + 1
         segment_length = m + (m % 2)  # even, above the chain threshold
-    letters = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
+    letters = group.alphabet.signed_letters()
     first, last = phi.word[0], phi.word[-1]
 
-    def rand_word(n, avoid_first=None):
-        out = []
-        for _ in range(n):
-            pool = [c for c in letters if (not out and c != avoid_first) or (out and c != -out[-1])]
-            if not out and avoid_first is not None:
-                pool = [c for c in pool if c != avoid_first]
-            out.append(rng.choice(pool))
-        return tuple(out)
-
-    base = group.element(rand_word(rng.randrange(0, 5)))
+    base = group.element(random_reduced_word(rng, letters, rng.randrange(0, 5)))
     segments = []
     cur = base
     for i in range(n_segments):
@@ -167,12 +168,12 @@ def random_chain_instance(
         if i + 1 < n_segments:
             hop = phi**segment_length
             # perturbation shorter than the level, avoiding axis backtrack
-            perturb = rand_word(rng.randrange(0, max(1, level - 1)), avoid_first=-last)
+            perturb = random_reduced_word(rng, letters, rng.randrange(0, max(1, level - 1)), avoid_first=-last)
             cur = cur * hop * group.element(perturb)
-    tail_g = group.element(rand_word(rng.randrange(0, 3), avoid_first=first))
+    tail_g = group.element(random_reduced_word(rng, letters, rng.randrange(0, 3), avoid_first=first))
     g = base * phi ** (-rng.randrange(1, 4)) * tail_g
     tip = segments[-1].points[-1]
-    tail_h = group.element(rand_word(rng.randrange(0, 3), avoid_first=-last))
+    tail_h = group.element(random_reduced_word(rng, letters, rng.randrange(0, 3), avoid_first=-last))
     h = tip * phi ** rng.randrange(1, 4) * tail_h
     return ChainInstance(
         instance_id=instance_id or f"chain-{rng.randrange(10**9)}",
@@ -546,14 +547,10 @@ def appendix_suite_tree(rank: int, trials: int, rng: random.Random, max_len: int
     tree, _ = build_cayley_tree(rank)
     group = tree.group
     report = SuiteReport(f"appendix-tree-f{rank}")
-    letters = list(range(1, rank + 1)) + [-i for i in range(1, rank + 1)]
+    letters = group.alphabet.signed_letters()
 
     def rand_point():
-        out = []
-        for _ in range(rng.randrange(0, max_len)):
-            pool = [c for c in letters if not out or c != -out[-1]]
-            out.append(rng.choice(pool))
-        return group.normalize(out)
+        return group.normalize(random_reduced_word(rng, letters, rng.randrange(0, max_len)))
 
     def rand_geodesic(min_len=1):
         while True:
@@ -631,12 +628,8 @@ def _aligned_tree_pair(tree, rng, max_word: int = 10):
     """Two segments in order along a common geodesic; returns the least
     integer level making the pair aligned (strictly)."""
     group = tree.group
-    letters = list(range(1, tree.rank + 1)) + [-i for i in range(1, tree.rank + 1)]
-    out = []
-    for _ in range(max_word + 14):
-        pool = [c for c in letters if not out or c != -out[-1]]
-        out.append(rng.choice(pool))
-    line = tree.geodesic(tree.basepoint, group.normalize(out))
+    word = random_reduced_word(rng, group.alphabet.signed_letters(), max_word + 14)
+    line = tree.geodesic(tree.basepoint, group.normalize(word))
     L = len(line)
     a = rng.randrange(0, L - 8)
     b = a + rng.randrange(2, 5)

@@ -28,7 +28,7 @@ from genlab.census import (
 from genlab.groups import FreeGroup, GeneratingSet, GroupElement
 from genlab.spaces import OrbitSegment, build_cayley_tree
 
-from conftest import random_word
+from conftest import random_reduced_word, random_word
 
 
 def test_classify_worked_examples(braid):
@@ -68,19 +68,20 @@ def test_classify_unsupported():
 
 
 def test_counting_oracles_match_enumeration(f2):
-    gens = f2.standard_gens()
-    census = enumerate_ball(f2, gens, 7, keep_elements=True)
-    for t in range(8):
-        brute = sum(1 for k in census.elements[t] if f2.translation_length_exact(k) == t)
-        assert count_cyclically_reduced(2, t) == brute
-    for n, T in [(5, 0), (5, 2), (6, 3), (7, 1), (7, 6)]:
-        brute = sum(
-            1
-            for r in range(n + 1)
-            for k in census.elements[r]
-            if f2.translation_length_exact(k) <= T
-        )
-        assert count_translation_below(2, n, T) == brute
+    for model in (FreeGroup(1), f2, FreeGroup(3)):
+        gens = model.standard_gens()
+        census = enumerate_ball(model, gens, 7, keep_elements=True)
+        for t in range(8):
+            brute = sum(1 for k in census.elements[t] if model.translation_length_exact(k) == t)
+            assert count_cyclically_reduced(model.rank, t) == brute
+        for n, T in [(5, 0), (5, 2), (6, 3), (7, 1), (7, 6)]:
+            brute = sum(
+                1
+                for r in range(n + 1)
+                for k in census.elements[r]
+                if model.translation_length_exact(k) <= T
+            )
+            assert count_translation_below(model.rank, n, T) == brute
 
 
 def test_threshold_inequalities_k3_all_pairs():
@@ -104,20 +105,12 @@ def test_single_letter_replacement_properties(f3):
     rng = random.Random(1)
     for _ in range(300):
         n = rng.randrange(4, 11)
-        word = []
-        for j in range(n // 2):
-            pool = [c for c in (1, -1, 2, -2, 3, -3) if not word or c != -word[-1]]
-            word.append(rng.choice(pool))
-        word = word + [-a for a in reversed(word)]
-        word = list(__import__("genlab.words", fromlist=["free_reduce"]).free_reduce(word))
-        if len(word) < 4:
-            continue
-        i = rng.randrange(1, len(word) // 2)
-        new = single_letter_replacement(f3, tuple(word), i)
-        if new is None:
-            continue
-        assert f3.normalize(new) == tuple(new)
-        assert f3.translation_length_exact(tuple(new)) >= len(word) - 2 * i
+        word = random_reduced_word(rng, 3, n)
+        i = rng.randrange(1, n // 2)
+        new = single_letter_replacement(f3, word, i)
+        assert new is not None
+        assert f3.key_word(f3.normalize(new)) == new
+        assert f3.translation_length_exact(f3.normalize(new)) >= n - 2 * i
 
 
 def test_single_replacement_fibers_bounded():
@@ -304,6 +297,14 @@ def test_genericity_zz23_curve(zz23, bass_serre):
     # parity effects make consecutive ratios wobble; compare two steps apart
     for r in range(4, 9):
         assert curve.ratios[r] <= curve.ratios[r - 2]
+
+
+def test_genericity_unsupported():
+    from genlab.groups import FiniteSample
+
+    c4 = FiniteSample.cyclic(4)
+    with pytest.raises(ValueError):
+        genericity_experiment(c4, None, c4.standard_gens(), 3)
 
 
 def test_negligibility_probe(f2):

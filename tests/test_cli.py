@@ -151,14 +151,25 @@ def _main_with_config(tmp_path, doc) -> int:
     {"experiments": [{"kind": "fibers", "model": "zz23", "n_values": [8], "phi": 5}]},
     {"experiments": [{"kind": "classify", "model": "braid3", "words": 5}]},
     {"experiments": [{"kind": "classify", "model": "braid3", "words": ["a", 5]}]},
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 2},
+                     {"kind": "fibers", "model": "free:1", "n_values": [4]}]},
+    {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 2},
+                     {"kind": "verify-lemmas", "rank": 1}]},
 ], ids=["top-level-list", "radius-string", "radius-negative", "genericity-radius-negative",
         "word-threshold", "word-threshold-infinite", "n-values-float", "n-values-string", "n-values-scalar",
         "experiment-not-object", "seed-list", "seed-word", "seed-decimal", "ledger-window", "ledger-dominating",
-        "second-model-unknown", "gens-scalar", "gens-int-word", "phi-int", "words-scalar", "words-int"])
+        "second-model-unknown", "gens-scalar", "gens-int-word", "phi-int", "words-scalar", "words-int",
+        "fibers-rank-1", "lemmas-rank-1"])
 def test_malformed_config_exits_2(tmp_path, doc, capsys):
     assert _main_with_config(tmp_path, doc) == 2
     assert "config error at $" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # rejected before any work starts
+
+
+def test_rank_one_genericity_runs(tmp_path):
+    doc = {"experiments": [{"kind": "genericity", "name": "curve", "model": "free:1", "radius": 4}]}
+    assert _main_with_config(tmp_path, doc) == 0
+    assert json.loads((tmp_path / "o" / "curve.json").read_text())["mode"] == "tree"
 
 
 def test_string_seed_is_the_integer_seed(tmp_path):
