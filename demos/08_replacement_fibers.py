@@ -12,8 +12,10 @@ import random
 from fractions import Fraction
 
 from genlab import (
+    BallIndex,
     FreeGroup,
     FreeProductZ2Z3,
+    SegmentTable,
     a_thick_search,
     build_bass_serre_tree,
     build_cayley_tree,
@@ -38,12 +40,13 @@ print("scaled ledger for Z/2 * Z/3 on its tree: block length", ledger.block_leng
 g = q23.element("yxyxyyxyxy")
 n = q23.exact_length(g.key)
 i = math.ceil(ledger.cut_window[0] * n)
-rep = replacement_map(q23, gens, action, phi, g, i, ledger)
+table = SegmentTable(BallIndex(q23, gens, 0), action, phi, ledger)  # radius 0: every query searches
+rep = replacement_map(table, g, i)
 print(f"replacing the block after prefix {i} of a norm-{n} element:")
 print("  output norm", rep.norm_out, "linkage", repr(rep.s), repr(rep.t),
       "alignment certified:", rep.report.aligned)
 
-found = a_thick_search(q23, gens, action, phi, q23.element("xy" * 5), ledger)
+found = a_thick_search(table, q23.element("xy" * 5))
 print("axis-heavy element certified thick:", found.found)
 
 print("\nfiber census over the outer shell, n = 8..14:")

@@ -71,6 +71,7 @@ from .census import (
     Classification,
     FiberReport,
     GenericityCurve,
+    SegmentTable,
     a_thick_certify,
     a_thick_search,
     classify,

@@ -207,10 +207,6 @@ def word_distance(
     return None
 
 
-def word_norm(model, gens, g, r_max, node_budget=None) -> Optional[int]:
-    return word_distance(model, gens, model.identity(), g, r_max, node_budget)
-
-
 @dataclass
 class GeodesicWord:
     """A geodesic spelling of an element over a generating set.

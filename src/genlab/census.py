@@ -3,17 +3,18 @@ letter-block replacement maps with fiber censuses, and genericity curves.
 
 Free-group threshold counts use Rivin's closed form for cyclically reduced
 words (cross-checked against brute enumeration on small balls); everything
-else is exhaustive over enumerated balls.  A fiber census builds one
-:class:`~genlab.balls.BallIndex` and one :class:`SegmentTable` per radius:
-the index answers every geodesic and norm query of its thick search and
-replacement maps, and the table builds each orbit segment once, with its
-basepoint alignment pair and the least norm of its points, so that an
-alignment check per element costs only the pair (segment, g x0).  The
-negligibility probe decides core norms by membership in the spheres of its
-enumerated ball.  ``genericity`` and the probe stop at the last radius
-their ball completes within a node budget.  All ratios are exact
-rationals; only fitted decay exponents are floating point, each an exact
-least-squares slope over the float logs, rounded once.
+else is exhaustive over enumerated balls.  The thick search and the
+replacement maps read one context, a :class:`SegmentTable` over a
+:class:`~genlab.balls.BallIndex`: the index answers every geodesic and
+norm query (a radius-0 index answers them by a new search each), and the
+table builds each orbit segment once, with its basepoint alignment pair
+and the least norm of its points, so that an alignment check per element
+costs only the pair (segment, g x0).  A fiber census builds one index and
+one table per radius.  The negligibility probe decides core norms by
+membership in the spheres of its enumerated ball.  ``genericity`` and the
+probe stop at the last radius their ball completes within a node budget.
+All ratios are exact rationals; only fitted decay exponents are floating
+point, each an exact least-squares slope over the float logs, rounded once.
 """
 
 from __future__ import annotations
@@ -26,14 +27,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alignment import AlignmentReport, as_geodesic, assemble_report, check_alignment, pair_diameters
-from .balls import (
-    BallIndex,
-    BudgetExceeded,
-    enumerate_ball,
-    free_ball_count,
-    geodesic_representative,
-    word_distance,
-)
+from .balls import BallIndex, BudgetExceeded, enumerate_ball, free_ball_count
+# not called here: perfbench's tracer test reads census.geodesic_representative
+from .balls import geodesic_representative  # noqa: F401
 from .groups import FreeGroup, GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import GroupAction, OrbitSegment
@@ -208,27 +204,30 @@ class SegmentEntry:
 
 
 class SegmentTable:
-    """The orbit segments g * (id, phi, ..., phi^L) of one census, by the key
-    of their base g, each built and measured once (L is the ledger's
-    segment length).
+    """The query context of the thick search and the replacement maps: a
+    :class:`~genlab.balls.BallIndex` for every geodesic and norm, and the
+    orbit segments g * (id, phi, ..., phi^L) of one census by the key of
+    their base g, each built and measured once (L is the ledger's segment
+    length).  ``model`` and ``gens`` are the ball's.
 
-    Every alignment sequence of the thick search and the replacement maps
-    is (basepoint, segment, h x0).  Its first pair depends on the segment
-    alone, so it is stored; a report costs only the pair (segment, h x0).
-    Norms are read from ``ball`` when one is given.  The ledger constants
-    the replacement maps use are computed here once: the alignment
-    ``level``, the excised ``block`` length, the spliced ``power``
-    phi^L, and the linkage ``candidates`` (the identity, then S).
+    A radius-0 ball is the plain search path: every query but the
+    identity's falls back to ``geodesic_representative`` or
+    ``word_distance``.  Every alignment sequence of the thick search and
+    the replacement maps is (basepoint, segment, h x0).  Its first pair
+    depends on the segment alone, so it is stored; a report costs only the
+    pair (segment, h x0).  The ledger constants the replacement maps use
+    are computed here once: the alignment ``level``, the excised ``block``
+    length, the spliced ``power`` phi^L, and the linkage ``candidates``
+    (the identity, then S).
     """
 
-    def __init__(self, model: GroupModel, gens: GeneratingSet, action: GroupAction, phi: GroupElement,
-                 ledger: ConstantLedger, ball: Optional[BallIndex] = None):
-        self.model, self.gens, self.action = model, gens, action
-        self.phi, self.ledger, self.ball = phi, ledger, ball
+    def __init__(self, ball: BallIndex, action: GroupAction, phi: GroupElement, ledger: ConstantLedger):
+        self.ball, self.action, self.phi, self.ledger = ball, action, phi, ledger
+        self.model, self.gens = ball.model, ball.gens
         self.level = ledger.alignment_level()
         self.block = ledger.block_length()
         self.power = phi**ledger.segment_length
-        self.candidates = [model.identity()] + list(gens.elements)
+        self.candidates = [self.model.identity()] + list(self.gens.elements)
         self._basepoint = as_geodesic(action.space.basepoint)
         self._entries: dict = {}
         self._windows: dict = {}
@@ -261,7 +260,7 @@ class SegmentTable:
         if cap not in entry.norms:
             best = None
             for h in entry.segment.points:
-                d = _distance_from_identity(self.model, self.gens, h, cap, self.ball)
+                d = self.ball.distance_from_identity(h, cap)
                 if d is not None and (best is None or d < best):
                     best = d
             entry.norms[cap] = best
@@ -273,6 +272,10 @@ class SegmentTable:
         tail = pair_diameters(self.action.space, entry.segment.projected, as_geodesic(point))
         return assemble_report(level, [entry.head, tail])
 
+    def spell(self, s_letters) -> GroupElement:
+        """The element spelled by signed S-letters."""
+        return self.model.element(self.gens.spell(s_letters))
+
 
 def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
     bounds = memo.get(norm)
@@ -282,35 +285,41 @@ def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
     return bounds
 
 
+def _norm(ball: BallIndex, g: GroupElement) -> int:
+    """d_S(id, g), read from ``ball`` or found by its fallback search, which
+    stays within the ball's node budget or raises :class:`BudgetExceeded`."""
+    cap = 4 * len(g.word) + 4
+    d = ball.distance_from_identity(g, cap)
+    if d is None:
+        raise RuntimeError(f"norm above the search cap {cap}")
+    return d
+
+
 def a_thick_certify(
-    model: GroupModel,
-    gens: GeneratingSet,
-    action: GroupAction,
+    table: SegmentTable,
     g: GroupElement,
-    ledger: ConstantLedger,
     segment: OrbitSegment,
     norm: Optional[int] = None,
-    ball: Optional[BallIndex] = None,
-    table: Optional[SegmentTable] = None,
 ) -> ThickCertificate:
-    """Exact check of the two thick-set conditions for a candidate segment:
-    the word distance window and the basepoint alignment.  Norms are read
-    from ``ball`` when one is given, and the segment's norms and basepoint
-    pair from ``table`` (of the segment's φ and this ledger)."""
+    """Exact check of the two thick-set conditions for a candidate segment
+    of the table's φ and ledger length: the word distance window and the
+    basepoint alignment.  ``norm`` is d_S(id, g), read from the table's
+    ball when it is not given."""
+    ledger = table.ledger
     if segment.length != ledger.segment_length:
         raise ValueError(
             f"segment length {segment.length} differs from ledger length {ledger.segment_length}"
         )
-    if table is None:
-        table = SegmentTable(model, gens, action, segment.phi, ledger, ball)
+    if segment.phi != table.phi:
+        raise ValueError("the segment is not of the table's distinguished element")
     entry = table.entry(segment.base, segment)
     if norm is None:
-        norm = _norm(model, gens, g, ball)
+        norm = _norm(table.ball, g)
     lo, hi = table.thick_window(norm)
     best = table.least_norm(entry, hi + 1)
     if best is None or not (lo <= best <= hi):
         return ThickCertificate(False, "distance-window", best)
-    report = table.report(entry, action.proj(g), ledger.dominating)
+    report = table.report(entry, table.action.proj(g), ledger.dominating)
     if not report.aligned:
         return ThickCertificate(False, "alignment", best, report)
     return ThickCertificate(True, "ok", best, report)
@@ -324,62 +333,23 @@ class ThickSearchResult:
     certificate: Optional[ThickCertificate] = None
 
 
-def a_thick_search(
-    model: GroupModel,
-    gens: GeneratingSet,
-    action: GroupAction,
-    phi: GroupElement,
-    g: GroupElement,
-    ledger: ConstantLedger,
-    perturb_letters: Optional[Sequence[GroupElement]] = None,
-    ball: Optional[BallIndex] = None,
-    table: Optional[SegmentTable] = None,
-) -> ThickSearchResult:
-    """Window scan along the fixed geodesic representative, with bounded
-    left perturbations.  Sound when it answers yes; a no is heuristic.
-    Geodesics and norms are read from ``ball`` when one is given, and
-    segments from ``table`` (of φ and this ledger)."""
-    geo = _geodesic(model, gens, g, ball)
-    if geo is None:
-        return ThickSearchResult(False)
+def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
+    """Window scan along the table ball's geodesic of g, with the left
+    perturbations of ``table.candidates``.  Sound when it answers yes; a no
+    is heuristic."""
+    geo = table.ball.geodesic(g)
     n = len(geo.s_letters)
-    if table is None:
-        table = SegmentTable(model, gens, action, phi, ledger, ball)
     lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
-    if perturb_letters is None:
-        perturb_letters = table.candidates
     for i in range(lo, hi + 1):
-        prefix = model.element(gens.spell(geo.s_letters[:i]))
-        for s in perturb_letters:
+        prefix = table.spell(geo.s_letters[:i])
+        for s in table.candidates:
             seg = table.entry(prefix * s).segment
-            cert = a_thick_certify(model, gens, action, g, ledger, seg, norm=n, ball=ball, table=table)
+            cert = a_thick_certify(table, g, seg, norm=n)
             if cert.certified:
                 return ThickSearchResult(True, witness=seg, certificate=cert)
     return ThickSearchResult(False)
-
-
-def _geodesic(model, gens, g: GroupElement, ball: Optional[BallIndex]):
-    return geodesic_representative(model, gens, g) if ball is None else ball.geodesic(g)
-
-
-def _distance_from_identity(model, gens, h: GroupElement, cap: int, ball: Optional[BallIndex]):
-    if ball is None:
-        return word_distance(model, gens, model.identity(), h, cap)
-    return ball.distance_from_identity(h, cap)
-
-
-def _norm(model, gens, g: GroupElement, ball: Optional[BallIndex] = None) -> int:
-    """d_S(id, g).  A search for g outside ``ball`` stays within the
-    ball's node budget or raises :class:`BudgetExceeded`."""
-    if gens.standard and model.exact_length(g.key) is not None:
-        return model.exact_length(g.key)
-    cap = 4 * len(g.word) + 4
-    d = _distance_from_identity(model, gens, g, cap, ball)
-    if d is None:
-        raise RuntimeError(f"norm above the search cap {cap}")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -406,55 +376,38 @@ class Replacement:
     norm_out: int
 
 
-def replacement_map(
-    model: GroupModel,
-    gens: GeneratingSet,
-    action: GroupAction,
-    phi: GroupElement,
-    g: GroupElement,
-    i: int,
-    ledger: ConstantLedger,
-    ball: Optional[BallIndex] = None,
-    table: Optional[SegmentTable] = None,
-) -> Replacement:
-    """Cut the fixed geodesic at i, excise a block, splice in a linked
-    power of the distinguished element: g = w l v  ->  w s phi^L t v.
+def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement:
+    """Cut the table ball's geodesic of g at i, excise a block, splice in a
+    linked power of the distinguished element: g = w l v  ->  w s phi^L t v.
 
     The linkage pair (s, t) is the first one in deterministic order whose
-    splice alignment certifies at the ledger level.  The geodesic and the
-    output norm are read from ``ball`` when one is given, and the segments
-    w s (phi^0, ..., phi^L) from ``table``.
+    splice alignment certifies at the ledger level; the segments
+    w s (phi^0, ..., phi^L) come from the table, and the output norm from
+    its ball.
     """
-    geo = _geodesic(model, gens, g, ball)
+    geo = table.ball.geodesic(g)
     n = len(geo.s_letters)
-    if table is None:
-        table = SegmentTable(model, gens, action, phi, ledger, ball)
     lo, hi = table.cut_window(n)
     if not (lo <= i <= hi):
         raise ValueError(f"cut index {i} outside window [{lo}, {hi}]")
     block = table.block
     if i + block > n:
         raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
-    w = model.element(gens.spell(geo.s_letters[:i]))
-    v = model.element(gens.spell(geo.s_letters[i + block :]))
-    level = table.level
-    candidates = table.candidates
+    w = table.spell(geo.s_letters[:i])
+    v = table.spell(geo.s_letters[i + block :])
     best = None
-    for s in candidates:
+    for s in table.candidates:
         ws = w * s
         entry = table.entry(ws)
         head = ws * table.power
-        for t in candidates:
+        for t in table.candidates:
             out = head * t * v
-            report = table.report(entry, action.proj(out), level)
+            report = table.report(entry, table.action.proj(out), table.level)
             if report.aligned:
-                return Replacement(
-                    out, i, s, t, report,
-                    norm_in=n, norm_out=_norm(model, gens, out, ball),
-                )
+                return Replacement(out, i, s, t, report, norm_in=n, norm_out=_norm(table.ball, out))
             if best is None or report.worst() < best.worst():
                 best = report
-    raise LinkageFailure(f"no linkage certified at level {level}", best)
+    raise LinkageFailure(f"no linkage certified at level {table.level}", best)
 
 
 @dataclass
@@ -466,56 +419,44 @@ class DoubleReplacement:
     report: AlignmentReport
 
 
-def double_replacement(
-    model: GroupModel,
-    gens: GeneratingSet,
-    action: GroupAction,
-    phi: GroupElement,
-    g: GroupElement,
-    i: int,
-    j: int,
-    ledger: ConstantLedger,
-) -> DoubleReplacement:
+def double_replacement(table: SegmentTable, g: GroupElement, i: int, j: int) -> DoubleReplacement:
     """Two-cut version: splice linked powers at both cut indices.
 
     Requires j - i > 2 * ceil(dominating * segment_length) + 3, mirroring
     the two-index set of the superpolynomial argument.
     """
-    geo = geodesic_representative(model, gens, g)
+    geo = table.ball.geodesic(g)
     n = len(geo.s_letters)
-    block = ledger.block_length()
+    block = table.block
     gap = 2 * (block - 2) + 3
     if not i < j - gap:
         raise ValueError(f"cut indices ({i}, {j}) violate the gap {gap}")
-    lo = math.ceil(ledger.cut_window[0] * n)
-    hi = math.floor(ledger.cut_window[1] * n)
+    lo, hi = table.cut_window(n)
     if not (lo <= i <= hi and lo <= j <= hi):
         raise ValueError(f"cut indices ({i}, {j}) outside window [{lo}, {hi}]")
     if j + block > n:
         raise ValueError("second excised block does not fit")
-    w = model.element(gens.spell(geo.s_letters[:i]))
-    w2 = model.element(gens.spell(geo.s_letters[i + block : j]))
-    v = model.element(gens.spell(geo.s_letters[j + block :]))
-    power = phi**ledger.segment_length
-    power2 = phi ** (2 * ledger.segment_length)
-    level = ledger.alignment_level()
-    candidates = [model.identity()] + list(gens.elements)
+    w = table.spell(geo.s_letters[:i])
+    w2 = table.spell(geo.s_letters[i + block : j])
+    v = table.spell(geo.s_letters[j + block :])
+    action, length = table.action, 2 * table.ledger.segment_length
+    power2 = table.power * table.power
     best = None
-    for s in candidates:
-        seg1 = OrbitSegment(action, w * s, phi, ledger.segment_length)
-        for t in candidates:
-            head = w * s * power * t * w2
-            for s2 in candidates:
-                seg2 = OrbitSegment(action, head * s2, phi, 2 * ledger.segment_length)
-                for t2 in candidates:
+    for s in table.candidates:
+        seg1 = table.entry(w * s).segment
+        for t in table.candidates:
+            head = w * s * table.power * t * w2
+            for s2 in table.candidates:
+                seg2 = OrbitSegment(action, head * s2, table.phi, length)
+                for t2 in table.candidates:
                     out = head * s2 * power2 * t2 * v
                     seq = [action.space.basepoint, seg1.projected, seg2.projected, action.proj(out)]
-                    report = check_alignment(action.space, seq, level)
+                    report = check_alignment(action.space, seq, table.level)
                     if report.aligned:
                         return DoubleReplacement(head, out, (i, j), (s, t, s2, t2), report)
                     if best is None or report.worst() < best.worst():
                         best = report
-    raise LinkageFailure(f"no double linkage certified at level {level}", best)
+    raise LinkageFailure(f"no double linkage certified at level {table.level}", best)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +512,7 @@ def fiber_census(
     ball = BallIndex(model, gens, n, node_budget=node_budget)
     if ball.truncated:
         raise BudgetExceeded(f"the radius-{n} ball outgrew the node budget {node_budget}")
-    table = SegmentTable(model, gens, action, phi, ledger, ball)
+    table = SegmentTable(ball, action, phi, ledger)
     inner = math.floor(shell * n)
     fibers: dict = {}
     domain = 0
@@ -580,7 +521,7 @@ def fiber_census(
     for r in range(inner + 1, n + 1):
         for key in ball.spheres[r]:
             g = GroupElement(model, model.key_word(key), key)
-            found = a_thick_search(model, gens, action, phi, g, ledger, ball=ball, table=table)
+            found = a_thick_search(table, g)
             if found.found:
                 thick_skipped += 1
                 continue
@@ -590,7 +531,7 @@ def fiber_census(
                 degenerate += 1
                 continue
             for i in indices:
-                rep = replacement_map(model, gens, action, phi, g, i, ledger, ball=ball, table=table)
+                rep = replacement_map(table, g, i)
                 domain += 1
                 fibers[rep.element.key] = fibers.get(rep.element.key, 0) + 1
     histogram: dict = {}

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import balls, census, lemmas
 from .contraction import measure_scaled_ledger
 from .groups import Braid3, GeneratingSet, make_model
+from .spaces import build_cayley_tree
 
 
 class ConfigError(ValueError):
@@ -314,15 +315,19 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
 def _run_concat_suite(rng: random.Random, trials: int) -> dict:
     counts = {"midpoint": 0, "chain": 0, "distance-sum": 0, "quadratic": 0}
     failures = skipped = 0
+    tree, action = build_cayley_tree(2)
+    free = tree.group
+    chain_ledger = measure_scaled_ledger(free, free.standard_gens(), action, free.element("a"), random.Random(0),
+                                         segment_length=4)
     for _ in range(trials):
-        inst = lemmas.random_chain_instance(rng, n_segments=1, level=2)
+        inst = lemmas.random_chain_instance(rng, n_segments=1, level=2, ledger=chain_ledger)
         v = lemmas.verify_midpoint_capture(inst)
         if isinstance(v, lemmas.SkippedInstance):
             skipped += 1
         else:
             counts["midpoint"] += 1
             failures += 0 if v.passed else 1
-        inst = lemmas.random_chain_instance(rng, n_segments=rng.randrange(2, 5), level=2)
+        inst = lemmas.random_chain_instance(rng, n_segments=rng.randrange(2, 5), level=2, ledger=chain_ledger)
         vs = lemmas.verify_chain_capture(inst)
         if isinstance(vs, lemmas.SkippedInstance):
             skipped += 1

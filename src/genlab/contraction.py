@@ -116,8 +116,9 @@ def weak_contraction_profile(
     """Half-radius ball projections around random elements of given norms.
 
     For each sampled g, the ball of radius floor(factor * d_S(g, gamma)) is
-    enumerated exactly and its projection diameter onto the segment's
-    geodesic recorded.  The profile bound is the max observed diameter.
+    read from one exact ball enumeration and the projection diameter of its
+    g-translate onto the segment's geodesic recorded.  The profile bound is
+    the max observed diameter.
     """
     require_loxodromic(action, phi)
     segment = OrbitSegment(action, model.identity(), phi, segment_length)
@@ -127,7 +128,10 @@ def weak_contraction_profile(
         factor=factor,
         seed=seed,
     )
-    ball = enumerate_ball(model, gens, max(sample_norms), keep_elements=True)
+    # the segment starts at the identity, so d_S(g, gamma) <= |g|_S <= top:
+    # every projection ball is a prefix of this one
+    top = max(sample_norms)
+    ball = enumerate_ball(model, gens, max(top, int(factor * top)), keep_elements=True)
     for norm in sample_norms:
         sphere = ball.elements[norm]
         if not sphere:
@@ -141,9 +145,8 @@ def weak_contraction_profile(
                 continue
             radius = int(factor * dist)
             pts = set()
-            small = enumerate_ball(model, gens, radius, keep_elements=True)
-            for r in range(radius + 1):
-                for uk in small.elements[r]:
+            for shell in ball.elements[: radius + 1]:
+                for uk in shell:
                     u = GroupElement(model, model.key_word(uk), uk)
                     pts.update(segment_projection(action, segment, g * u))
             diam = set_diameter(action.space, list(pts))

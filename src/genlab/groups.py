@@ -45,12 +45,6 @@ class GeneratorAlphabet:
         k = self.size
         return tuple(range(1, k + 1)) + tuple(range(-1, -k - 1, -1))
 
-    def involution(self, letter: int) -> int:
-        """The fixed-point-free pairing of each signed letter with its inverse."""
-        if letter == 0 or abs(letter) > self.size:
-            raise ValueError(f"letter {letter} outside alphabet of size {self.size}")
-        return -letter
-
     def parse(self, text: str) -> Word:
         return parse_word(text, self.labels)
 
@@ -556,11 +550,6 @@ class Braid3(GroupModel):
             else:
                 out.extend((1, 2) * s)
         return tuple(out)
-
-    def from_normal_form(self, z: int, sylls: Sequence[int]) -> GroupElement:
-        """Element with the given key, without multiplying out a long word."""
-        key = (z, tuple(sylls))
-        return GroupElement(self, self.key_word(key), key)
 
     def center_membership(self, key):
         return len(key[1]) == 0

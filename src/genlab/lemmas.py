@@ -136,7 +136,8 @@ def random_chain_instance(
     rank: int = 2,
     phi_word: str = "a",
     level: int = 2,
-    ledger: Optional[ConstantLedger] = None,
+    *,
+    ledger: ConstantLedger,
     segment_length: Optional[int] = None,
     instance_id: str = "",
 ) -> ChainInstance:
@@ -145,15 +146,13 @@ def random_chain_instance(
 
     The construction keeps every adjacent projection diameter below the
     level, so hypothesis certification succeeds for (nearly) every draw.
+    ``ledger`` is measured once by the caller and shared by its instances
+    (its chain threshold sets the default ``segment_length``).
     """
     tree, action = build_cayley_tree(rank)
     group = tree.group
     gens = group.standard_gens()
     phi = group.element(phi_word)
-    if ledger is None:
-        from .contraction import measure_scaled_ledger
-
-        ledger = measure_scaled_ledger(group, gens, action, phi, random.Random(0), segment_length=4)
     if segment_length is None:
         m = int(ledger.chain_threshold(level)) + 1
         segment_length = m + (m % 2)  # even, above the chain threshold

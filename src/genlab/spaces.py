@@ -49,9 +49,6 @@ class Geodesic:
     def end(self):
         return self.points[-1]
 
-    def is_degenerate(self) -> bool:
-        return len(self.points) == 1
-
     def reverse(self) -> "Geodesic":
         return Geodesic(tuple(reversed(self.points)))
 
@@ -59,9 +56,6 @@ class Geodesic:
         if not (0 <= i <= j <= len(self)):
             raise ValueError(f"bad subsegment [{i}, {j}] of length-{len(self)} geodesic")
         return Geodesic(self.points[i : j + 1])
-
-    def index_of(self, p) -> int:
-        return self.points.index(p)
 
 
 class MetricSpaceModel:
@@ -96,9 +90,6 @@ class MetricSpaceModel:
                         out.append(v)
             frontier = nxt
         return out
-
-    def distance_to_set(self, p, points: Iterable) -> int:
-        return min(self.distance(p, q) for q in points)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +363,6 @@ class GroupAction:
     def proj(self, g: GroupElement):
         """The orbit map g -> g . basepoint."""
         return self._act(g, self.space.basepoint)
-
-    def space_norm(self, g: GroupElement) -> int:
-        return self.space.distance(self.space.basepoint, self.proj(g))
 
 
 def build_cayley_tree(rank: int) -> tuple[CayleyTree, GroupAction]:

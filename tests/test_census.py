@@ -1,16 +1,20 @@
 """Classification, threshold counts, thick sets, replacement maps, curves."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlab.alignment import check_alignment
 from genlab.balls import BallIndex, enumerate_ball, free_ball_count, word_distance
 from genlab.census import (
     LinkageFailure,
     SegmentTable,
+    _norm,
     a_thick_certify,
     a_thick_search,
     classify,
@@ -25,7 +29,7 @@ from genlab.census import (
     single_letter_replacement,
     single_replacement_fibers,
 )
-from genlab.groups import FreeGroup, GeneratingSet, GroupElement
+from genlab.groups import Braid3, FreeGroup, GeneratingSet, GroupElement
 from genlab.spaces import OrbitSegment, build_cayley_tree
 
 from conftest import random_reduced_word, random_word
@@ -128,19 +132,19 @@ def test_a_thick_certify_cases(zz23, bass_serre, zz23_ledger):
     # a window-placed axis segment certifies
     base = phi**2
     seg = OrbitSegment(action, base, phi, zz23_ledger.segment_length)
-    cert = a_thick_certify(zz23, gens, action, g, zz23_ledger, seg)
+    cert = a_thick_certify(_search_table(zz23, gens, action, phi, zz23_ledger), g, seg)
     assert cert.certified
     # distance window violation: segment at half the norm
     far = OrbitSegment(action, phi**4, phi, zz23_ledger.segment_length)
-    cert2 = a_thick_certify(zz23, gens, action, g, zz23_ledger, far)
+    cert2 = a_thick_certify(_search_table(zz23, gens, action, phi, zz23_ledger), g, far)
     assert not cert2.certified and cert2.reason == "distance-window"
     # reversed orientation: alignment rejected
     flipped = OrbitSegment(action, base * phi**zz23_ledger.segment_length, phi.inverse(), zz23_ledger.segment_length)
-    cert3 = a_thick_certify(zz23, gens, action, g, zz23_ledger, flipped)
+    cert3 = a_thick_certify(_search_table(zz23, gens, action, phi.inverse(), zz23_ledger), g, flipped)
     assert not cert3.certified and cert3.reason == "alignment"
     # wrong segment length is a usage error
     with pytest.raises(ValueError):
-        a_thick_certify(zz23, gens, action, g, zz23_ledger,
+        a_thick_certify(_search_table(zz23, gens, action, phi, zz23_ledger), g,
                         OrbitSegment(action, base, phi, zz23_ledger.segment_length + 1))
 
 
@@ -148,12 +152,13 @@ def test_a_thick_search(zz23, bass_serre, zz23_ledger):
     _, action, _ = bass_serre
     gens = zz23.standard_gens()
     phi = zz23.element("xy")
-    assert a_thick_search(zz23, gens, action, phi, zz23.element("xy" * 5), zz23_ledger).found
-    short = a_thick_search(zz23, gens, action, phi, zz23.element("y"), zz23_ledger)
+    table = _search_table(zz23, gens, action, phi, zz23_ledger)
+    assert a_thick_search(table, zz23.element("xy" * 5)).found
+    short = a_thick_search(table, zz23.element("y"))
     assert not short.found and short.degenerate
     # an element heading straight away from the axis: not found
     off = zz23.element("yx" * 5)
-    res = a_thick_search(zz23, gens, action, phi, off, zz23_ledger)
+    res = a_thick_search(table, off)
     assert isinstance(res.found, bool)
 
 
@@ -164,12 +169,13 @@ def test_replacement_map_window_and_block(zz23, bass_serre, zz23_ledger):
     g = zz23.element("yxyxyyxyxy")
     n = zz23.exact_length(g.key)
     lo = math.ceil(zz23_ledger.cut_window[0] * n)
-    rep = replacement_map(zz23, gens, action, phi, g, lo, zz23_ledger)
+    table = _search_table(zz23, gens, action, phi, zz23_ledger)
+    rep = replacement_map(table, g, lo)
     assert rep.report.aligned
     slack = 2 * zz23_ledger.segment_length + 2
     assert rep.norm_out <= rep.norm_in + slack
     with pytest.raises(ValueError):
-        replacement_map(zz23, gens, action, phi, g, n, zz23_ledger)  # out of window
+        replacement_map(table, g, n)  # out of window
 
 
 def test_replacement_map_free_group(f2, tree2, f2_ledger):
@@ -179,7 +185,7 @@ def test_replacement_map_free_group(f2, tree2, f2_ledger):
     g = f2.element("babbabbabbab")
     n = len(g.key)
     i = math.ceil(f2_ledger.cut_window[0] * n)
-    rep = replacement_map(f2, gens, action, phi, g, i, f2_ledger)
+    rep = replacement_map(_search_table(f2, gens, action, phi, f2_ledger), g, i)
     assert rep.report.aligned
     # the spliced element keeps the untouched prefix and suffix
     out = rep.element.key
@@ -227,13 +233,14 @@ def test_double_replacement(zz23, bass_serre, zz23_ledger):
     gap = 2 * (block - 2) + 3
     i = math.ceil(led.cut_window[0] * n)
     j = i + gap + 1
-    dr = double_replacement(zz23, gens, action, phi, g, i, j, led)
+    table = _search_table(zz23, gens, action, phi, led)
+    dr = double_replacement(table, g, i, j)
     # the first map is a literal prefix factor of the second
     s, t, s2, t2 = dr.linkages
     tail = s2 * phi ** (2 * led.segment_length) * t2 * _suffix(zz23, gens, g, j + block)
     assert (dr.first * tail).key == dr.second.key
     with pytest.raises(ValueError):
-        double_replacement(zz23, gens, action, phi, g, i, i + gap, led)
+        double_replacement(table, g, i, i + gap)
 
 
 def test_double_replacement_free_group_length_12(f2, tree2):
@@ -252,13 +259,18 @@ def test_double_replacement_free_group_length_12(f2, tree2):
     gap = 2 * (block - 2) + 3
     i = 2
     j = i + gap + 1
-    dr = double_replacement(f2, gens, action, phi, g, i, j, led)
+    dr = double_replacement(_search_table(f2, gens, action, phi, led), g, i, j)
     assert dr.report.aligned
     # both excised blocks replaced by linked powers of the axis element
     assert dr.second.key[:i] == g.key[:i]
     s_el, t_el, s2, t2 = dr.linkages
     tail = s2 * phi ** (2 * led.segment_length) * t2 * _suffix(f2, gens, g, j + block)
     assert (dr.first * tail).key == dr.second.key
+
+
+def _search_table(model, gens, action, phi, ledger):
+    # a radius-0 ball: every geodesic and norm query is a new search
+    return SegmentTable(BallIndex(model, gens, 0), action, phi, ledger)
 
 
 def _suffix(model, gens, g, start):
@@ -360,7 +372,7 @@ def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23
         model, action, ledger, phi, n = zz23, bass_serre[1], zz23_ledger, zz23.element("xy"), 10
     gens = model.standard_gens()
     ball = BallIndex(model, gens, n)
-    table = SegmentTable(model, gens, action, phi, ledger, ball)
+    table = SegmentTable(ball, action, phi, ledger)
     space, ident = action.space, model.identity()
     power = phi**ledger.segment_length
     candidates = [ident] + list(gens.elements)
@@ -383,7 +395,7 @@ def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23
                 lo, hi = ledger.window[0] * n, ledger.window[1] * n
                 direct = [word_distance(model, gens, ident, h, int(hi) + 1) for h in seg.points]
                 best = min((d for d in direct if d is not None), default=None)
-                cert = a_thick_certify(model, gens, action, g, ledger, entry.segment, norm=n, ball=ball, table=table)
+                cert = a_thick_certify(table, g, entry.segment, norm=n)
                 assert cert.distance == best
                 assert (cert.reason != "distance-window") == (best is not None and lo <= best <= hi)
                 windowed += cert.reason != "distance-window"
@@ -399,23 +411,43 @@ def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23
     assert windowed > 0
 
 
-def test_census_queries_agree_with_and_without_a_table(zz23, bass_serre, zz23_ledger):
+def test_census_queries_agree_on_radius_0_and_radius_n_tables(zz23, bass_serre, zz23_ledger):
     _, action, _ = bass_serre
     gens = zz23.standard_gens()
     phi = zz23.element("xy")
     n = 10
     ball = BallIndex(zz23, gens, n)
-    table = SegmentTable(zz23, gens, action, phi, zz23_ledger, ball)
+    table = SegmentTable(ball, action, phi, zz23_ledger)
     lo = math.ceil(zz23_ledger.cut_window[0] * n)
     for key in ball.spheres[n][::5]:
         g = GroupElement(zz23, zz23.key_word(key), key)
-        shared = a_thick_search(zz23, gens, action, phi, g, zz23_ledger, ball=ball, table=table)
-        alone = a_thick_search(zz23, gens, action, phi, g, zz23_ledger)
+        shared = a_thick_search(table, g)
+        alone = a_thick_search(_search_table(zz23, gens, action, phi, zz23_ledger), g)
         assert shared.found == alone.found
         if shared.found:
             assert shared.certificate == alone.certificate
             assert shared.witness.base == alone.witness.base
             continue
-        shared_rep = replacement_map(zz23, gens, action, phi, g, lo, zz23_ledger, ball=ball, table=table)
-        alone_rep = replacement_map(zz23, gens, action, phi, g, lo, zz23_ledger)
+        shared_rep = replacement_map(table, g, lo)
+        alone_rep = replacement_map(_search_table(zz23, gens, action, phi, zz23_ledger), g, lo)
         assert shared_rep == alone_rep
+
+
+@functools.lru_cache(maxsize=None)
+def _norm_oracles(which):
+    # the radius-6 index, and each key's sphere in an independent BFS
+    model, words = (Braid3(), ["a", "b", "aba"]) if which == "braid3" else (FreeGroup(2), ["a", "b", "ab"])
+    gens = GeneratingSet(model, words)
+    spheres = enumerate_ball(model, gens, 6, keep_elements=True).elements
+    return model, gens, BallIndex(model, gens, 6), {k: r for r, sphere in enumerate(spheres) for k in sphere}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_norm_agrees_on_radius_0_and_radius_6_balls(data):
+    # the radius-0 index is the search path: it must agree with the ball
+    which = data.draw(st.sampled_from(("braid3", "f2-ab")), label="model")
+    model, gens, ball, sphere_of = _norm_oracles(which)
+    w = data.draw(st.lists(st.sampled_from(model.alphabet.signed_letters()), max_size=6).map(tuple), label="w")
+    g = model.element(w)
+    assert _norm(BallIndex(model, gens, 0), g) == _norm(ball, g) == sphere_of[g.key]

@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from genlab.alignment import set_diameter
 from genlab.balls import enumerate_ball
 from genlab.contraction import (
     NonLoxodromicError,
     lipschitz_projection_bound,
     measure_scaled_ledger,
     require_loxodromic,
+    segment_projection,
     select_linkage,
     strong_contraction_check,
     weak_contraction_profile,
     wpd_census,
 )
+from genlab.groups import GroupElement
 from genlab.spaces import Geodesic, OrbitSegment, build_cayley_tree, grid_graph
 
 from conftest import random_reduced_word
@@ -83,6 +86,29 @@ def test_weak_contraction_profile_braid(braid, bass_serre):
     )
     assert profile.bound < 10**6  # finite over all samples
     assert len(profile.samples) > 0
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(3, 2)])
+def test_weak_contraction_profile_matches_per_sample_balls(braid, bass_serre, factor):
+    # each sample is drawn from its requested sphere, and its diameter is
+    # that of a fresh ball of radius floor(factor * distance) around it
+    _, _, action = bass_serre
+    gens, phi, norms = braid.standard_gens(), braid.element("aB"), [3, 4]
+    profile = weak_contraction_profile(
+        braid, gens, action, phi, 2, sample_norms=norms, rng=random.Random(7), samples_per_norm=6, factor=factor,
+    )
+    segment = OrbitSegment(action, braid.identity(), phi, 2)
+    spheres = enumerate_ball(braid, gens, max(norms), keep_elements=True).elements
+    assert len(profile.samples) == 12
+    for i, sample in enumerate(profile.samples):
+        assert sample.g_key in spheres[norms[i // 6]]
+        assert sample.ball_radius == int(factor * sample.distance_to_segment)
+        g = GroupElement(braid, braid.key_word(sample.g_key), sample.g_key)
+        pts = set()
+        for sphere in enumerate_ball(braid, gens, sample.ball_radius, keep_elements=True).elements:
+            for uk in sphere:
+                pts.update(segment_projection(action, segment, g * GroupElement(braid, braid.key_word(uk), uk)))
+        assert sample.projection_diameter == set_diameter(action.space, list(pts))
 
 
 def test_require_loxodromic(braid, bass_serre, f2, tree2):
