@@ -167,10 +167,10 @@ def pair_diameters(space: MetricSpaceModel, g1: Geodesic, g2: Geodesic) -> tuple
     )
 
 
-def assemble_report(level: Fraction, pairs: list) -> AlignmentReport:
-    """The report on per-pair (forward, backward) diameters at ``level``.
-    Diameters are integers, so d >= level exactly when d >= ceil(level)."""
-    bound = math.ceil(level)
+def assemble_report(level: Fraction, bound: int, pairs: list) -> AlignmentReport:
+    """The report on per-pair (forward, backward) diameters at ``level``,
+    whose ceiling is ``bound``.  Diameters are integers, so d >= level
+    exactly when d >= bound."""
     aligned = all(f < bound and b < bound for f, b in pairs)
     return AlignmentReport(level, pairs, aligned)
 
@@ -185,7 +185,8 @@ def check_alignment(space: MetricSpaceModel, sequence: Sequence[SequenceItem], l
     if not items:
         raise ValueError("empty alignment sequence")
     pairs = [pair_diameters(space, g1, g2) for g1, g2 in zip(items, items[1:])]
-    return assemble_report(Fraction(level), pairs)
+    level = Fraction(level)
+    return assemble_report(level, math.ceil(level), pairs)
 
 
 class AlignmentError(ValueError):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .groups import GeneratingSet, GroupElement, GroupModel
-from .words import Word, invert
+from .words import Word
 
 
 class BudgetExceeded(RuntimeError):
@@ -154,7 +154,7 @@ def word_distance(
     r_max: int,
     node_budget: Optional[int] = None,
 ) -> Optional[int]:
-    """Exact d_S(g, h) when it is at most ``r_max``, else None.
+    """Exact d_S(g, h) when it is at most ``r_max`` (``math.inf``: no cap), else None.
 
     Bidirectional BFS over canonical keys.  Under the standard generators
     the model's closed-form length is used when it has one.  Raises
@@ -164,7 +164,7 @@ def word_distance(
         raise ValueError("r_max must be >= 0")
     if g.key == h.key:
         return 0
-    target = model.mul_keys(model.normalize(invert(g.word)), h.key)
+    target = model.mul_keys(model.inverse_key(g.key), h.key)
     if gens.standard:
         n = model.exact_length(target)
         if n is not None:
@@ -225,14 +225,15 @@ class GeodesicWord:
 
 
 def _closed_form_geodesic(model: GroupModel, gens: GeneratingSet, key) -> Optional[GeodesicWord]:
-    """The identity's empty spelling, and under the standard generators the
-    word ``key_word(key)`` of a model with a closed-form length (a geodesic
-    by the ``exact_length`` contract); None when a search is needed."""
+    """The identity's empty spelling, and under the standard generators (in
+    any order) the word ``key_word(key)`` of a model with a closed-form
+    length (a geodesic by the ``exact_length`` contract), spelled in the
+    set's S-letters; None when a search is needed."""
     if key == model.identity_key():
         return GeodesicWord((), ())
     if gens.standard and model.exact_length(key) is not None:
         word = model.key_word(key)
-        return GeodesicWord(word, word)
+        return GeodesicWord(tuple(map(gens.s_letter.__getitem__, word)), word)
     return None
 
 
@@ -410,9 +411,10 @@ def translation_length(
     upper = None
     power = model.identity()
     base_norm = None
+    # without r_budget the search runs until it meets g^n, which it does
+    cap = r_budget if r_budget is not None else math.inf
     for n in range(1, n_max + 1):
         power = power * g
-        cap = r_budget if r_budget is not None else (len(power.word) + 1)
         d = word_distance(model, gens, model.identity(), power, cap)
         if d is None:
             break

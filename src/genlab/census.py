@@ -33,7 +33,6 @@ from .balls import geodesic_representative  # noqa: F401
 from .groups import FreeGroup, GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import GroupAction, OrbitSegment
-from .words import invert
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +217,15 @@ class SegmentTable:
     pair (segment, h x0).  The ledger constants the replacement maps use
     are computed here once: the alignment ``level``, the excised ``block``
     length, the spliced ``power`` phi^L, and the linkage ``candidates``
-    (the identity, then S).
+    (the identity, then S), and the ceilings of ``level`` and
+    ``ledger.dominating``, which reports compare integer diameters with.
     """
 
     def __init__(self, ball: BallIndex, action: GroupAction, phi: GroupElement, ledger: ConstantLedger):
         self.ball, self.action, self.phi, self.ledger = ball, action, phi, ledger
         self.model, self.gens = ball.model, ball.gens
         self.level = ledger.alignment_level()
+        self.dominating_bound, self.level_bound = math.ceil(ledger.dominating), math.ceil(self.level)
         self.block = ledger.block_length()
         self.power = phi**ledger.segment_length
         self.candidates = [self.model.identity()] + list(self.gens.elements)
@@ -266,11 +267,11 @@ class SegmentTable:
             entry.norms[cap] = best
         return entry.norms[cap]
 
-    def report(self, entry: SegmentEntry, point, level: Fraction) -> AlignmentReport:
+    def report(self, entry: SegmentEntry, point, level: Fraction, bound: int) -> AlignmentReport:
         """``check_alignment`` of (basepoint, segment, point) at ``level``,
-        a Fraction (as every ledger constant is)."""
+        a Fraction (as every ledger constant is) of ceiling ``bound``."""
         tail = pair_diameters(self.action.space, entry.segment.projected, as_geodesic(point))
-        return assemble_report(level, [entry.head, tail])
+        return assemble_report(level, bound, [entry.head, tail])
 
     def spell(self, s_letters) -> GroupElement:
         """The element spelled by signed S-letters."""
@@ -287,12 +288,9 @@ def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
 
 def _norm(ball: BallIndex, g: GroupElement) -> int:
     """d_S(id, g), read from ``ball`` or found by its fallback search, which
-    stays within the ball's node budget or raises :class:`BudgetExceeded`."""
-    cap = 4 * len(g.word) + 4
-    d = ball.distance_from_identity(g, cap)
-    if d is None:
-        raise RuntimeError(f"norm above the search cap {cap}")
-    return d
+    stays within the ball's node budget or raises :class:`BudgetExceeded`;
+    it needs no radius cap, since it stops when it meets g."""
+    return ball.distance_from_identity(g, math.inf)
 
 
 def a_thick_certify(
@@ -319,7 +317,7 @@ def a_thick_certify(
     best = table.least_norm(entry, hi + 1)
     if best is None or not (lo <= best <= hi):
         return ThickCertificate(False, "distance-window", best)
-    report = table.report(entry, table.action.proj(g), ledger.dominating)
+    report = table.report(entry, table.action.proj(g), ledger.dominating, table.dominating_bound)
     if not report.aligned:
         return ThickCertificate(False, "alignment", best, report)
     return ThickCertificate(True, "ok", best, report)
@@ -402,7 +400,7 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
         head = ws * table.power
         for t in table.candidates:
             out = head * t * v
-            report = table.report(entry, table.action.proj(out), table.level)
+            report = table.report(entry, table.action.proj(out), table.level, table.level_bound)
             if report.aligned:
                 return Replacement(out, i, s, t, report, norm_in=n, norm_out=_norm(table.ball, out))
             if best is None or report.worst() < best.worst():
@@ -520,7 +518,7 @@ def fiber_census(
     degenerate = 0
     for r in range(inner + 1, n + 1):
         for key in ball.spheres[r]:
-            g = GroupElement(model, model.key_word(key), key)
+            g = GroupElement(model, key)
             found = a_thick_search(table, g)
             if found.found:
                 thick_skipped += 1
@@ -746,8 +744,7 @@ def exponential_negligibility_probe(
         h_cap = math.floor(conj_window * n)
         short_core = set(itertools.chain.from_iterable(census.elements[:math.floor(core_window * n) + 1]))
         # each conjugator h with its inverse, to test h g h^-1 on keys
-        h_pairs = [(hk, model.normalize(invert(model.key_word(hk))))
-                   for r in range(h_cap + 1) for hk in census.elements[r]]
+        h_pairs = [(hk, model.inverse_key(hk)) for r in range(h_cap + 1) for hk in census.elements[r]]
         shell_size = 0
         decomposable = 0
         for r in range(inner + 1, n + 1):

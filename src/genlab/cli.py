@@ -68,15 +68,13 @@ def _build_model_gens(raw: dict, path: str):
     return model, gens
 
 
-def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, profile: str):
+def _build_ledger(model, gens, action, raw: dict, path: str, seed: int):
     lraw = raw.get("ledger", {})
     phi_word = raw.get("phi", model.default_phi)
     try:
         phi = model.element(phi_word)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}.phi", str(e))
-    if profile == "faithful":
-        raise ConfigError(f"{path}", "faithful-profile constants are out of desk-scale reach; use scaled")
     kwargs = {}
     for key in ("dominating", "coeff"):
         if key in lraw:
@@ -215,6 +213,8 @@ def _json_text(doc) -> str:
 def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | None, workers: int = 1) -> int:
     """Execute every experiment in the config; returns the process exit code."""
     experiments = validate_config(doc)
+    if profile == "faithful" and any(exp.kind == "fibers" for exp in experiments):
+        raise ConfigError("$", "faithful-profile constants are out of desk-scale reach; use scaled")
     seed = int(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the worker count is deliberately absent: results are contracted to be
@@ -269,7 +269,7 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
         elif exp.kind == "fibers":
             model, gens = _build_model_gens(raw, path)
             action = model.tree_action()
-            phi, ledger = _build_ledger(model, gens, action, raw, path, seed, profile)
+            phi, ledger = _build_ledger(model, gens, action, raw, path, seed)
             n_values = [int(n) for n in _require(raw, "n_values", path)]
             reports = []
             too_big = None  # the least n whose ball outgrew the node budget

@@ -9,6 +9,7 @@ segments.  Results feed the scaled constant ledger.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,7 +139,7 @@ def weak_contraction_profile(
             continue
         for _ in range(samples_per_norm):
             key = sphere[rng.randrange(len(sphere))]
-            g = GroupElement(model, model.key_word(key), key)
+            g = GroupElement(model, key)
             dist = _distance_to_segment(model, gens, g, segment, r_max)
             if dist is None:
                 profile.truncated = True
@@ -147,7 +148,7 @@ def weak_contraction_profile(
             pts = set()
             for shell in ball.elements[: radius + 1]:
                 for uk in shell:
-                    u = GroupElement(model, model.key_word(uk), uk)
+                    u = GroupElement(model, uk)
                     pts.update(segment_projection(action, segment, g * u))
             diam = set_diameter(action.space, list(pts))
             profile.record(ContractionSample(key, dist, radius, diam))
@@ -219,7 +220,7 @@ def lipschitz_projection_bound(
     K0 d_S(g, h) + K0 over sample pairs.
     """
     space = action.space
-    elements = [GroupElement(model, model.key_word(k), k) for k in sample_keys]
+    elements = [GroupElement(model, k) for k in sample_keys]
     k1 = Fraction(0)
     for g in elements:
         d_seg = _distance_to_segment(model, gens, g, segment, r_max)
@@ -295,7 +296,7 @@ def wpd_census(
     for r, sphere in enumerate(census.elements):
         added = 0
         for key in sphere:
-            h = GroupElement(model, model.key_word(key), key)
+            h = GroupElement(model, key)
             if space.distance(x0, action.proj(h)) < closeness and space.distance(
                 tip, action.proj(h * phi**power)
             ) < closeness:
@@ -351,14 +352,14 @@ def select_linkage(
     Minimizes, over (s, t) in (S u {id})^2, the larger of the two Gromov
     products (phi^i x0, s g x0)_x0 for i in [1, horizon] and
     (phi^-j x0, t g x0)_x0 for j in [1, horizon].  On trees the products
-    are eventually constant in i; the default horizon is checked to be in
-    the stable range by doubling once.
+    are eventually constant in i; the default horizon, 3 max(4, |phi|_S),
+    is checked to be in the stable range by doubling once.
     """
     require_loxodromic(action, phi)
     space = action.space
     x0 = space.basepoint
     if horizon is None:
-        horizon = 3 * max(4, len(phi.word))
+        horizon = 3 * max(4, word_distance(model, gens, model.identity(), phi, math.inf))
     candidates = [model.identity()] + list(gens.elements)
 
     def side_max(w: GroupElement, sign: int, hz: int) -> Fraction:
@@ -401,7 +402,7 @@ def measure_scaled_ledger(
     x0 = space.basepoint
     c0 = max(space.distance(x0, action.proj(s)) for s in gens.elements)
     d_c = space.distance(x0, action.proj(phi))
-    d_s = len(phi.word)
+    d_s = word_distance(model, gens, model.identity(), phi, math.inf)  # |phi|_S; the search meets phi
 
     ball = enumerate_ball(model, gens, sample_radius, keep_elements=True)
     all_keys = [k for sphere in ball.elements for k in sphere]
@@ -409,8 +410,8 @@ def measure_scaled_ledger(
 
     e0 = Fraction(0)
     for key in sample_keys[:12]:
-        g = GroupElement(model, model.key_word(key), key)
-        e0 = max(e0, select_linkage(model, gens, action, phi, g).achieved)
+        g = GroupElement(model, key)
+        e0 = max(e0, select_linkage(model, gens, action, phi, g, horizon=3 * max(4, d_s)).achieved)
 
     meas_len = segment_length if segment_length is not None else 4
     profile = weak_contraction_profile(

@@ -2,10 +2,12 @@
 
 Every model supplies a total normal form (``normalize``) mapping words over
 its alphabet to canonical hashable keys, so element equality is exact key
-equality and no generic word problem has to be solved.  Keys compare,
-hash and sort; ``key_word`` turns a key back into a word, ``mul_keys``
-multiplies two keys and ``key_repr`` is the text a ball census writes for
-one.  A model answers for its own closed forms and geometry through
+equality and no generic word problem has to be solved: a
+:class:`GroupElement` is the pair (model, key), and words live only where
+they are input (configs, generating sets).  Keys compare, hash and sort;
+``key_word`` turns a key back into a word, ``mul_keys`` and ``inverse_key``
+multiply and invert keys, and ``key_repr`` is the text a ball census writes
+for one.  A model answers for its own closed forms and geometry through
 optional oracles that return None when it lacks them (``exact_length``,
 ``translation_length_exact``, ``quotient_key``, ``tree_action``, ...), and
 classifies its elements with ``verdict``.  Supported models:
@@ -74,6 +76,10 @@ class GroupModel:
         """The text a ball census writes for ``key``."""
         return repr(key)
 
+    def inverse_key(self, key):
+        """Key of the inverse; default re-normalizes the inverted key word."""
+        return self.normalize(invert(self.key_word(key)))
+
     def identity_key(self):
         return self.normalize(())
 
@@ -120,7 +126,7 @@ class GroupModel:
         for a in word:
             if a == 0 or abs(a) > self.alphabet.size:
                 raise ValueError(f"letter {a} invalid for alphabet of {self.name}")
-        return GroupElement(self, word, self.normalize(word))
+        return GroupElement(self, self.normalize(word))
 
     def identity(self) -> "GroupElement":
         return self.element(())
@@ -132,26 +138,27 @@ class GroupModel:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of a model: a known word representative plus canonical key."""
+    """An element of a model: its canonical key, which is the element."""
 
     model: GroupModel = field(compare=False)
-    word: Word = field(compare=False)
     key: object = None
 
+    @property
+    def word(self) -> Word:
+        """A word representing the element: ``model.key_word(key)``."""
+        return self.model.key_word(self.key)
+
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        """The product; its key is the product of the keys, and its word the
-        concatenation of the words (which is not re-normalized)."""
+        """The product, whose key is the product of the keys."""
         if other.model is not self.model:
             raise ValueError("elements of different models")
-        return GroupElement(self.model, self.word + other.word, self.model.mul_keys(self.key, other.key))
+        return GroupElement(self.model, self.model.mul_keys(self.key, other.key))
 
     def inverse(self) -> "GroupElement":
-        w = invert(self.word)
-        return GroupElement(self.model, w, self.model.normalize(w))
+        return GroupElement(self.model, self.model.inverse_key(self.key))
 
     def __pow__(self, n: int) -> "GroupElement":
-        """The n-th power, with its key by repeated squaring of keys and its
-        word the |n|-fold concatenation."""
+        """The n-th power, with its key by repeated squaring of keys."""
         base = self if n >= 0 else self.inverse()
         e = abs(n)
         if e == 0:
@@ -165,7 +172,7 @@ class GroupElement:
             if not e:
                 break
             square = mul(square, square)
-        return GroupElement(self.model, base.word * abs(n), key)
+        return GroupElement(self.model, key)
 
     def is_identity(self) -> bool:
         return self.key == self.model.identity_key()
@@ -181,43 +188,45 @@ class GroupElement:
         )
 
     def __repr__(self):
-        return f"<{self.model.name}:{self.model.alphabet.format(self.word)}>"
+        try:
+            return f"<{self.model.name}:{self.model.alphabet.format(self.word)}>"
+        except NotImplementedError:  # a model without key words (a finite sample)
+            return f"<{self.model.name}:{self.model.key_repr(self.key)}>"
 
 
 class GeneratingSet:
     """A finite generating set, closed under inversion, identity removed.
 
-    Words of the set are over the model alphabet.  Signed S-letters index
-    into ``self.elements`` 1-based; ``-j`` means the inverse of generator j.
+    ``element_words`` are the words it was given, then the inverted word of
+    each inverse it appends.  Signed S-letters index into ``self.elements``
+    1-based; ``-j`` means the inverse of generator j.
     """
 
     def __init__(self, model: GroupModel, words: Sequence[Sequence[int] | str], standard: bool = False):
         self.model = model
-        elements: list[GroupElement] = []
-        seen = set()
+        spelled: dict = {}  # element key -> its word, in the order listed
         for w in words:
+            w = model.alphabet.parse(w) if isinstance(w, str) else tuple(w)
             g = model.element(w)
             if g.is_identity():
-                raise ValueError(
-                    f"generating word {model.alphabet.format(g.word)!r} normalizes to the identity"
-                )
-            if g.key not in seen:
-                seen.add(g.key)
-                elements.append(g)
-        for g in list(elements):
-            inv = g.inverse()
-            if inv.key not in seen:
-                seen.add(inv.key)
-                elements.append(inv)
-        if not elements:
+                raise ValueError(f"generating word {model.alphabet.format(w)!r} normalizes to the identity")
+            spelled.setdefault(g.key, w)
+        for key, w in list(spelled.items()):
+            spelled.setdefault(model.inverse_key(key), invert(w))
+        if not spelled:
             raise ValueError("empty generating set")
-        self.elements = tuple(elements)
-        self.standard = standard and all(len(g.word) == 1 for g in elements)
-        # signed S-letter -> group element
-        self._by_letter = {}
-        for j, g in enumerate(self.elements, start=1):
-            self._by_letter[j] = g
-            self._by_letter[-j] = g.inverse()
+        self.elements = tuple(GroupElement(model, k) for k in spelled)
+        self.element_words = tuple(spelled.values())
+        self.standard = standard and all(len(w) == 1 for w in self.element_words)
+        # signed S-letter -> group element and alphabet word; with the
+        # standard generators, also alphabet letter -> the S-letter naming it
+        self._by_letter, self._spelling, self.s_letter = {}, {}, {}
+        for j, (g, w) in enumerate(zip(self.elements, self.element_words), start=1):
+            self._by_letter[j], self._by_letter[-j] = g, g.inverse()
+            self._spelling[j], self._spelling[-j] = w, invert(w)
+            if len(w) == 1:
+                self.s_letter.setdefault(w[0], j)
+                self.s_letter.setdefault(-w[0], -j)
 
     def __len__(self):
         return len(self.elements)
@@ -236,11 +245,11 @@ class GeneratingSet:
         """Flatten a sequence of signed S-letters to an alphabet word."""
         out: list[int] = []
         for s in s_letters:
-            out.extend(self.letter_element(s).word)
+            out.extend(self._spelling[s])
         return tuple(out)
 
     def words(self) -> list[str]:
-        return [self.model.alphabet.format(g.word) for g in self.elements]
+        return [self.model.alphabet.format(w) for w in self.element_words]
 
     def describe(self) -> str:
         return "{" + ",".join(self.words()) + "}"
@@ -647,6 +656,9 @@ class FiniteSample(GroupModel):
 
     def key_word(self, key):
         raise NotImplementedError("finite samples carry no canonical words")
+
+    def inverse_key(self, key):
+        return self._inv[key]
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteSample":

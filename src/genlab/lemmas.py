@@ -152,12 +152,13 @@ def random_chain_instance(
     tree, action = build_cayley_tree(rank)
     group = tree.group
     gens = group.standard_gens()
-    phi = group.element(phi_word)
+    phi_letters = group.alphabet.parse(phi_word)
+    phi = group.element(phi_letters)
     if segment_length is None:
         m = int(ledger.chain_threshold(level)) + 1
         segment_length = m + (m % 2)  # even, above the chain threshold
     letters = group.alphabet.signed_letters()
-    first, last = phi.word[0], phi.word[-1]
+    first, last = phi_letters[0], phi_letters[-1]
 
     base = group.element(random_reduced_word(rng, letters, rng.randrange(0, 5)))
     segments = []

@@ -2,9 +2,9 @@
 
 A word is a tuple of nonzero integers.  Letter ``+i`` is the i-th generator
 (1-based) and ``-i`` is its formal inverse.  The empty tuple is the identity.
-Words are what configs, generating sets and ``GroupElement.word`` hold; a
-group model's key (``normalize(word)``) is a separate, model-specific
-value, which ``key_word`` turns back into a word.  A free group's key is
+Words are what configs and generating sets hold, where they are input; a
+group element is its model's key (``normalize(word)``), a separate,
+model-specific value, which ``key_word`` turns back into a word.  A free group's key is
 its reduced word stored as bytes, so these helpers apply to words only.
 """
 

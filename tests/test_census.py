@@ -29,6 +29,7 @@ from genlab.census import (
     single_letter_replacement,
     single_replacement_fibers,
 )
+from genlab.contraction import measure_scaled_ledger
 from genlab.groups import Braid3, FreeGroup, GeneratingSet, GroupElement
 from genlab.spaces import OrbitSegment, build_cayley_tree
 
@@ -379,7 +380,7 @@ def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23
     levels = (ledger.dominating, ledger.alignment_level(), Fraction(3, 2), Fraction(7, 3))
     compared = aligned = windowed = 0
     for key in ball.spheres[n][:: max(1, len(ball.spheres[n]) // 25)]:
-        g = GroupElement(model, model.key_word(key), key)
+        g = GroupElement(model, key)
         geo = ball.geodesic(g)
         for i in range(1, n):
             w = model.element(gens.spell(geo.s_letters[:i]))
@@ -402,13 +403,29 @@ def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23
                 points = [action.proj(g)] + [action.proj(w * s * power * t * v) for t in candidates]
                 for p in points:
                     for level in levels:
-                        got = table.report(entry, p, level)
+                        got = table.report(entry, p, level, math.ceil(level))
                         want = check_alignment(space, [space.basepoint, seg.projected, p], level)
                         assert got == want
                         compared += 1
                         aligned += want.aligned
     assert compared > 1000 and 0 < aligned < compared
     assert windowed > 0
+
+
+@pytest.mark.parametrize("which", ["free2", "zz23"])
+def test_closed_form_census_matches_search_on_reordered_generators(which, f2, tree2, zz23, bass_serre, zz23_ledger):
+    # the standard generators listed in another order: a closed-form
+    # geodesic must name each letter by its generator's index in the set
+    if which == "free2":
+        model, words, action, phi, n = f2, ["b", "a"], tree2[1], f2.element("a"), 7
+        ledger = measure_scaled_ledger(model, model.standard_gens(), action, phi, random.Random(7), segment_length=2,
+                                       window=(Fraction(1, 4), Fraction(2, 5)), cut_window=(Fraction(1, 4), Fraction(2, 5)))
+    else:
+        model, words, action, phi, n, ledger = zz23, ["y", "x"], bass_serre[1], zz23.element("xy"), 10, zz23_ledger
+    closed, searched = (fiber_census(model, GeneratingSet(model, words, standard=flag), action, phi, ledger, n)
+                        for flag in (True, False))
+    assert closed.to_json() == searched.to_json()
+    assert closed.thick_skipped > 0
 
 
 def test_census_queries_agree_on_radius_0_and_radius_n_tables(zz23, bass_serre, zz23_ledger):
@@ -420,7 +437,7 @@ def test_census_queries_agree_on_radius_0_and_radius_n_tables(zz23, bass_serre, 
     table = SegmentTable(ball, action, phi, zz23_ledger)
     lo = math.ceil(zz23_ledger.cut_window[0] * n)
     for key in ball.spheres[n][::5]:
-        g = GroupElement(zz23, zz23.key_word(key), key)
+        g = GroupElement(zz23, key)
         shared = a_thick_search(table, g)
         alone = a_thick_search(_search_table(zz23, gens, action, phi, zz23_ledger), g)
         assert shared.found == alone.found

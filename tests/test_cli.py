@@ -114,6 +114,20 @@ def test_faithful_profile_rejected_for_fibers(tmp_path):
         run(doc, tmp_path, 0, "faithful", None)
 
 
+def test_faithful_profile_rejected_before_any_experiment_runs(tmp_path, capsys):
+    # the enumerate experiment listed first must not write its outputs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [
+        {"kind": "enumerate", "name": "e", "model": "free:2", "radius": 2},
+        {"kind": "fibers", "name": "f", "model": "zz23", "phi": "xy", "n_values": [8]},
+    ]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--config", str(cfg), "--profile", "faithful", "--out-dir", str(out), "run"]) == 2
+    assert "faithful" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_single_subcommand(tmp_path):
     code = main([
         "--out-dir", str(tmp_path), "--seed", "2",

@@ -18,7 +18,7 @@ from genlab.contraction import (
     weak_contraction_profile,
     wpd_census,
 )
-from genlab.groups import GroupElement
+from genlab.groups import GeneratingSet, GroupElement
 from genlab.spaces import Geodesic, OrbitSegment, build_cayley_tree, grid_graph
 
 from conftest import random_reduced_word
@@ -103,11 +103,11 @@ def test_weak_contraction_profile_matches_per_sample_balls(braid, bass_serre, fa
     for i, sample in enumerate(profile.samples):
         assert sample.g_key in spheres[norms[i // 6]]
         assert sample.ball_radius == int(factor * sample.distance_to_segment)
-        g = GroupElement(braid, braid.key_word(sample.g_key), sample.g_key)
+        g = GroupElement(braid, sample.g_key)
         pts = set()
         for sphere in enumerate_ball(braid, gens, sample.ball_radius, keep_elements=True).elements:
             for uk in sphere:
-                pts.update(segment_projection(action, segment, g * GroupElement(braid, braid.key_word(uk), uk)))
+                pts.update(segment_projection(action, segment, g * GroupElement(braid, uk)))
         assert sample.projection_diameter == set_diameter(action.space, list(pts))
 
 
@@ -197,3 +197,13 @@ def test_measure_scaled_ledger_records_profile(tree2, f2):
     assert led.contraction_bound == 0
     assert led.dominating >= 1
     assert led.segment_length == 3
+
+
+@pytest.mark.parametrize("words", [["a", "b"], ["a", "b", "aba"]], ids=["ab", "ab-aba"])
+def test_ledger_axis_word_norm_is_the_word_norm(braid, bass_serre, words):
+    # |aB|_S = 2 under both sets, while the key word of aB has 24 letters
+    phi = braid.element("aB")
+    assert len(phi.word) == 24
+    gens = GeneratingSet(braid, words)
+    ledger = measure_scaled_ledger(braid, gens, bass_serre[2], phi, random.Random(0), segment_length=2, sample_radius=3)
+    assert ledger.axis_word_norm == 2

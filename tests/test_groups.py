@@ -143,21 +143,29 @@ _PRODUCT_MODELS = (FreeGroup(2), FreeProductZ2Z3(), Braid3(), FiniteSample.cycli
 @settings(max_examples=400)
 def test_product_and_power_keys_are_normal_forms(data):
     # products multiply keys and powers square them; each key must still be
-    # the normal form of the concatenated word the element carries
+    # the normal form of the concatenated input words
     model = data.draw(st.sampled_from(_PRODUCT_MODELS), label="model")
     words = st.lists(st.sampled_from(model.alphabet.signed_letters()), max_size=12).map(tuple)
     u, v = data.draw(words, label="u"), data.draw(words, label="v")
     n = data.draw(st.integers(-7, 7), label="n")
     g, h = model.element(u), model.element(v)
     prod = g * h
-    assert prod.word == u + v
     assert prod.key == model.normalize(u + v)
     power = g**n
     spelled = (u if n >= 0 else invert(u)) * abs(n)
-    assert power.word == spelled
     assert power.key == model.normalize(spelled)
     chained = g * h * g.inverse()
     assert chained.key == model.normalize(u + v + invert(u))
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_inverse_key_inverts(data):
+    model = data.draw(st.sampled_from(_PRODUCT_MODELS), label="model")
+    w = data.draw(st.lists(st.sampled_from(model.alphabet.signed_letters()), max_size=12).map(tuple), label="w")
+    k = model.normalize(w)
+    assert model.mul_keys(model.inverse_key(k), k) == model.identity_key()
+    assert model.inverse_key(k) == model.normalize(invert(w))
 
 
 # -- free-group keys: reduced words stored as the bytes 128 + x ------------
