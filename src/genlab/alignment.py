@@ -10,7 +10,10 @@ On trees a pair costs only the distances that decide it: the projection of
 anything onto a one-point item is its only point, a one-point item has one
 endpoint projection, and every other endpoint projection is the median of
 three points (two distances).  Diameters are integers, so they are compared
-with ``ceil(level)`` and no rational arithmetic runs per pair.
+with ``ceil(level)`` and no rational arithmetic runs per pair.  The census's
+``SegmentTable`` goes one step further for the pair (segment, point) on a
+tree: it computes the two integers (n - i, 0) from two distances, decides
+on them, and calls :func:`assemble_report` only for a report it returns.
 """
 
 from __future__ import annotations

@@ -410,7 +410,6 @@ def translation_length(
     samples = []
     upper = None
     power = model.identity()
-    base_norm = None
     # without r_budget the search runs until it meets g^n, which it does
     cap = r_budget if r_budget is not None else math.inf
     for n in range(1, n_max + 1):
@@ -419,8 +418,6 @@ def translation_length(
         if d is None:
             break
         samples.append((n, d))
-        if base_norm is None:
-            base_norm = d
         q = Fraction(d, n)
         upper = q if upper is None or q < upper else upper
 

@@ -8,13 +8,18 @@ replacement maps read one context, a :class:`SegmentTable` over a
 :class:`~genlab.balls.BallIndex`: the index answers every geodesic and
 norm query (a radius-0 index answers them by a new search each), and the
 table builds each orbit segment once, with its basepoint alignment pair
-and the least norm of its points, so that an alignment check per element
-costs only the pair (segment, g x0).  A fiber census builds one index and
-one table per radius.  The negligibility probe decides core norms by
-membership in the spheres of its enumerated ball.  ``genericity`` and the
-probe stop at the last radius their ball completes within a node budget.
-All ratios are exact rationals; only fitted decay exponents are floating
-point, each an exact least-squares slope over the float logs, rounded once.
+and the least norm of its points.  They run on keys and integers: the
+table cuts the keys of every prefix and suffix of an element's geodesic
+once, as running products of letter keys; an alignment check per
+candidate costs only the pair (segment, g x0), two tree distances; and
+an :class:`~genlab.alignment.AlignmentReport` is built only for a
+certificate, a replacement or a failure that is returned.  A fiber census
+builds one index and one table per radius.  The negligibility probe
+decides core norms by membership in the spheres of its enumerated ball.
+``genericity`` and the probe stop at the last radius their ball completes
+within a node budget.  All ratios are exact rationals; only fitted decay
+exponents are floating point, each an exact least-squares slope over the
+float logs, rounded once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .alignment import AlignmentReport, as_geodesic, assemble_report, check_alignment, pair_diameters
+from .alignment import AlignmentReport, as_geodesic, assemble_report, pair_diameters
 from .balls import BallIndex, BudgetExceeded, enumerate_ball, free_ball_count
 # not called here: perfbench's tracer test reads census.geodesic_representative
 from .balls import geodesic_representative  # noqa: F401
@@ -194,31 +199,40 @@ class ThickCertificate:
 @dataclass
 class SegmentEntry:
     """One orbit segment of a :class:`SegmentTable`: the segment, the
-    alignment pair (basepoint, segment), and the least word norm of its
-    points under each cap asked for so far."""
+    alignment pair (basepoint, segment) and its larger diameter, and the
+    least word norm of its points under each cap asked for so far."""
 
     segment: OrbitSegment
     head: tuple  # pair_diameters(basepoint, segment.projected)
+    worst: int  # max(head)
     norms: dict = field(default_factory=dict)  # cap -> least norm at most cap, or None
 
 
 class SegmentTable:
     """The query context of the thick search and the replacement maps: a
-    :class:`~genlab.balls.BallIndex` for every geodesic and norm, and the
-    orbit segments g * (id, phi, ..., phi^L) of one census by the key of
-    their base g, each built and measured once (L is the ledger's segment
-    length).  ``model`` and ``gens`` are the ball's.
+    :class:`~genlab.balls.BallIndex` for every geodesic and norm, the cut
+    keys of the element last asked about, and the orbit segments
+    g * (id, phi, ..., phi^L) of one census by the key of their base g,
+    each built and measured once (L is the ledger's segment length).
+    ``model`` and ``gens`` are the ball's.
 
     A radius-0 ball is the plain search path: every query but the
     identity's falls back to ``geodesic_representative`` or
-    ``word_distance``.  Every alignment sequence of the thick search and
-    the replacement maps is (basepoint, segment, h x0).  Its first pair
-    depends on the segment alone, so it is stored; a report costs only the
-    pair (segment, h x0).  The ledger constants the replacement maps use
-    are computed here once: the alignment ``level``, the excised ``block``
-    length, the spliced ``power`` phi^L, and the linkage ``candidates``
-    (the identity, then S), and the ceilings of ``level`` and
-    ``ledger.dominating``, which reports compare integer diameters with.
+    ``word_distance``.  ``cuts(g)`` gives the keys of every prefix and
+    suffix of the ball's geodesic of g, as running products of letter keys;
+    a census visits one g at a time, so one memo slot serves its thick
+    search and all its replacement maps.  Every alignment sequence of the
+    thick search and the replacement maps is (basepoint, segment, h x0).
+    Its first pair depends on the segment alone, so it is stored, and
+    ``tail`` gives the pair (segment, h x0): on a tree the integers
+    (n - i, 0), from the two distances that place h x0's projection at
+    index i of the length-n segment.  The maps decide on those integers
+    and build an :class:`~genlab.alignment.AlignmentReport` (``report``)
+    only for what they return.  The ledger constants the maps use are
+    computed here once: the alignment ``level``, the excised ``block``
+    length, the spliced ``power`` phi^L, the linkage ``candidates`` (the
+    identity, then S), and the ceilings of ``level`` and
+    ``ledger.dominating``, which diameters are compared with.
     """
 
     def __init__(self, ball: BallIndex, action: GroupAction, phi: GroupElement, ledger: ConstantLedger):
@@ -229,10 +243,29 @@ class SegmentTable:
         self.block = ledger.block_length()
         self.power = phi**ledger.segment_length
         self.candidates = [self.model.identity()] + list(self.gens.elements)
+        self._letter_keys = {s: self.gens.letter_element(s).key for s in self.gens.signed_letters()}
         self._basepoint = as_geodesic(action.space.basepoint)
         self._entries: dict = {}
         self._windows: dict = {}
-        self._cuts: dict = {}
+        self._cut_windows: dict = {}
+        self._last_cut = None  # (key, prefix keys, suffix keys) of the last element cut
+
+    def cuts(self, g: GroupElement) -> tuple:
+        """(prefix, suffix): the keys of s_1...s_i at ``prefix[i]`` and of
+        s_(j+1)...s_n at ``suffix[j]``, for the ball's geodesic s_1...s_n
+        of g; kept for the last g asked about."""
+        memo = self._last_cut
+        if memo is None or memo[0] != g.key:
+            letter_keys = [self._letter_keys[s] for s in self.ball.geodesic(g).s_letters]
+            mul, ident = self.model.mul_keys, self.model.identity_key()
+            prefix, suffix = [ident], [ident]
+            for k in letter_keys:
+                prefix.append(mul(prefix[-1], k))
+            for k in reversed(letter_keys):
+                suffix.append(mul(k, suffix[-1]))
+            suffix.reverse()
+            memo = self._last_cut = (g.key, prefix, suffix)
+        return memo[1], memo[2]
 
     def entry(self, base: GroupElement, segment: Optional[OrbitSegment] = None) -> SegmentEntry:
         """The entry of the segment based at ``base``; a new entry takes
@@ -242,8 +275,13 @@ class SegmentTable:
             if segment is None:
                 segment = OrbitSegment(self.action, base, self.phi, self.ledger.segment_length)
             head = pair_diameters(self.action.space, self._basepoint, segment.projected)
-            found = self._entries[base.key] = SegmentEntry(segment, head)
+            found = self._entries[base.key] = SegmentEntry(segment, head, max(head))
         return found
+
+    def entry_at(self, key) -> SegmentEntry:
+        """``entry`` of the element with this key."""
+        found = self._entries.get(key)
+        return found if found is not None else self.entry(GroupElement(self.model, key))
 
     def thick_window(self, norm: int) -> tuple:
         """The integers in the ledger's distance window times ``norm``, as
@@ -253,7 +291,7 @@ class SegmentTable:
     def cut_window(self, norm: int) -> tuple:
         """The integers in the ledger's cut window times ``norm``, as
         (least, greatest)."""
-        return _scaled_window(self._cuts, self.ledger.cut_window, norm)
+        return _scaled_window(self._cut_windows, self.ledger.cut_window, norm)
 
     def least_norm(self, entry: SegmentEntry, cap: int) -> Optional[int]:
         """The least d_S(id, h) over the segment's points h, among those at
@@ -267,15 +305,23 @@ class SegmentTable:
             entry.norms[cap] = best
         return entry.norms[cap]
 
+    def tail(self, entry: SegmentEntry, point) -> tuple:
+        """``pair_diameters`` of (segment, point): on a tree, (n - i, 0),
+        where 2i = d(point, start) + n - d(point, end) places the point's
+        projection at index i of the length-n segment."""
+        geo = entry.segment.projected
+        space = self.action.space
+        if space.is_tree:
+            n = len(geo.points) - 1
+            two_i = space.distance(point, geo.start) + n - space.distance(point, geo.end)
+            if two_i % 2 == 0 and 0 <= two_i <= 2 * n:
+                return n - two_i // 2, 0
+        return pair_diameters(space, geo, as_geodesic(point))
+
     def report(self, entry: SegmentEntry, point, level: Fraction, bound: int) -> AlignmentReport:
         """``check_alignment`` of (basepoint, segment, point) at ``level``,
         a Fraction (as every ledger constant is) of ceiling ``bound``."""
-        tail = pair_diameters(self.action.space, entry.segment.projected, as_geodesic(point))
-        return assemble_report(level, bound, [entry.head, tail])
-
-    def spell(self, s_letters) -> GroupElement:
-        """The element spelled by signed S-letters."""
-        return self.model.element(self.gens.spell(s_letters))
+        return assemble_report(level, bound, [entry.head, self.tail(entry, point)])
 
 
 def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
@@ -291,6 +337,19 @@ def _norm(ball: BallIndex, g: GroupElement) -> int:
     stays within the ball's node budget or raises :class:`BudgetExceeded`;
     it needs no radius cap, since it stops when it meets g."""
     return ball.distance_from_identity(g, math.inf)
+
+
+def _thick_test(table: SegmentTable, entry: SegmentEntry, norm: int, point) -> tuple:
+    """The two thick-set conditions on integers, as (reason, least norm,
+    tail): the distance window (tail None when it fails), then the
+    alignment of (basepoint, segment, point) at ``ledger.dominating``."""
+    lo, hi = table.thick_window(norm)
+    best = table.least_norm(entry, hi + 1)
+    if best is None or not (lo <= best <= hi):
+        return "distance-window", best, None
+    tail = table.tail(entry, point)
+    aligned = max(entry.worst, *tail) < table.dominating_bound
+    return ("ok" if aligned else "alignment"), best, tail
 
 
 def a_thick_certify(
@@ -313,14 +372,11 @@ def a_thick_certify(
     entry = table.entry(segment.base, segment)
     if norm is None:
         norm = _norm(table.ball, g)
-    lo, hi = table.thick_window(norm)
-    best = table.least_norm(entry, hi + 1)
-    if best is None or not (lo <= best <= hi):
-        return ThickCertificate(False, "distance-window", best)
-    report = table.report(entry, table.action.proj(g), ledger.dominating, table.dominating_bound)
-    if not report.aligned:
-        return ThickCertificate(False, "alignment", best, report)
-    return ThickCertificate(True, "ok", best, report)
+    reason, best, tail = _thick_test(table, entry, norm, table.action.proj(g))
+    if tail is None:
+        return ThickCertificate(False, reason, best)
+    report = assemble_report(ledger.dominating, table.dominating_bound, [entry.head, tail])
+    return ThickCertificate(reason == "ok", reason, best, report)
 
 
 @dataclass
@@ -333,20 +389,22 @@ class ThickSearchResult:
 
 def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
     """Window scan along the table ball's geodesic of g, with the left
-    perturbations of ``table.candidates``.  Sound when it answers yes; a no
-    is heuristic."""
-    geo = table.ball.geodesic(g)
-    n = len(geo.s_letters)
+    perturbations of ``table.candidates``, deciding each candidate on
+    integers; the first that passes is certified by :func:`a_thick_certify`.
+    Sound when it answers yes; a no is heuristic."""
+    prefix, _ = table.cuts(g)
+    n = len(prefix) - 1
     lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
+    point = table.action.proj(g)
+    mul = table.model.mul_keys
     for i in range(lo, hi + 1):
-        prefix = table.spell(geo.s_letters[:i])
         for s in table.candidates:
-            seg = table.entry(prefix * s).segment
-            cert = a_thick_certify(table, g, seg, norm=n)
-            if cert.certified:
-                return ThickSearchResult(True, witness=seg, certificate=cert)
+            entry = table.entry_at(mul(prefix[i], s.key))
+            if _thick_test(table, entry, n, point)[0] == "ok":
+                cert = a_thick_certify(table, g, entry.segment, norm=n)
+                return ThickSearchResult(True, witness=entry.segment, certificate=cert)
     return ThickSearchResult(False)
 
 
@@ -356,7 +414,8 @@ def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
 
 class LinkageFailure(RuntimeError):
     """No linkage pair certified the splice alignment (a hard failure on
-    tree models)."""
+    tree models); ``best_report`` is the first of the least worst
+    diameter."""
 
     def __init__(self, message, best_report=None):
         super().__init__(message)
@@ -380,32 +439,36 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
 
     The linkage pair (s, t) is the first one in deterministic order whose
     splice alignment certifies at the ledger level; the segments
-    w s (phi^0, ..., phi^L) come from the table, and the output norm from
-    its ball.
+    w s (phi^0, ..., phi^L) come from the table, w and v from its cut keys,
+    and the output norm from its ball.  Each pair is decided on the integer
+    diameters; one report is built, for the result or the failure.
     """
-    geo = table.ball.geodesic(g)
-    n = len(geo.s_letters)
+    prefix, suffix = table.cuts(g)
+    n = len(prefix) - 1
     lo, hi = table.cut_window(n)
     if not (lo <= i <= hi):
         raise ValueError(f"cut index {i} outside window [{lo}, {hi}]")
     block = table.block
     if i + block > n:
         raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
-    w = table.spell(geo.s_letters[:i])
-    v = table.spell(geo.s_letters[i + block :])
-    best = None
+    model, mul, proj, bound = table.model, table.model.mul_keys, table.action.proj, table.level_bound
+    w, v = prefix[i], suffix[i + block]
+    best = None  # (worst, entry, tail) of the first least-worst pair
     for s in table.candidates:
-        ws = w * s
-        entry = table.entry(ws)
-        head = ws * table.power
+        ws = mul(w, s.key)
+        entry = table.entry_at(ws)
+        head = mul(ws, table.power.key)
         for t in table.candidates:
-            out = head * t * v
-            report = table.report(entry, table.action.proj(out), table.level, table.level_bound)
-            if report.aligned:
+            out = GroupElement(model, mul(mul(head, t.key), v))
+            tail = table.tail(entry, proj(out))
+            worst = max(entry.worst, *tail)
+            if worst < bound:
+                report = assemble_report(table.level, bound, [entry.head, tail])
                 return Replacement(out, i, s, t, report, norm_in=n, norm_out=_norm(table.ball, out))
-            if best is None or report.worst() < best.worst():
-                best = report
-    raise LinkageFailure(f"no linkage certified at level {table.level}", best)
+            if best is None or worst < best[0]:
+                best = (worst, entry, tail)
+    raise LinkageFailure(f"no linkage certified at level {table.level}",
+                         assemble_report(table.level, bound, [best[1].head, best[2]]))
 
 
 @dataclass
@@ -421,10 +484,13 @@ def double_replacement(table: SegmentTable, g: GroupElement, i: int, j: int) -> 
     """Two-cut version: splice linked powers at both cut indices.
 
     Requires j - i > 2 * ceil(dominating * segment_length) + 3, mirroring
-    the two-index set of the superpolynomial argument.
+    the two-index set of the superpolynomial argument.  Each linkage is
+    decided on the integer diameters of (basepoint, w s phi^L, the
+    doubled segment, output); one report is built, for the result or the
+    failure.
     """
-    geo = table.ball.geodesic(g)
-    n = len(geo.s_letters)
+    prefix, suffix = table.cuts(g)
+    n = len(prefix) - 1
     block = table.block
     gap = 2 * (block - 2) + 3
     if not i < j - gap:
@@ -434,27 +500,33 @@ def double_replacement(table: SegmentTable, g: GroupElement, i: int, j: int) -> 
         raise ValueError(f"cut indices ({i}, {j}) outside window [{lo}, {hi}]")
     if j + block > n:
         raise ValueError("second excised block does not fit")
-    w = table.spell(geo.s_letters[:i])
-    w2 = table.spell(geo.s_letters[i + block : j])
-    v = table.spell(geo.s_letters[j + block :])
+    model = table.model
+    w = GroupElement(model, prefix[i])
+    # w' spells the letters between the blocks: prefix[i + block] w' = prefix[j]
+    w2 = GroupElement(model, model.mul_keys(model.inverse_key(prefix[i + block]), prefix[j]))
+    v = GroupElement(model, suffix[j + block])
     action, length = table.action, 2 * table.ledger.segment_length
+    space, bound = action.space, table.level_bound
     power2 = table.power * table.power
-    best = None
+    best = None  # (worst, pairs) of the first least-worst linkage
     for s in table.candidates:
-        seg1 = table.entry(w * s).segment
+        entry = table.entry(w * s)
         for t in table.candidates:
             head = w * s * table.power * t * w2
             for s2 in table.candidates:
-                seg2 = OrbitSegment(action, head * s2, table.phi, length)
+                seg2 = OrbitSegment(action, head * s2, table.phi, length).projected
+                middle = pair_diameters(space, entry.segment.projected, seg2)
                 for t2 in table.candidates:
                     out = head * s2 * power2 * t2 * v
-                    seq = [action.space.basepoint, seg1.projected, seg2.projected, action.proj(out)]
-                    report = check_alignment(action.space, seq, table.level)
-                    if report.aligned:
+                    pairs = [entry.head, middle, pair_diameters(space, seg2, as_geodesic(action.proj(out)))]
+                    worst = max(max(p) for p in pairs)
+                    if worst < bound:
+                        report = assemble_report(table.level, bound, pairs)
                         return DoubleReplacement(head, out, (i, j), (s, t, s2, t2), report)
-                    if best is None or report.worst() < best.worst():
-                        best = report
-    raise LinkageFailure(f"no double linkage certified at level {table.level}", best)
+                    if best is None or worst < best[0]:
+                        best = (worst, pairs)
+    raise LinkageFailure(f"no double linkage certified at level {table.level}",
+                         assemble_report(table.level, bound, best[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -197,26 +197,29 @@ class BassSerreTree(MetricSpaceModel):
             self._chain_cache[v] = out
         return out
 
+    def _meet(self, p, q) -> tuple:
+        """The chains of p and q, and the number of vertices they share.
+
+        Both chains end at the root, so they share a tail: the chain of
+        the vertex where the geodesic [p, q] turns.  It is found by
+        comparing the chains from the root end."""
+        cp, cq = self._chain(p), self._chain(q)
+        common = 0
+        for a, b in zip(reversed(cp), reversed(cq)):
+            if a != b:
+                break
+            common += 1
+        return cp, cq, common
+
     def distance(self, p, q) -> int:
         if p == q:
             return 0
-        cp = self._chain(p)
-        cq = self._chain(q)
-        depth_p = {v: i for i, v in enumerate(cp)}
-        for j, v in enumerate(cq):
-            if v in depth_p:
-                return depth_p[v] + j
-        raise AssertionError("chains always meet at the root")
+        cp, cq, common = self._meet(p, q)
+        return len(cp) + len(cq) - 2 * common
 
     def geodesic(self, p, q) -> Geodesic:
-        cp = self._chain(p)
-        cq = self._chain(q)
-        depth_p = {v: i for i, v in enumerate(cp)}
-        for j, v in enumerate(cq):
-            if v in depth_p:
-                i = depth_p[v]
-                return Geodesic(tuple(cp[: i + 1]) + tuple(reversed(cq[:j])))
-        raise AssertionError("chains always meet at the root")
+        cp, cq, common = self._meet(p, q)
+        return Geodesic(tuple(cp[: len(cp) - common + 1]) + tuple(reversed(cq[: len(cq) - common])))
 
     def neighbors(self, v) -> list:
         kind, name = v

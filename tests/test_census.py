@@ -30,8 +30,9 @@ from genlab.census import (
     single_replacement_fibers,
 )
 from genlab.contraction import measure_scaled_ledger
-from genlab.groups import Braid3, FreeGroup, GeneratingSet, GroupElement
-from genlab.spaces import OrbitSegment, build_cayley_tree
+from genlab.groups import Braid3, FiniteSample, FreeGroup, GeneratingSet, GroupElement
+from genlab.ledger import ConstantLedger
+from genlab.spaces import GroupAction, OrbitSegment, build_cayley_tree, cycle_graph
 
 from conftest import random_reduced_word, random_word
 
@@ -269,6 +270,108 @@ def test_double_replacement_free_group_length_12(f2, tree2):
     assert (dr.first * tail).key == dr.second.key
 
 
+def _failing_linkages(which, zz23, bass_serre, segment_length):
+    """(table, model, action, phi) at alignment level 0, which no linkage
+    meets: zz23 on its tree, or Z/N rotating an N-cycle (not a tree, so
+    every tail is a full pair_diameters scan and tied reports can differ)."""
+    if which == "bass-serre":
+        model, action, phi = zz23, bass_serre[1], zz23.element("xy")
+    else:
+        model = FiniteSample.cyclic(24 if segment_length == 2 else 40)
+        n = len(model.table)
+        action = GroupAction(model, cycle_graph(n), lambda g, p: (g.key + p) % n)
+        phi = model.element("t")
+    # alignment level = linkage_bound + 8 delta + 1 = 0
+    led = ConstantLedger.scaled(0, 1, 1, 1, -1, 0, 1, 1, dominating=Fraction(1), segment_length=segment_length,
+                                cut_window=(Fraction(1, 10), Fraction(7, 10)))
+    return _search_table(model, model.standard_gens(), action, phi, led), model, action, phi
+
+
+def _first_least_worst(reports):
+    best = min(reports, key=lambda r: r.worst())  # min keeps the first of equal keys
+    tied = {repr(r.pair_diameters) for r in reports if r.worst() == best.worst()}
+    return best, len(tied)
+
+
+@pytest.mark.parametrize("which, word, i", [("bass-serre", "xyxyyxyxyxy", 3), ("cycle", "t" * 18, 2)],
+                         ids=["bass-serre", "cycle"])
+def test_linkage_failure_reports_the_first_least_worst_pair(which, word, i, zz23, bass_serre):
+    table, model, action, phi = _failing_linkages(which, zz23, bass_serre, 2)
+    space, gens, level, length = action.space, table.gens, table.level, table.ledger.segment_length
+    g = model.element(word)
+    with pytest.raises(LinkageFailure) as failure:
+        replacement_map(table, g, i)
+    w, v = _prefix(model, gens, g, i), _suffix(model, gens, g, i + table.block)
+    reports = [
+        check_alignment(space, [space.basepoint, OrbitSegment(action, w * s, phi, length).projected,
+                                action.proj(w * s * phi**length * t * v)], level)
+        for s in table.candidates for t in table.candidates
+    ]
+    best, distinct_ties = _first_least_worst(reports)
+    assert failure.value.best_report == best and not best.aligned
+    assert reports[0].worst() > best.worst()
+    if which == "cycle":  # tied pairs differ, so the first is the one reported
+        assert distinct_ties > 1
+
+
+@pytest.mark.parametrize("which, word, i, j", [("bass-serre", "xy" * 10 + "yx" * 2, 3, 9), ("cycle", "t" * 28, 2, 8)],
+                         ids=["bass-serre", "cycle"])
+def test_double_linkage_failure_reports_the_first_least_worst_linkage(which, word, i, j, zz23, bass_serre):
+    table, model, action, phi = _failing_linkages(which, zz23, bass_serre, 1)
+    space, gens, level, block = action.space, table.gens, table.level, table.block
+    g = model.element(word)
+    with pytest.raises(LinkageFailure) as failure:
+        double_replacement(table, g, i, j)
+    w, v = _prefix(model, gens, g, i), _suffix(model, gens, g, j + block)
+    w2 = _prefix(model, gens, g, i + block).inverse() * _prefix(model, gens, g, j)
+    reports = []
+    for s in table.candidates:
+        seg1 = OrbitSegment(action, w * s, phi, 1)
+        for t in table.candidates:
+            head = w * s * phi * t * w2
+            for s2 in table.candidates:
+                seg2 = OrbitSegment(action, head * s2, phi, 2)
+                for t2 in table.candidates:
+                    out = head * s2 * phi**2 * t2 * v
+                    seq = [space.basepoint, seg1.projected, seg2.projected, action.proj(out)]
+                    reports.append(check_alignment(space, seq, level))
+    best, distinct_ties = _first_least_worst(reports)
+    assert failure.value.best_report == best and not best.aligned
+    assert reports[0].worst() > best.worst()
+    if which == "cycle":
+        assert distinct_ties > 1
+
+
+@pytest.mark.parametrize("which", ["zz23", "braid3-aba", "f2-ab"])
+def test_cut_keys_are_the_spelled_prefixes_and_suffixes(which, zz23, bass_serre, braid, f2, tree2, zz23_ledger):
+    # closed-form (zz23), walked (radius-4 index) and searched (radius-0
+    # index) geodesics all cut to the keys of their spelled S-words
+    if which == "zz23":
+        model, gens, action, phi = zz23, zz23.standard_gens(), bass_serre[1], zz23.element("xy")
+    elif which == "braid3-aba":
+        model, gens, action, phi = braid, GeneratingSet(braid, ["a", "b", "aba"]), bass_serre[2], braid.element("aB")
+    else:
+        model, gens, action, phi = f2, GeneratingSet(f2, ["a", "b", "ab"]), tree2[1], f2.element("a")
+    ball = BallIndex(model, gens, 4)
+    sphere = [GroupElement(model, k) for k in ball.spheres[4]]
+    for table in (SegmentTable(ball, action, phi, zz23_ledger), _search_table(model, gens, action, phi, zz23_ledger)):
+        for g in sphere:
+            letters = ball.geodesic(g).s_letters
+            prefix, suffix = table.cuts(g)
+            assert len(prefix) == len(suffix) == len(letters) + 1 == 5
+            for i in range(len(letters) + 1):
+                assert prefix[i] == model.element(gens.spell(letters[:i])).key
+                assert suffix[i] == model.element(gens.spell(letters[i:])).key
+            assert table.cuts(g)[0] is prefix  # the memo answers a repeat
+        # a second element replaces the memo; the first is cut afresh
+        g, h = sphere[0], sphere[-1]
+        first = table.cuts(g)
+        second = table.cuts(h)
+        assert second[0][-1] == h.key and second[1][0] == h.key
+        again = table.cuts(g)
+        assert again[0] is not first[0] and again == first
+
+
 def _search_table(model, gens, action, phi, ledger):
     # a radius-0 ball: every geodesic and norm query is a new search
     return SegmentTable(BallIndex(model, gens, 0), action, phi, ledger)
@@ -279,6 +382,13 @@ def _suffix(model, gens, g, start):
 
     geo = geodesic_representative(model, gens, g)
     return model.element(gens.spell(geo.s_letters[start:]))
+
+
+def _prefix(model, gens, g, stop):
+    from genlab.balls import geodesic_representative
+
+    geo = geodesic_representative(model, gens, g)
+    return model.element(gens.spell(geo.s_letters[:stop]))
 
 
 def test_genericity_braid_curve(braid):

@@ -8,6 +8,7 @@ import pytest
 from genlab.groups import Braid3
 from genlab.ledger import ConstantLedger
 from genlab.spaces import (
+    BassSerreTree,
     FiniteGraph,
     Geodesic,
     OrbitSegment,
@@ -74,6 +75,30 @@ def test_bass_serre_biregular(bass_serre):
         assert degree == (2 if v[0] == 0 else 3)
         for w in tree.neighbors(v):
             assert tree.distance(v, w) == 1
+
+
+def test_bass_serre_metric_matches_bfs():
+    # a ball of a tree is convex, so a BFS inside the radius-6 ball gives
+    # every distance and the unique geodesic of each pair of its vertices
+    tree = BassSerreTree()
+    ball = tree.ball(tree.basepoint, 6)
+    inside = set(ball)
+    for p in ball:
+        parent, frontier = {p: None}, [p]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in tree.neighbors(u):
+                    if v in inside and v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
+        for q in ball:
+            path = [q]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            assert tree.distance(p, q) == len(path) - 1
+            assert tree.geodesic(p, q).points == tuple(reversed(path))
 
 
 def test_axis_basepoint(bass_serre, zz23):
