@@ -15,7 +15,9 @@ candidate costs only the pair (segment, g x0), two tree distances; and
 an :class:`~genlab.alignment.AlignmentReport` is built only for a
 certificate, a replacement or a failure that is returned.  A fiber census
 builds one index and one table per radius.  The negligibility probe
-decides core norms by membership in the spheres of its enumerated ball.
+decides core norms by membership in the spheres of its enumerated ball,
+and builds the set of conjugates h^-1 C h of the short cores C by the
+short h once per n, so it tests each shell element by one set lookup.
 ``genericity`` and the probe stop at the last radius their ball completes
 within a node budget.  All ratios are exact rationals; only fitted decay
 exponents are floating point, each an exact least-squares slope over the
@@ -796,13 +798,20 @@ def exponential_negligibility_probe(
     node_budget: Optional[int] = None,
 ) -> NegligibilityProbe:
     """Fraction of the outer shell admitting a conjugation decomposition
-    h^-1 g' h with the stated norm windows, exhaustive over short h.
+    g = h^-1 g' h with the stated norm windows: |h|_S <= conj_window * n and
+    |g'|_S <= core_window * n.
 
     One enumerated ball supplies the shell, the conjugators h and the
     cores: d_S(core) <= core_window * n is decided exactly, for every
     generating set, by membership in its spheres up to radius
-    floor(core_window * n).  If the ball outgrows ``node_budget``, every n
-    it does not reach is left out and the probe is ``truncated``."""
+    floor(core_window * n).  Such a g lies in the union of h^-1 C h over
+    the short h, for C the short cores, so each n builds that conjugate
+    set once, with two key products per (h, core) pair, and counts the
+    shell elements in it.  It holds at most |B(floor(0.31 n))| *
+    |B(floor(0.57 n))| keys at the default windows, fewer than the ball
+    B(n) at every n the workloads run.  If the ball outgrows
+    ``node_budget``, every n it does not reach is left out and the probe
+    is ``truncated``."""
     def reach(n: int) -> int:  # the radius the shell, the cores and the conjugators of n need
         return max(n, math.floor(core_window * n), math.floor(conj_window * n))
 
@@ -812,20 +821,14 @@ def exponential_negligibility_probe(
     for n in n_values:
         if reach(n) > census.radius:
             continue
-        inner = math.floor(shell * n)
-        h_cap = math.floor(conj_window * n)
-        short_core = set(itertools.chain.from_iterable(census.elements[:math.floor(core_window * n) + 1]))
-        # each conjugator h with its inverse, to test h g h^-1 on keys
-        h_pairs = [(hk, model.inverse_key(hk)) for r in range(h_cap + 1) for hk in census.elements[r]]
-        shell_size = 0
-        decomposable = 0
-        for r in range(inner + 1, n + 1):
-            for key in census.elements[r]:
-                shell_size += 1
-                for hk, hinv in h_pairs:
-                    if mul(mul(hk, key), hinv) in short_core:
-                        decomposable += 1
-                        break
+        cores = list(itertools.chain.from_iterable(census.elements[: math.floor(core_window * n) + 1]))
+        conjugates = set()
+        for hk in itertools.chain.from_iterable(census.elements[: math.floor(conj_window * n) + 1]):
+            hinv = model.inverse_key(hk)
+            conjugates.update([mul(mul(hinv, c), hk) for c in cores])
+        shell_keys = list(itertools.chain.from_iterable(census.elements[math.floor(shell * n) + 1 : n + 1]))
+        shell_size = len(shell_keys)
+        decomposable = sum(key in conjugates for key in shell_keys)
         points.append(NegligibilityPoint(n, shell_size, decomposable,
                                          Fraction(decomposable, shell_size) if shell_size else Fraction(0)))
     fitted = _least_squares_slope((p.n, math.log(float(p.ratio))) for p in points if p.ratio > 0)

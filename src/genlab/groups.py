@@ -7,8 +7,11 @@ equality and no generic word problem has to be solved: a
 they are input (configs, generating sets).  Keys compare, hash and sort;
 ``key_word`` turns a key back into a word, ``mul_keys`` and ``inverse_key``
 multiply and invert keys, and ``key_repr`` is the text a ball census writes
-for one.  A model answers for its own closed forms and geometry through
-optional oracles that return None when it lacks them (``exact_length``,
+for one.  Every model multiplies and inverts keys directly: a product
+walks only the seam where ``a`` meets ``b`` and joins the rest as slices,
+and an inverse maps each letter or syllable, with no re-normalization.
+A model answers for its own closed forms and geometry through optional
+oracles that return None when it lacks them (``exact_length``,
 ``translation_length_exact``, ``quotient_key``, ``tree_action``, ...), and
 classifies its elements with ``verdict``.  Supported models:
 
@@ -65,8 +68,8 @@ class GroupModel:
         raise NotImplementedError
 
     def mul_keys(self, a, b):
-        """Key of the product; default re-normalizes the concatenated words."""
-        return self.normalize(self.key_word(a) + self.key_word(b))
+        """Key of the product."""
+        raise NotImplementedError
 
     def key_word(self, key) -> Word:
         """Some word over the alphabet representing ``key``."""
@@ -77,8 +80,8 @@ class GroupModel:
         return repr(key)
 
     def inverse_key(self, key):
-        """Key of the inverse; default re-normalizes the inverted key word."""
-        return self.normalize(invert(self.key_word(key)))
+        """Key of the inverse."""
+        raise NotImplementedError
 
     def identity_key(self):
         return self.normalize(())
@@ -297,6 +300,9 @@ class FreeGroup(GroupModel):
             n += 1
         return a[: la - n] + b[n:]
 
+    def inverse_key(self, key):
+        return key[::-1].translate(_BYTE_INVERSE)
+
     def key_word(self, key):
         return tuple(map(_BYTE_LETTER.__getitem__, key))
 
@@ -324,6 +330,7 @@ class FreeGroup(GroupModel):
 
 
 _BYTE_LETTER = tuple(c - 128 for c in range(256))  # key byte -> signed letter
+_BYTE_INVERSE = bytes(-c % 256 for c in range(256))  # key byte -> byte of the inverse letter
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +338,9 @@ _BYTE_LETTER = tuple(c - 128 for c in range(256))  # key byte -> signed letter
 
 X_SYL = 0  # order-2 generator
 # y-syllables are stored as 1 or 2 (the exponent)
+
+
+_SYLL_INVERSE = (X_SYL, 2, 1)  # syllable -> its inverse: x -> x, y^e -> y^(3-e)
 
 
 def _is_y(s: int) -> bool:
@@ -343,7 +353,10 @@ class FreeProductZ2Z3(GroupModel):
     A key is a tuple of syllables: ``0`` for x, ``1``/``2`` for y/y^2, with
     no two adjacent syllables of the same kind.  With generators {x, y} the
     geodesic length of an element is its syllable count (y^2 = y^-1 costs
-    one letter).
+    one letter).  A product touches only the seam: x x cancels, and y^e y^f
+    cancels when e + f = 3 and otherwise merges into one syllable, which
+    ends the walk.  The inverse reverses the syllables and maps y^e to
+    y^(3-e).
     """
 
     def __init__(self):
@@ -383,13 +396,22 @@ class FreeProductZ2Z3(GroupModel):
         return tuple(sylls)
 
     def mul_keys(self, a, b):
-        sylls = list(a)
-        for s in b:
-            if s == X_SYL:
-                self._push_x(sylls)
-            else:
-                self._push_y(sylls, s)
-        return tuple(sylls)
+        # only the seam can cancel: a[:i] and b[j:] stay as they are
+        i, j, lb = len(a), 0, len(b)
+        while i and j < lb:
+            s, t = a[i - 1], b[j]
+            if s and t:  # y^s y^t
+                e = (s + t) % 3
+                if e:
+                    return a[: i - 1] + (e,) + b[j + 1 :]
+            elif s or t:  # syllables of different kinds
+                break
+            i -= 1  # x x = 1, or y^s y^t = 1
+            j += 1
+        return a[:i] + b[j:]
+
+    def inverse_key(self, key):
+        return tuple(map(_SYLL_INVERSE.__getitem__, key[::-1]))
 
     def key_word(self, key):
         out = []
@@ -456,6 +478,12 @@ def _sl2_mul(m, n):
 
 _SL2_CENTER = ((1, 0, 0, 1), (-1, 0, 0, -1))
 
+_SL2_SYLLABLE = (
+    (0, 1, -1, 0),  # x = s1 s2 s1
+    (0, 1, -1, 1),  # y = s1 s2
+    (-1, 1, -1, 0),  # y^2 = s1 s2 s1 s2
+)
+
 
 def _projective_order(m) -> Optional[int]:
     """The least n <= 12 with m^n = +-I, or None."""
@@ -473,7 +501,10 @@ class Braid3(GroupModel):
     With x = s1 s2 s1 and y = s1 s2 one has x^2 = y^3 =: c, the generator of
     the center.  Every element is uniquely c^z * (lift of a syllable word in
     Z/2 * Z/3), so keys are pairs ``(z, syllables)``.  Alphabet letters are
-    a = s1, b = s2.
+    a = s1, b = s2.  Products touch only the seam, as in Z/2 * Z/3, and add
+    1 to z for each x^2 or y^3 there.  The inverse works per syllable, each
+    syllable's inverse costing one c^-1, and ``verdict`` multiplies one
+    SL(2, Z) matrix per syllable.
     """
 
     def __init__(self):
@@ -536,14 +567,30 @@ class Braid3(GroupModel):
         return (z, tuple(sylls))
 
     def mul_keys(self, a, b):
-        z = a[0] + b[0]
-        sylls = list(a[1])
-        for s in b[1]:
-            if s == X_SYL:
-                z = self._mul_x(z, sylls, +1)
+        # only the seam can cancel, and each cancellation adds c to z
+        z, a, b = a[0] + b[0], a[1], b[1]
+        i, j, lb = len(a), 0, len(b)
+        while i and j < lb:
+            s, t = a[i - 1], b[j]
+            if s and t:  # y^s y^t
+                e = s + t
+                if e >= 3:
+                    z += 1  # y^3 = c
+                    e -= 3
+                if e:
+                    return (z, a[: i - 1] + (e,) + b[j + 1 :])
+            elif s or t:  # syllables of different kinds
+                break
             else:
-                z = self._mul_y(z, sylls, s)
-        return (z, tuple(sylls))
+                z += 1  # x^2 = c
+            i -= 1
+            j += 1
+        return (z, a[:i] + b[j:])
+
+    def inverse_key(self, key):
+        # x^-1 = c^-1 x, y^-1 = c^-1 y^2, y^-2 = c^-1 y
+        z, sylls = key
+        return (-z - len(sylls), tuple(map(_SYLL_INVERSE.__getitem__, sylls[::-1])))
 
     def key_word(self, key):
         z, sylls = key
@@ -577,7 +624,9 @@ class Braid3(GroupModel):
         """Nielsen-Thurston type from the trace of the SL(2, Z) image; the
         type is constant on a center coset."""
         z, sylls = key
-        m = self.sl2_image(self.key_word((0, sylls)))
+        m = (1, 0, 0, 1)
+        for s in sylls:
+            m = _sl2_mul(m, _SL2_SYLLABLE[s])
         if z % 2:  # the center's generator c maps to -I
             m = tuple(-e for e in m)
         tr = m[0] + m[3]

@@ -461,15 +461,53 @@ def _brute_probe_pairs(model, gens, n_values):
     return out
 
 
-@pytest.mark.parametrize("gens_words", [["a", "b", "ab"], None], ids=["f2-ab", "braid3"])
-def test_negligibility_probe_uses_the_word_metric(f2, braid, gens_words):
+@pytest.mark.parametrize(
+    "which, n_values, decomposed_at",
+    [("f2-ab", [4, 5, 6], 4), ("braid3", [4, 5], 4), ("zz23", [4, 5, 6, 7], 7)],
+    ids=["f2-ab", "braid3", "zz23"],
+)
+def test_negligibility_probe_uses_the_word_metric(f2, braid, zz23, which, n_values, decomposed_at):
     # F2 over {a, b, ab} has no closed-form length (|abab|_S = 2, not 4);
-    # braid3 has none at all and used to report a silent ratio of 0
-    model, gens = (f2, GeneratingSet(f2, gens_words)) if gens_words else (braid, braid.standard_gens())
-    probe = exponential_negligibility_probe(model, gens, [4, 5])
+    # braid3 has none at all and used to report a silent ratio of 0; zz23
+    # first decomposes a shell element at n = 7
+    model, gens = {
+        "f2-ab": (f2, GeneratingSet(f2, ["a", "b", "ab"])),
+        "braid3": (braid, braid.standard_gens()),
+        "zz23": (zz23, zz23.standard_gens()),
+    }[which]
+    probe = exponential_negligibility_probe(model, gens, n_values)
     got = {p.n: (p.shell_size, p.decomposable) for p in probe.points}
-    assert got == _brute_probe_pairs(model, gens, [4, 5])
-    assert got[4][1] > 0
+    assert got == _brute_probe_pairs(model, gens, n_values)
+    assert got[decomposed_at][1] > 0
+
+
+def _scan_probe_pairs(model, gens, n_values):
+    """(shell, decomposable) by testing h g h^-1 against the short cores for
+    every (shell element g, conjugator h) pair, on keys."""
+    census = enumerate_ball(model, gens, max(n_values), keep_elements=True)
+    mul = model.mul_keys
+    out = {}
+    for n in n_values:
+        inner = math.floor(Fraction(99, 100) * n)
+        h_cap = math.floor(Fraction(31, 100) * n)
+        core_cap = math.floor(Fraction(57, 100) * n)
+        short_core = {k for r in range(core_cap + 1) for k in census.elements[r]}
+        h_pairs = [(hk, model.inverse_key(hk)) for r in range(h_cap + 1) for hk in census.elements[r]]
+        shell = decomposable = 0
+        for r in range(inner + 1, n + 1):
+            for key in census.elements[r]:
+                shell += 1
+                decomposable += any(mul(mul(hk, key), hinv) in short_core for hk, hinv in h_pairs)
+        out[n] = (shell, decomposable)
+    return out
+
+
+def test_negligibility_probe_matches_the_pair_scan_on_the_survey_points(f2):
+    # the survey workload's probe: free:2, n = 6, 8, 9
+    probe = exponential_negligibility_probe(f2, f2.standard_gens(), [6, 8, 9])
+    got = {p.n: (p.shell_size, p.decomposable) for p in probe.points}
+    assert got == _scan_probe_pairs(f2, f2.standard_gens(), [6, 8, 9])
+    assert got[8][1] > 0 and got[9][1] > 0  # none at n = 6
 
 
 @pytest.mark.parametrize("which", ["f2", "zz23"])

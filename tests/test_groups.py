@@ -9,7 +9,17 @@ from hypothesis import strategies as st
 
 from genlab.balls import enumerate_ball
 from genlab.cli import run
-from genlab.groups import Braid3, FiniteSample, FreeGroup, FreeProductZ2Z3, GeneratingSet, make_model
+from genlab.groups import (
+    _SL2_CENTER,
+    _SL2_SYLLABLE,
+    Braid3,
+    FiniteSample,
+    FreeGroup,
+    FreeProductZ2Z3,
+    GeneratingSet,
+    _projective_order,
+    make_model,
+)
 from genlab.words import cyclic_reduce, free_reduce, invert, parse_word
 
 from conftest import random_word
@@ -166,6 +176,58 @@ def test_inverse_key_inverts(data):
     k = model.normalize(w)
     assert model.mul_keys(model.inverse_key(k), k) == model.identity_key()
     assert model.inverse_key(k) == model.normalize(invert(w))
+
+
+_SEAM_MODELS = (FreeGroup(2), FreeProductZ2Z3(), Braid3())
+
+
+@given(st.data())
+@settings(max_examples=400)
+def test_seam_products_and_inverses_are_normal_forms(data):
+    # v first undoes a suffix of u, so the product cancels deep across the
+    # seam (x x -> 1 or c, then a y-merge, ...); the oracle re-normalizes
+    # the concatenated words
+    model = data.draw(st.sampled_from(_SEAM_MODELS), label="model")
+    letters = st.sampled_from(model.alphabet.signed_letters())
+    u = data.draw(st.lists(letters, max_size=16).map(tuple), label="u")
+    cut = data.draw(st.integers(0, len(u)), label="cut")
+    v = invert(u[cut:]) + data.draw(st.lists(letters, max_size=6).map(tuple), label="w")
+    keys = [model.normalize(u), model.normalize(v)]
+    assert model.mul_keys(*keys) == model.normalize(u + v)
+    if isinstance(model, Braid3):  # shift by powers of the center, so z takes either sign
+        keys = [(z + data.draw(st.integers(-4, 4), label="dz"), sylls) for z, sylls in keys]
+    a, b = keys
+    assert model.mul_keys(a, b) == model.normalize(model.key_word(a) + model.key_word(b))
+    for k in keys:
+        assert model.inverse_key(k) == model.normalize(invert(model.key_word(k)))
+
+
+def test_syllable_sl2_images_are_their_letter_words(braid):
+    # x = aba, y = ab, y^2 = abab
+    for s, word in ((0, "aba"), (1, "ab"), (2, "abab")):
+        letters = braid.alphabet.parse(word)
+        assert braid.key_word((0, (s,))) == letters
+        assert _SL2_SYLLABLE[s] == braid.sl2_image(letters)
+
+
+@given(letters_braid, st.integers(-3, 3))
+@settings(max_examples=300)
+def test_braid_verdict_is_the_letter_word_computation(w, dz):
+    # the SL(2, Z) image of the whole key word, center power included
+    # (c = (ab)^3 maps to -I), for keys with odd and even z
+    b = Braid3()
+    z, sylls = b.normalize(w)
+    key = (z + dz, sylls)
+    m = b.sl2_image(b.key_word(key))
+    tr = m[0] + m[3]
+    if abs(tr) > 2:
+        expected = "pseudoAnosov"
+    elif abs(tr) == 2 and m not in _SL2_CENTER:
+        expected = "reducible"
+    else:
+        expected = "periodic"
+    evidence = {"trace": tr, "projective_order": _projective_order(m), "central_exponent": key[0]}
+    assert b.verdict(key) == (expected, evidence)
 
 
 # -- free-group keys: reduced words stored as the bytes 128 + x ------------
