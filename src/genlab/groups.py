@@ -1,15 +1,16 @@
 """Finitely generated groups as normal-form oracles.
 
-Every model supplies a total normal form (``normalize``) mapping words over
-its alphabet to canonical hashable keys, so element equality is exact key
-equality and no generic word problem has to be solved: a
-:class:`GroupElement` is the pair (model, key), and words live only where
-they are input (configs, generating sets).  Keys compare, hash and sort;
-``key_word`` turns a key back into a word, ``mul_keys`` and ``inverse_key``
-multiply and invert keys, and ``key_repr`` is the text a ball census writes
-for one.  Every model multiplies and inverts keys directly: a product
-walks only the seam where ``a`` meets ``b`` and joins the rest as slices,
-and an inverse maps each letter or syllable, with no re-normalization.
+Every model maps words over its alphabet to canonical hashable keys, so
+element equality is exact key equality and no generic word problem has to
+be solved: a :class:`GroupElement` is the pair (model, key), and words live
+only where they are input (configs, generating sets).  Keys compare, hash
+and sort; ``key_word`` turns a key back into a word, ``mul_keys`` and
+``inverse_key`` multiply and invert keys, and ``key_repr`` is the text a
+ball census writes for one.  Each model carries one group law,
+``mul_keys``: a product walks only the seam where ``a`` meets ``b`` and
+joins the rest as slices, and an inverse maps each letter or syllable.  A
+model declares only the data ``identity_key`` and ``letter_keys``, and
+``normalize`` is defined once, as the product of a word's letter keys.
 A model answers for its own closed forms and geometry through optional
 oracles that return None when it lacks them (``exact_length``,
 ``translation_length_exact``, ``quotient_key``, ``tree_action``, ...), and
@@ -27,6 +28,7 @@ classifies its elements with ``verdict``.  Supported models:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence, Tuple
 
 from .words import Word, invert, parse_word, format_word
@@ -63,9 +65,18 @@ class GroupModel:
     name: str
     alphabet: GeneratorAlphabet
 
+    letter_keys: dict  # signed alphabet letter -> its key
+
     def normalize(self, word: Sequence[int]):
-        """Canonical key of the element represented by ``word``."""
-        raise NotImplementedError
+        """Canonical key of the element represented by ``word``: the product,
+        through ``mul_keys``, of the keys of its letters.  A letter outside
+        the alphabet raises ValueError.  Each product copies the running
+        key, so the cost is linear in the word times the key length."""
+        try:
+            keys = [self.letter_keys[a] for a in word]
+        except KeyError as missing:
+            raise ValueError(f"letter {missing.args[0]} invalid for alphabet of {self.name}") from None
+        return reduce(self.mul_keys, keys) if keys else self.identity_key()
 
     def mul_keys(self, a, b):
         """Key of the product."""
@@ -84,7 +95,7 @@ class GroupModel:
         raise NotImplementedError
 
     def identity_key(self):
-        return self.normalize(())
+        raise NotImplementedError
 
     # Optional oracles: each answers None when the model lacks it ------
 
@@ -125,14 +136,10 @@ class GroupModel:
     def element(self, word: Sequence[int] | str) -> "GroupElement":
         if isinstance(word, str):
             word = self.alphabet.parse(word)
-        word = tuple(word)
-        for a in word:
-            if a == 0 or abs(a) > self.alphabet.size:
-                raise ValueError(f"letter {a} invalid for alphabet of {self.name}")
         return GroupElement(self, self.normalize(word))
 
     def identity(self) -> "GroupElement":
-        return self.element(())
+        return GroupElement(self, self.identity_key())
 
     def standard_gens(self) -> "GeneratingSet":
         words = [(i,) for i in range(1, self.alphabet.size + 1)]
@@ -278,18 +285,13 @@ class FreeGroup(GroupModel):
         self.rank = rank
         self.name = f"free:{rank}"
         self.alphabet = GeneratorAlphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:rank]))
+        # in the order a, A, b, B, ... (a Cayley tree's neighbours)
+        self.letter_keys = {a: bytes((128 + a,)) for s in range(1, rank + 1) for a in (s, -s)}
 
     default_phi = "a"
 
-    def normalize(self, word):
-        out = bytearray()
-        for a in word:
-            c = 128 + a
-            if out and out[-1] + c == 256:
-                out.pop()
-            else:
-                out.append(c)
-        return bytes(out)
+    def identity_key(self):
+        return b""
 
     def mul_keys(self, a, b):
         if not a or not b or a[-1] + b[0] != 256:
@@ -355,7 +357,9 @@ class FreeProductZ2Z3(GroupModel):
     geodesic length of an element is its syllable count (y^2 = y^-1 costs
     one letter).  A product touches only the seam: x x cancels, and y^e y^f
     cancels when e + f = 3 and otherwise merges into one syllable, which
-    ends the walk.  The inverse reverses the syllables and maps y^e to
+    ends the walk.  This product is the model's one group law: a word's key
+    is the product of its letters' keys, x^+-1 -> (x,), y -> (y,) and
+    y^-1 -> (y^2,).  The inverse reverses the syllables and maps y^e to
     y^(3-e).
     """
 
@@ -364,36 +368,10 @@ class FreeProductZ2Z3(GroupModel):
         self.alphabet = GeneratorAlphabet(("x", "y"))
 
     default_phi = "xy"
+    letter_keys = {1: (X_SYL,), -1: (X_SYL,), 2: (1,), -2: (2,)}
 
-    @staticmethod
-    def _push_x(sylls: list[int]) -> None:
-        if sylls and sylls[-1] == X_SYL:
-            sylls.pop()
-        else:
-            sylls.append(X_SYL)
-
-    @staticmethod
-    def _push_y(sylls: list[int], e: int) -> None:
-        e %= 3
-        if e == 0:
-            return
-        if sylls and _is_y(sylls[-1]):
-            e = (sylls.pop() + e) % 3
-            if e:
-                sylls.append(e)
-        else:
-            sylls.append(e)
-
-    def normalize(self, word):
-        sylls: list[int] = []
-        for a in word:
-            if abs(a) == 1:
-                self._push_x(sylls)
-            elif abs(a) == 2:
-                self._push_y(sylls, 1 if a > 0 else 2)
-            else:
-                raise ValueError(f"letter {a} invalid for {self.name}")
-        return tuple(sylls)
+    def identity_key(self):
+        return ()
 
     def mul_keys(self, a, b):
         # only the seam can cancel: a[:i] and b[j:] stay as they are
@@ -486,13 +464,11 @@ _SL2_SYLLABLE = (
 
 
 def _projective_order(m) -> Optional[int]:
-    """The least n <= 12 with m^n = +-I, or None."""
-    cur = m
-    for n in range(1, 13):
-        if cur in _SL2_CENTER:
-            return n
-        cur = _sl2_mul(cur, m)
-    return None
+    """The least n with m^n = +-I, or None when m has infinite order in
+    PSL(2, Z); the trace decides it (its torsion has order 2 or 3)."""
+    if m in _SL2_CENTER:
+        return 1
+    return {0: 2, 1: 3, -1: 3}.get(m[0] + m[3])
 
 
 class Braid3(GroupModel):
@@ -502,9 +478,12 @@ class Braid3(GroupModel):
     the center.  Every element is uniquely c^z * (lift of a syllable word in
     Z/2 * Z/3), so keys are pairs ``(z, syllables)``.  Alphabet letters are
     a = s1, b = s2.  Products touch only the seam, as in Z/2 * Z/3, and add
-    1 to z for each x^2 or y^3 there.  The inverse works per syllable, each
+    1 to z for each x^2 or y^3 there; this product is the model's one group
+    law, and a word's key is the product of its letters' keys (each letter
+    is c^-1 times two syllables).  The inverse works per syllable, each
     syllable's inverse costing one c^-1, and ``verdict`` multiplies one
-    SL(2, Z) matrix per syllable.
+    SL(2, Z) matrix per syllable and reads the projective order from the
+    trace.
     """
 
     def __init__(self):
@@ -512,59 +491,12 @@ class Braid3(GroupModel):
         self.alphabet = GeneratorAlphabet(("a", "b"))
 
     default_phi = "aB"
+    # s1 = y^-1 x = c^-1 y^2 x,  s1^-1 = x^-1 y = c^-1 x y,
+    # s2 = x y^-1 = c^-1 x y^2,  s2^-1 = y x^-1 = c^-1 y x
+    letter_keys = {1: (-1, (2, X_SYL)), -1: (-1, (X_SYL, 1)), 2: (-1, (X_SYL, 2)), -2: (-1, (1, X_SYL))}
 
-    # -- normal form arithmetic over (z, syllable list) ---------------
-
-    @staticmethod
-    def _mul_x(z: int, sylls: list[int], sign: int) -> int:
-        if sign < 0:
-            z -= 1  # x^-1 = c^-1 x
-        if sylls and sylls[-1] == X_SYL:
-            sylls.pop()
-            z += 1  # x^2 = c
-        else:
-            sylls.append(X_SYL)
-        return z
-
-    @staticmethod
-    def _mul_y(z: int, sylls: list[int], e: int) -> int:
-        # multiply by y^e for e in {1, 2}; y^-1 enters as (z-1, e=2)
-        if sylls and _is_y(sylls[-1]):
-            e = sylls.pop() + e
-            if e >= 3:
-                z += 1  # y^3 = c
-                e -= 3
-            if e:
-                sylls.append(e)
-        else:
-            sylls.append(e)
-        return z
-
-    def _feed_sigma(self, z: int, sylls: list[int], letter: int) -> int:
-        # s1 = y^-1 x,  s1^-1 = x^-1 y,  s2 = x y^-1,  s2^-1 = y x^-1
-        if letter == 1:
-            z -= 1
-            z = self._mul_y(z, sylls, 2)
-            z = self._mul_x(z, sylls, +1)
-        elif letter == -1:
-            z = self._mul_x(z, sylls, -1)
-            z = self._mul_y(z, sylls, 1)
-        elif letter == 2:
-            z = self._mul_x(z, sylls, +1)
-            z -= 1
-            z = self._mul_y(z, sylls, 2)
-        elif letter == -2:
-            z = self._mul_y(z, sylls, 1)
-            z = self._mul_x(z, sylls, -1)
-        else:
-            raise ValueError(f"letter {letter} invalid for {self.name}")
-        return z
-
-    def normalize(self, word):
-        z, sylls = 0, []
-        for a in word:
-            z = self._feed_sigma(z, sylls, a)
-        return (z, tuple(sylls))
+    def identity_key(self):
+        return (0, ())
 
     def mul_keys(self, a, b):
         # only the seam can cancel, and each cancellation adds c to z
@@ -690,15 +622,12 @@ class FiniteSample(GroupModel):
                     self._inv[i] = j
         if any(v is None for v in self._inv):
             raise ValueError("table has non-invertible rows; not a group")
+        self.letter_keys = {}
+        for x, g in enumerate(self.gen_idx, start=1):
+            self.letter_keys[x], self.letter_keys[-x] = g, self._inv[g]
 
-    def normalize(self, word):
-        cur = 0
-        for a in word:
-            g = self.gen_idx[abs(a) - 1]
-            if a < 0:
-                g = self._inv[g]
-            cur = self.table[cur][g]
-        return cur
+    def identity_key(self):
+        return 0
 
     def mul_keys(self, a, b):
         return self.table[a][b]

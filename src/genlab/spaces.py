@@ -111,8 +111,7 @@ class CayleyTree(MetricSpaceModel):
         self.name = f"cayley-tree:{rank}"
         self.delta = Fraction(0)
         self.basepoint = self.group.identity_key()
-        # one step along a, A, b, B, ...
-        self._steps = tuple(self.group.normalize((a,)) for s in range(1, rank + 1) for a in (s, -s))
+        self._steps = tuple(self.group.letter_keys.values())  # one step along a, A, b, B, ...
 
     def distance(self, p, q) -> int:
         n = 0

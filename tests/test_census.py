@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -77,17 +78,14 @@ def test_counting_oracles_match_enumeration(f2):
     for model in (FreeGroup(1), f2, FreeGroup(3)):
         gens = model.standard_gens()
         census = enumerate_ball(model, gens, 7, keep_elements=True)
+        # sphere r -> how many of its keys have each translation length
+        taus = [Counter(map(model.translation_length_exact, sphere)) for sphere in census.elements]
         for t in range(8):
-            brute = sum(1 for k in census.elements[t] if model.translation_length_exact(k) == t)
-            assert count_cyclically_reduced(model.rank, t) == brute
-        for n, T in [(5, 0), (5, 2), (6, 3), (7, 1), (7, 6)]:
-            brute = sum(
-                1
-                for r in range(n + 1)
-                for k in census.elements[r]
-                if model.translation_length_exact(k) <= T
-            )
-            assert count_translation_below(model.rank, n, T) == brute
+            assert count_cyclically_reduced(model.rank, t) == taus[t][t]
+        for n in range(8):
+            for T in range(n + 2):
+                brute = sum(c for sphere in taus[: n + 1] for tau, c in sphere.items() if tau <= T)
+                assert count_translation_below(model.rank, n, T) == brute, (model.rank, n, T)
 
 
 def test_threshold_inequalities_k3_all_pairs():

@@ -17,7 +17,7 @@ from genlab.groups import (
     FreeGroup,
     FreeProductZ2Z3,
     GeneratingSet,
-    _projective_order,
+    _sl2_mul,
     make_model,
 )
 from genlab.words import cyclic_reduce, free_reduce, invert, parse_word
@@ -87,11 +87,53 @@ def test_braid_relation_and_center(braid):
         assert braid.mul_keys(d2, k) == braid.mul_keys(k, d2)
 
 
-def test_braid_exponent_sum_matches_key(braid):
-    rng = random.Random(2)
-    for _ in range(500):
-        w = random_word(rng, 2, rng.randrange(0, 14))
-        assert braid.exponent_sum(w) == braid.exponent_sum_key(braid.normalize(w))
+def _alternates(sylls):
+    # no two adjacent syllables of the same kind (x = 0, y^e = 1 or 2)
+    return set(sylls) <= {0, 1, 2} and all((s == 0) != (t == 0) for s, t in zip(sylls, sylls[1:]))
+
+
+def _syllable_matrix(sylls):
+    m = (1, 0, 0, 1)
+    for s in sylls:
+        m = _sl2_mul(m, _SL2_SYLLABLE[s])
+    return m
+
+
+letters_long = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=40).map(tuple)
+
+
+@given(w=letters_long)
+@settings(max_examples=300)
+def test_braid_exponent_sum_matches_key(braid, w):
+    # an oracle for the normal form that is not mul_keys: the SL(2, Z) image
+    # (c maps to -I) and the exponent sum are faithful together on B_3, as
+    # the kernel of B_3 -> SL(2, Z) is <c^2> and c^2 has exponent sum 12
+    z, sylls = braid.normalize(w)
+    assert _alternates(sylls)
+    m = _syllable_matrix(sylls)
+    assert (m if z % 2 == 0 else tuple(-e for e in m)) == braid.sl2_image(w)
+    assert braid.exponent_sum(w) == braid.exponent_sum_key((z, sylls))
+
+
+_ZZ23_LETTER_MATRIX = {  # x -> X, x^-1 -> -X, y -> Y, y^-1 -> -Y^2, into SL(2, Z)
+    1: _SL2_SYLLABLE[0],
+    -1: tuple(-e for e in _SL2_SYLLABLE[0]),
+    2: _SL2_SYLLABLE[1],
+    -2: tuple(-e for e in _SL2_SYLLABLE[2]),
+}
+
+
+@given(w=letters_long)
+@settings(max_examples=300)
+def test_zz23_key_is_the_psl2_image(zz23, w):
+    # Z/2 * Z/3 -> PSL(2, Z) is faithful, so the syllables must multiply to
+    # the letters' product up to sign
+    sylls = zz23.normalize(w)
+    assert _alternates(sylls)
+    m = (1, 0, 0, 1)
+    for a in w:
+        m = _sl2_mul(m, _ZZ23_LETTER_MATRIX[a])
+    assert _syllable_matrix(sylls) in (m, tuple(-e for e in m))
 
 
 def test_zz23_torsion(zz23):
@@ -168,6 +210,15 @@ def test_product_and_power_keys_are_normal_forms(data):
     assert chained.key == model.normalize(u + v + invert(u))
 
 
+def test_normalize_rejects_letters_outside_the_alphabet():
+    for model in _PRODUCT_MODELS:
+        k = model.alphabet.size
+        for a in (0, k + 1, -(k + 1)):
+            for w in ((a,), (1, a)):
+                with pytest.raises(ValueError, match="invalid"):
+                    model.normalize(w)
+
+
 @given(st.data())
 @settings(max_examples=300)
 def test_inverse_key_inverts(data):
@@ -226,7 +277,13 @@ def test_braid_verdict_is_the_letter_word_computation(w, dz):
         expected = "reducible"
     else:
         expected = "periodic"
-    evidence = {"trace": tr, "projective_order": _projective_order(m), "central_exponent": key[0]}
+    power, order = m, None  # the least n <= 12 with m^n = +-I
+    for n in range(1, 13):
+        if power in _SL2_CENTER:
+            order = n
+            break
+        power = _sl2_mul(power, m)
+    evidence = {"trace": tr, "projective_order": order, "central_exponent": key[0]}
     assert b.verdict(key) == (expected, evidence)
 
 
