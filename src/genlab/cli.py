@@ -4,6 +4,13 @@ Reads a JSON config describing experiments, runs them with explicit seeds
 and budgets, and emits CSV/JSON/plot-data reports plus a manifest with
 content hashes, so identical config and seed reproduce identical bytes.
 
+Each experiment kind has one runner, which returns its output texts and
+writes nothing.  With ``--workers N`` above 1, up to N experiments run at
+once in forked worker processes (never more than there are experiments or
+usable cores); this process writes every output and the manifest in
+config order either way.  ``--budget-nodes`` bounds each experiment on its
+own, and only the scaled profile is accepted.
+
 Exit codes: 0 success, 2 config validation error, 3 budget-partial
 outputs, 4 verification-suite failure.
 """
@@ -13,14 +20,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import balls, census, lemmas
-from .contraction import measure_scaled_ledger
+from .contraction import NonLoxodromicError, measure_scaled_ledger, require_loxodromic
 from .groups import Braid3, GeneratingSet, make_model
 from .spaces import build_cayley_tree
 
@@ -28,7 +38,10 @@ from .spaces import build_cayley_tree
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"config error at {path}: {message}")
-        self.path = path
+        self.path, self.message = path, message
+
+    def __reduce__(self):  # pickle the two arguments, so a worker's error reaches the parent
+        return ConfigError, (self.path, self.message)
 
 
 @dataclass
@@ -39,8 +52,9 @@ class ExperimentConfig:
     name: str
     raw: dict
 
-
-_KINDS = ("enumerate", "classify", "genericity", "fibers", "verify-lemmas", "probe-negligibility")
+    @property
+    def path(self) -> str:
+        return f"$.experiments[{self.name}]"
 
 
 def _require(raw: dict, key: str, path: str):
@@ -68,7 +82,7 @@ def _build_model_gens(raw: dict, path: str):
     return model, gens
 
 
-def _build_ledger(model, gens, action, raw: dict, path: str, seed: int):
+def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, node_budget: int | None):
     lraw = raw.get("ledger", {})
     phi_word = raw.get("phi", model.default_phi)
     try:
@@ -86,7 +100,7 @@ def _build_ledger(model, gens, action, raw: dict, path: str, seed: int):
     for key in ("window", "cut_window"):
         if key in lraw:
             kwargs[key] = tuple(Fraction(x) for x in lraw[key])
-    ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(seed), **kwargs)
+    ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(seed), node_budget=node_budget, **kwargs)
     return phi, ledger
 
 
@@ -156,8 +170,14 @@ def _check_experiment(kind: str, raw: dict, path: str) -> None:
                 model.element(w)
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{path}.{key}", str(e))
-        if kind == "fibers" and model.tree_action() is None:
-            raise ConfigError(f"{path}.model", f"no tree action for {model.name}")
+        if kind == "fibers":
+            action = model.tree_action()
+            if action is None:
+                raise ConfigError(f"{path}.model", f"no tree action for {model.name}")
+            try:
+                require_loxodromic(action, model.element(raw.get("phi", model.default_phi)))
+            except NonLoxodromicError as e:
+                raise ConfigError(f"{path}.phi", str(e))
     for key, required, minimum in _INT_FIELDS.get(kind, ()):
         if required or key in raw:
             _check_int(_require(raw, key, path), f"{path}.{key}", minimum)
@@ -210,11 +230,160 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@dataclass
+class Outcome:
+    """What one experiment produced; ``run`` alone writes it.
+
+    ``outputs`` lists (relative path, text, manifest flags or None) in the
+    order the files are written.
+    """
+
+    outputs: list
+    partial: bool = False
+    suite_failed: bool = False
+
+
+def _run_enumerate(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    raw, name, path = exp.raw, exp.name, exp.path
+    model, gens = _build_model_gens(raw, path)
+    radius = int(_require(raw, "radius", path))
+    cen = balls.enumerate_ball(model, gens, radius, keep_elements=bool(raw.get("keep_elements", False)),
+                               node_budget=budget)
+    flags = {"truncated": cen.truncated}
+    return Outcome([(f"{name}.csv", cen.to_csv(), flags), (f"{name}.json", _json_text(cen.to_json()), flags)],
+                   partial=cen.truncated)
+
+
+def _run_classify(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    raw, name, path = exp.raw, exp.name, exp.path
+    model, _ = _build_model_gens(raw, path)
+    verdicts = []
+    for w in _require(raw, "words", path):  # each word parsed in validation
+        c = census.classify(model, None, model.element(w))
+        verdicts.append({"word": w, "verdict": c.verdict, "evidence": {k: str(v) for k, v in c.evidence.items()}})
+    return Outcome([(f"{name}.json", _json_text(verdicts), None)])
+
+
+def _run_genericity(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    raw, name, path = exp.raw, exp.name, exp.path
+    model, gens = _build_model_gens(raw, path)
+    radius = int(_require(raw, "radius", path))
+    curve = census.genericity_experiment(
+        model, None, gens, radius,
+        tree_threshold=int(raw.get("tree_threshold", 0)),
+        word_threshold=Fraction(raw.get("word_threshold", "35/100")),
+        node_budget=budget,
+    )
+    return Outcome([(f"{name}.csv", curve.to_csv(), None), (f"{name}.json", _json_text(curve.to_json()), None),
+                    (f"{name}.dat", curve.plot_data(), None)], partial=curve.truncated)
+
+
+def _run_fibers(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    raw, name, path = exp.raw, exp.name, exp.path
+    model, gens = _build_model_gens(raw, path)
+    action = model.tree_action()
+    reports = []
+    try:
+        phi, ledger = _build_ledger(model, gens, action, raw, path, seed, budget)
+    except balls.BudgetExceeded:
+        ledger, over_budget = None, True  # no ledger, so no census
+    else:
+        over_budget = False
+        too_big = None  # the least n whose ball outgrew the node budget
+        for n in (int(n) for n in _require(raw, "n_values", path)):
+            if too_big is not None and n >= too_big:
+                continue
+            try:
+                reports.append(census.fiber_census(model, gens, action, phi, ledger, n, node_budget=budget).to_json())
+            except balls.BudgetExceeded:
+                too_big = n
+                over_budget = True
+    doc = {"ledger": None if ledger is None else ledger.to_json(), "reports": reports}
+    rows = ["n,domain,image,max_fiber,sqrt_ratio"]
+    rows += [f"{r['n']},{r['domain']},{r['image']},{r['max_fiber']},{r['sqrt_ratio']!r}" for r in reports]
+    return Outcome([(f"{name}.json", _json_text(doc), None), (f"{name}.csv", "\n".join(rows) + "\n", None)],
+                   partial=over_budget)
+
+
+def _run_verify_lemmas(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    raw, name = exp.raw, exp.name
+    trials = int(raw.get("trials", 200))
+    rng = random.Random(seed)
+    suite = lemmas.appendix_suite_tree(int(raw.get("rank", 2)), trials, rng)
+    concat = _run_concat_suite(rng, trials=max(20, trials // 10))
+    doc_out = {"appendix": suite.to_json(), "concatenation": concat, "profile": profile}
+    return Outcome([(f"{name}.json", _json_text(doc_out), None),
+                    (f"{name}.txt", suite.summary() + "\n" + _concat_summary(concat) + "\n", None)],
+                   suite_failed=not (suite.all_green() and concat["failures"] == 0))
+
+
+def _run_probe(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    raw, name, path = exp.raw, exp.name, exp.path
+    model, gens = _build_model_gens(raw, path)
+    n_values = [int(n) for n in _require(raw, "n_values", path)]
+    probe = census.exponential_negligibility_probe(model, gens, n_values, node_budget=budget)
+    return Outcome([(f"{name}.json", _json_text(probe.to_json()), None),
+                    (f"{name}.dat", "".join(f"{p.n} {float(p.ratio)!r}\n" for p in probe.points), None)],
+                   partial=probe.truncated)
+
+
+_RUNNERS = {
+    "enumerate": _run_enumerate,
+    "classify": _run_classify,
+    "genericity": _run_genericity,
+    "fibers": _run_fibers,
+    "verify-lemmas": _run_verify_lemmas,
+    "probe-negligibility": _run_probe,
+}
+_KINDS = tuple(_RUNNERS)
+
+
+def _run_one(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+    # the runner is looked up where the experiment runs, in a worker too
+    return _RUNNERS[exp.kind](exp, seed, profile, budget)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _experiment_map(workers: int, count: int):
+    """A map that yields results in input order: the builtin one in this
+    process when one process suffices, else a pool of forked processes,
+    no more than there are experiments or usable cores.  The pool is
+    shut down on exit, pending work cancelled."""
+    size = min(workers, count, _usable_cores())
+    if size <= 1:
+        yield map
+        return
+    import multiprocessing  # imported only when a pool starts
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers start from this process's imports, and a fork pool
+    # forks them all before it starts its own threads
+    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | None, workers: int = 1) -> int:
-    """Execute every experiment in the config; returns the process exit code."""
+    """Execute every experiment in the config; returns the process exit code.
+
+    With ``workers`` above 1, up to that many experiments run at once in
+    forked worker processes; their outputs are written here in config
+    order, so the bytes are the same for every worker count.
+    """
     experiments = validate_config(doc)
-    if profile == "faithful" and any(exp.kind == "fibers" for exp in experiments):
-        raise ConfigError("$", "faithful-profile constants are out of desk-scale reach; use scaled")
+    if profile != "scaled":  # no code path computes with the faithful constants
+        raise ConfigError("$", f"{profile}-profile constants are out of desk-scale reach; use scaled")
+    if workers < 1:
+        raise ConfigError("--workers", f"must be >= 1, got {workers}")
     seed = int(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the worker count is deliberately absent: results are contracted to be
@@ -228,84 +397,14 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
         "suite_failures": 0,
     }
     status = 0
-    for exp in experiments:
-        raw, name, path = exp.raw, exp.name, f"$.experiments[{exp.name}]"
-        if exp.kind == "enumerate":
-            model, gens = _build_model_gens(raw, path)
-            radius = int(_require(raw, "radius", path))
-            cen = balls.enumerate_ball(model, gens, radius, keep_elements=bool(raw.get("keep_elements", False)),
-                                       workers=workers, node_budget=budget_nodes)
-            flags = {"truncated": cen.truncated}
-            if cen.truncated:
-                manifest["partial"] = True
-            _write(out_dir, f"{name}.csv", cen.to_csv(), manifest, flags)
-            _write(out_dir, f"{name}.json", _json_text(cen.to_json()), manifest, flags)
-        elif exp.kind == "classify":
-            model, gens = _build_model_gens(raw, path)
-            words = _require(raw, "words", path)
-            verdicts = []
-            for w in words:
-                try:
-                    g = model.element(w)
-                except ValueError as e:
-                    raise ConfigError(f"{path}.words", str(e))
-                c = census.classify(model, None, g)
-                verdicts.append({"word": w, "verdict": c.verdict, "evidence": {k: str(v) for k, v in c.evidence.items()}})
-            _write(out_dir, f"{name}.json", _json_text(verdicts), manifest)
-        elif exp.kind == "genericity":
-            model, gens = _build_model_gens(raw, path)
-            radius = int(_require(raw, "radius", path))
-            curve = census.genericity_experiment(
-                model, None, gens, radius,
-                tree_threshold=int(raw.get("tree_threshold", 0)),
-                word_threshold=Fraction(raw.get("word_threshold", "35/100")),
-                node_budget=budget_nodes,
-            )
-            if curve.truncated:
-                manifest["partial"] = True
-            _write(out_dir, f"{name}.csv", curve.to_csv(), manifest)
-            _write(out_dir, f"{name}.json", _json_text(curve.to_json()), manifest)
-            _write(out_dir, f"{name}.dat", curve.plot_data(), manifest)
-        elif exp.kind == "fibers":
-            model, gens = _build_model_gens(raw, path)
-            action = model.tree_action()
-            phi, ledger = _build_ledger(model, gens, action, raw, path, seed)
-            n_values = [int(n) for n in _require(raw, "n_values", path)]
-            reports = []
-            too_big = None  # the least n whose ball outgrew the node budget
-            for n in n_values:
-                if too_big is not None and n >= too_big:
-                    continue
-                try:
-                    reports.append(census.fiber_census(model, gens, action, phi, ledger, n,
-                                                       node_budget=budget_nodes).to_json())
-                except balls.BudgetExceeded:
-                    too_big = n
-                    manifest["partial"] = True
-            _write(out_dir, f"{name}.json", _json_text({"ledger": ledger.to_json(), "reports": reports}), manifest)
-            rows = ["n,domain,image,max_fiber,sqrt_ratio"]
-            rows += [f"{r['n']},{r['domain']},{r['image']},{r['max_fiber']},{r['sqrt_ratio']!r}" for r in reports]
-            _write(out_dir, f"{name}.csv", "\n".join(rows) + "\n", manifest)
-        elif exp.kind == "verify-lemmas":
-            trials = int(raw.get("trials", 200))
-            rng = random.Random(seed)
-            suite = lemmas.appendix_suite_tree(int(raw.get("rank", 2)), trials, rng)
-            concat = _run_concat_suite(rng, trials=max(20, trials // 10))
-            ok = suite.all_green() and concat["failures"] == 0
-            if not ok:
+    with _experiment_map(workers, len(experiments)) as mapper:
+        for outcome in mapper(partial(_run_one, seed=seed, profile=profile, budget=budget_nodes), experiments):
+            for rel, text, flags in outcome.outputs:
+                _write(out_dir, rel, text, manifest, flags)
+            manifest["partial"] |= outcome.partial
+            if outcome.suite_failed:
                 manifest["suite_failures"] += 1
-                status = max(status, 4)
-            doc_out = {"appendix": suite.to_json(), "concatenation": concat, "profile": profile}
-            _write(out_dir, f"{name}.json", _json_text(doc_out), manifest)
-            _write(out_dir, f"{name}.txt", suite.summary() + "\n" + _concat_summary(concat) + "\n", manifest)
-        elif exp.kind == "probe-negligibility":
-            model, gens = _build_model_gens(raw, path)
-            n_values = [int(n) for n in _require(raw, "n_values", path)]
-            probe = census.exponential_negligibility_probe(model, gens, n_values, node_budget=budget_nodes)
-            if probe.truncated:
-                manifest["partial"] = True
-            _write(out_dir, f"{name}.json", _json_text(probe.to_json()), manifest)
-            _write(out_dir, f"{name}.dat", "".join(f"{p.n} {float(p.ratio)!r}\n" for p in probe.points), manifest)
+                status = 4
     _write(out_dir, "manifest.json", _json_text({k: v for k, v in manifest.items() if k != "outputs"} | {"outputs": manifest["outputs"]}), manifest)
     if manifest["partial"]:
         status = max(status, 3)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alignment import gromov_product, project, set_diameter
-from .balls import enumerate_ball, word_distance
+from .balls import BudgetExceeded, enumerate_ball, word_distance
 from .groups import GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import Geodesic, GroupAction, MetricSpaceModel, OrbitSegment
@@ -55,6 +55,14 @@ def segment_projection(action: GroupAction, segment: OrbitSegment, g: GroupEleme
     return tuple(snapped)
 
 
+def _sample_ball(model, gens, radius: int, node_budget: Optional[int]):
+    """The kept ball a measurement samples from; a truncated one is a budget overrun."""
+    ball = enumerate_ball(model, gens, radius, keep_elements=True, node_budget=node_budget)
+    if ball.truncated:
+        raise BudgetExceeded(f"a sample ball of radius {radius} outgrew the node budget {node_budget}")
+    return ball
+
+
 @dataclass
 class ContractionSample:
     g_key: object
@@ -89,11 +97,12 @@ class ContractionProfile:
         }
 
 
-def _distance_to_segment(model, gens, g: GroupElement, segment: OrbitSegment, r_max: int) -> Optional[int]:
+def _distance_to_segment(model, gens, g: GroupElement, segment: OrbitSegment, r_max: int,
+                         node_budget: Optional[int] = None) -> Optional[int]:
     best = None
     for h in segment.points:
         cap = r_max if best is None else best
-        d = word_distance(model, gens, g, h, cap)
+        d = word_distance(model, gens, g, h, cap, node_budget)
         if d is not None and (best is None or d < best):
             best = d
             if best == 0:
@@ -113,13 +122,15 @@ def weak_contraction_profile(
     factor: Fraction = Fraction(1, 2),
     r_max: int = 64,
     seed: Optional[int] = None,
+    node_budget: Optional[int] = None,
 ) -> ContractionProfile:
     """Half-radius ball projections around random elements of given norms.
 
     For each sampled g, the ball of radius floor(factor * d_S(g, gamma)) is
     read from one exact ball enumeration and the projection diameter of its
     g-translate onto the segment's geodesic recorded.  The profile bound is
-    the max observed diameter.
+    the max observed diameter.  Raises :class:`BudgetExceeded` if the ball
+    or a distance search outgrows ``node_budget`` nodes.
     """
     require_loxodromic(action, phi)
     segment = OrbitSegment(action, model.identity(), phi, segment_length)
@@ -132,7 +143,7 @@ def weak_contraction_profile(
     # the segment starts at the identity, so d_S(g, gamma) <= |g|_S <= top:
     # every projection ball is a prefix of this one
     top = max(sample_norms)
-    ball = enumerate_ball(model, gens, max(top, int(factor * top)), keep_elements=True)
+    ball = _sample_ball(model, gens, max(top, int(factor * top)), node_budget)
     for norm in sample_norms:
         sphere = ball.elements[norm]
         if not sphere:
@@ -140,7 +151,7 @@ def weak_contraction_profile(
         for _ in range(samples_per_norm):
             key = sphere[rng.randrange(len(sphere))]
             g = GroupElement(model, key)
-            dist = _distance_to_segment(model, gens, g, segment, r_max)
+            dist = _distance_to_segment(model, gens, g, segment, r_max, node_budget)
             if dist is None:
                 profile.truncated = True
                 continue
@@ -212,23 +223,25 @@ def lipschitz_projection_bound(
     segment: OrbitSegment,
     sample_keys: Sequence,
     r_max: int = 64,
+    node_budget: Optional[int] = None,
 ) -> LipschitzReport:
     """Measure the two coarse-Lipschitz constants of segment projections.
 
     recovery: d_S(g, h) <= K1 d_S(g, gamma) + K1 diam(pi(g) u h x0) + K1
     over orbit points h of the segment; proj: diam(pi(g) u pi(h)) <=
-    K0 d_S(g, h) + K0 over sample pairs.
+    K0 d_S(g, h) + K0 over sample pairs.  Every distance search is bounded
+    by ``node_budget`` nodes (:class:`BudgetExceeded` beyond it).
     """
     space = action.space
     elements = [GroupElement(model, k) for k in sample_keys]
     k1 = Fraction(0)
     for g in elements:
-        d_seg = _distance_to_segment(model, gens, g, segment, r_max)
+        d_seg = _distance_to_segment(model, gens, g, segment, r_max, node_budget)
         if d_seg is None:
             continue
         pg = segment_projection(action, segment, g)
         for idx, h in enumerate(segment.points):
-            d_gh = word_distance(model, gens, g, h, r_max)
+            d_gh = word_distance(model, gens, g, h, r_max, node_budget)
             if d_gh is None:
                 continue
             diam = set_diameter(space, list(pg) + [segment.orbit_points[idx]])
@@ -237,7 +250,7 @@ def lipschitz_projection_bound(
     for i, g in enumerate(elements):
         pg = segment_projection(action, segment, g)
         for h in elements[i + 1 :]:
-            d_gh = word_distance(model, gens, g, h, r_max)
+            d_gh = word_distance(model, gens, g, h, r_max, node_budget)
             if d_gh is None:
                 continue
             ph = segment_projection(action, segment, h)
@@ -388,6 +401,7 @@ def measure_scaled_ledger(
     sample_radius: int = 5,
     coeff: Fraction = Fraction(1),
     power: int = 1,
+    node_budget: Optional[int] = None,
     **overrides,
 ) -> ConstantLedger:
     """Build a scaled ledger from constants measured on the model itself.
@@ -396,15 +410,17 @@ def measure_scaled_ledger(
     sample; the contraction bound from half-radius ball projections; the
     Lipschitz pair from projection statistics.  The dominating constant is
     their max (scale factor one); callers may override any entry.
+    ``node_budget`` bounds every ball and distance search of the
+    measurement; one that outgrows it raises :class:`BudgetExceeded`.
     """
     require_loxodromic(action, phi)
     space = action.space
     x0 = space.basepoint
     c0 = max(space.distance(x0, action.proj(s)) for s in gens.elements)
     d_c = space.distance(x0, action.proj(phi))
-    d_s = word_distance(model, gens, model.identity(), phi, math.inf)  # |phi|_S; the search meets phi
+    d_s = word_distance(model, gens, model.identity(), phi, math.inf, node_budget)  # |phi|_S; the search meets phi
 
-    ball = enumerate_ball(model, gens, sample_radius, keep_elements=True)
+    ball = _sample_ball(model, gens, sample_radius, node_budget)
     all_keys = [k for sphere in ball.elements for k in sphere]
     sample_keys = [all_keys[rng.randrange(len(all_keys))] for _ in range(24)]
 
@@ -416,12 +432,12 @@ def measure_scaled_ledger(
     meas_len = segment_length if segment_length is not None else 4
     profile = weak_contraction_profile(
         model, gens, action, phi, meas_len,
-        sample_norms=[sample_radius - 1, sample_radius], rng=rng, samples_per_norm=6,
+        sample_norms=[sample_radius - 1, sample_radius], rng=rng, samples_per_norm=6, node_budget=node_budget,
     )
     f0 = Fraction(profile.bound)
 
     seg = OrbitSegment(action, model.identity(), phi, meas_len)
-    lip = lipschitz_projection_bound(model, gens, action, seg, sample_keys)
+    lip = lipschitz_projection_bound(model, gens, action, seg, sample_keys, node_budget=node_budget)
 
     values = dict(
         delta=space.delta if space.delta is not None else Fraction(0),

@@ -1,8 +1,12 @@
 """Config validation, experiment runs, manifests, reproducibility."""
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
+import pickle
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import genlab
+from genlab import cli
 from genlab.cli import ConfigError, main, run, validate_config
 
 
@@ -126,6 +131,107 @@ def test_faithful_profile_rejected_before_any_experiment_runs(tmp_path, capsys):
     assert main(["--config", str(cfg), "--profile", "faithful", "--out-dir", str(out), "run"]) == 2
     assert "faithful" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+def test_faithful_profile_rejected_for_verify_lemmas(tmp_path, capsys):
+    # the suite's ledgers are measured, so a "faithful" label would be false
+    out = tmp_path / "out"
+    assert main(["--profile", "faithful", "--out-dir", str(out), "verify-lemmas", "--trials", "5"]) == 2
+    assert "faithful" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_elliptic_phi_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "fibers", "--model", "zz23", "--phi", "x", "--n-values", "4"]) == 2
+    assert "config error at $.experiments[0].phi" in capsys.readouterr().err
+    assert not out.exists()
+    # the model's default phi is loxodromic, so a config may leave it out
+    for model in ("free:2", "zz23", "braid3"):
+        validate_config({"experiments": [{"kind": "fibers", "model": model, "n_values": [4]}]})
+
+
+def test_ledger_budget_overrun_exits_3(tmp_path):
+    # under gens {a, b, c, ab} no closed form hides the ledger's searches:
+    # an unbounded ledger runs for minutes and gigabytes, a bounded one stops
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{
+        "kind": "fibers", "name": "fib", "model": "free:3", "gens": ["a", "b", "c", "ab"],
+        "phi": "acbcac", "n_values": [6],
+    }]}))
+    out = tmp_path / "out"
+    src = str(Path(genlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 1536 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "genlab.cli", "--config", str(cfg), "--out-dir", str(out),
+                           "--budget-nodes", "10", "run"],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["partial"]
+    assert json.loads((out / "fib.json").read_text()) == {"ledger": None, "reports": []}
+    assert (out / "fib.csv").read_text() == "n,domain,image,max_fiber,sqrt_ratio\n"
+
+
+def test_config_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(ConfigError("$.x", "m")))
+    assert (type(err), str(err), err.path) == (ConfigError, "config error at $.x: m", "$.x")
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exits_2(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--workers", str(workers), "verify-lemmas", "--trials", "5"]) == 2
+    assert "config error at --workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pool_is_bounded_by_the_experiment_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            assert max_workers <= 2  # checked before any process starts
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 64)  # so the experiment count is the bound
+    doc = {"experiments": [
+        {"kind": "enumerate", "name": "ball", "model": "free:2", "radius": 4},
+        {"kind": "genericity", "name": "curve", "model": "braid3", "radius": 4},
+    ]}
+    assert run(doc, tmp_path / "one", 3, "scaled", None, workers=1) == 0
+    assert sizes == []  # one worker runs in this process
+    assert run(doc, tmp_path / "many", 3, "scaled", None, workers=10**6) == 0
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
+    assert _hashes(tmp_path / "one") == _hashes(tmp_path / "many")
+
+
+@pytest.mark.parametrize("error", [ConfigError("$.x", "boom"), RuntimeError("boom")], ids=["config", "runtime"])
+def test_runner_failure_is_the_same_in_workers(tmp_path, monkeypatch, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "genericity", fail)  # forked workers inherit it
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # a pool even on one core
+    doc = {"experiments": [
+        {"kind": "enumerate", "name": "before", "model": "free:2", "radius": 3},
+        {"kind": "genericity", "name": "curve", "model": "braid3", "radius": 4},
+        {"kind": "enumerate", "name": "after", "model": "free:2", "radius": 3},
+    ]}
+    files = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        with pytest.raises(type(error), match="boom"):
+            run(doc, out, 0, "scaled", None, workers=workers)
+        assert multiprocessing.active_children() == []
+        files.append(sorted(p.name for p in out.iterdir()))
+    assert files[0] == files[1] == ["before.csv", "before.json"]
 
 
 def test_cli_single_subcommand(tmp_path):

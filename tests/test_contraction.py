@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genlab.alignment import set_diameter
-from genlab.balls import enumerate_ball
+from genlab.balls import BudgetExceeded, enumerate_ball
 from genlab.contraction import (
     NonLoxodromicError,
     lipschitz_projection_bound,
@@ -197,6 +197,19 @@ def test_measure_scaled_ledger_records_profile(tree2, f2):
     assert led.contraction_bound == 0
     assert led.dominating >= 1
     assert led.segment_length == 3
+
+
+def test_ledger_node_budget_binds_every_search(braid, bass_serre):
+    # braid3 has no closed-form norm, so the ledger's distances are searches
+    def ledger(budget):
+        return measure_scaled_ledger(braid, braid.standard_gens(), bass_serre[2], braid.element("aB"),
+                                     random.Random(0), segment_length=2, node_budget=budget).to_json()
+
+    with pytest.raises(BudgetExceeded, match="sample ball"):
+        ledger(100)  # #B(5) > 100
+    with pytest.raises(BudgetExceeded, match="distance search"):
+        ledger(300)
+    assert ledger(400) == ledger(None)
 
 
 @pytest.mark.parametrize("words", [["a", "b"], ["a", "b", "aba"]], ids=["ab", "ab-aba"])
