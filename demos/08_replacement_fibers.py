@@ -43,7 +43,7 @@ i = math.ceil(ledger.cut_window[0] * n)
 table = SegmentTable(BallIndex(q23, gens, 0), action, phi, ledger)  # radius 0: every query searches
 rep = replacement_map(table, g, i)
 print(f"replacing the block after prefix {i} of a norm-{n} element:")
-print("  output norm", rep.norm_out, "linkage", repr(rep.s), repr(rep.t),
+print("  output norm", q23.exact_length(rep.element.key), "linkage", repr(rep.s), repr(rep.t),
       "alignment certified:", rep.report.aligned)
 
 found = a_thick_search(table, q23.element("xy" * 5))

@@ -12,8 +12,10 @@ endpoint projection, and every other endpoint projection is the median of
 three points (two distances).  Diameters are integers, so they are compared
 with ``ceil(level)`` and no rational arithmetic runs per pair.  The census's
 ``SegmentTable`` goes one step further for the pair (segment, point) on a
-tree: it computes the two integers (n - i, 0) from two distances, decides
-on them, and calls :func:`assemble_report` only for a report it returns.
+tree: it reads the two integers (n - i, 0) per translated key, computing
+them once per key from two distances to phi's identity-based segment,
+decides on them, and calls :func:`assemble_report` only for a report it
+returns.
 """
 
 from __future__ import annotations

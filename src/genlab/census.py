@@ -5,23 +5,26 @@ Free-group threshold counts use Rivin's closed form for cyclically reduced
 words (cross-checked against brute enumeration on small balls); everything
 else is exhaustive over enumerated balls.  The thick search and the
 replacement maps read one context, a :class:`SegmentTable` over a
-:class:`~genlab.balls.BallIndex`: the index answers every geodesic and
-norm query (a radius-0 index answers them by a new search each), and the
-table builds each orbit segment once, with its basepoint alignment pair
-and the least norm of its points.  They run on keys and integers: the
-table cuts the keys of every prefix and suffix of an element's geodesic
-once, as running products of letter keys; an alignment check per
-candidate costs only the pair (segment, g x0), two tree distances; and
-an :class:`~genlab.alignment.AlignmentReport` is built only for a
+:class:`~genlab.balls.BallIndex` and a tree action: the index answers every
+geodesic and norm query (a radius-0 index answers them by a new search
+each), and the table builds each orbit segment once, with its basepoint
+alignment pair and the least norm of its points.  They run on keys and
+integers.  The table cuts the keys of every prefix and suffix of an
+element's geodesic once, as running products of letter keys.  The action
+is an isometry, so the pair (segment based at b, g x0) has the diameters
+of (phi's identity-based segment, b^-1 g x0): the table reads them per
+translated key b^-1 g, from two tree distances computed once per key.  An
+:class:`~genlab.alignment.AlignmentReport` is built only for a
 certificate, a replacement or a failure that is returned.  A fiber census
-builds one index and one table per radius.  The negligibility probe
-decides core norms by membership in the spheres of its enumerated ball,
-and builds the set of conjugates h^-1 C h of the short cores C by the
-short h once per n, so it tests each shell element by one set lookup.
-``genericity`` and the probe stop at the last radius their ball completes
-within a node budget.  All ratios are exact rationals; only fitted decay
-exponents are floating point, each an exact least-squares slope over the
-float logs, rounded once.
+builds one index and one table per radius; with a thick window below 1 it
+asks for no norm outside its ball.  The negligibility probe decides core
+norms by membership in the spheres of its enumerated ball, and builds the
+set of conjugates h^-1 C h of the short cores C by the short h once per n,
+so it tests each shell element by one set lookup.  ``genericity`` and the
+probe stop at the last radius their ball completes within a node budget.
+All ratios are exact rationals; only fitted decay exponents are floating
+point, each an exact least-squares slope over the float logs, rounded
+once.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ class SegmentTable:
     keys of the element last asked about, and the orbit segments
     g * (id, phi, ..., phi^L) of one census by the key of their base g,
     each built and measured once (L is the ledger's segment length).
-    ``model`` and ``gens`` are the ball's.
+    ``model`` and ``gens`` are the ball's; ``action`` must be on a tree.
 
     A radius-0 ball is the plain search path: every query but the
     identity's falls back to ``geodesic_representative`` or
@@ -226,18 +229,25 @@ class SegmentTable:
     search and all its replacement maps.  Every alignment sequence of the
     thick search and the replacement maps is (basepoint, segment, h x0).
     Its first pair depends on the segment alone, so it is stored, and
-    ``tail`` gives the pair (segment, h x0): on a tree the integers
-    (n - i, 0), from the two distances that place h x0's projection at
-    index i of the length-n segment.  The maps decide on those integers
-    and build an :class:`~genlab.alignment.AlignmentReport` (``report``)
-    only for what they return.  The ledger constants the maps use are
-    computed here once: the alignment ``level``, the excised ``block``
-    length, the spliced ``power`` phi^L, the linkage ``candidates`` (the
-    identity, then S), and the ceilings of ``level`` and
+    ``tail`` gives the pair (segment, h x0): the integers (n - i, 0), from
+    the two tree distances that place h x0's projection at index i of the
+    length-n segment.  For a segment based at b those distances are
+    d(b^-1 h x0, x0) and d(b^-1 h x0, phi^L x0), since the action is an
+    isometry, so ``tail_at`` reads the pair by the key of b^-1 h alone, off
+    phi's identity-based segment, and computes it once per key.  The maps
+    decide on those integers and build an
+    :class:`~genlab.alignment.AlignmentReport` (``report``) only for what
+    they return.  The ledger constants the maps use are computed here once:
+    the alignment ``level``, the excised ``block`` length, the spliced
+    ``power`` phi^L, the linkage ``candidates`` (the identity, then S) with
+    the keys of each candidate c's inverse (``inverse_keys``) and of
+    phi^L c (``spliced_keys``), and the ceilings of ``level`` and
     ``ledger.dominating``, which diameters are compared with.
     """
 
     def __init__(self, ball: BallIndex, action: GroupAction, phi: GroupElement, ledger: ConstantLedger):
+        if not action.space.is_tree:
+            raise ValueError(f"a segment table needs an action on a tree, not on {action.space.name}")
         self.ball, self.action, self.phi, self.ledger = ball, action, phi, ledger
         self.model, self.gens = ball.model, ball.gens
         self.level = ledger.alignment_level()
@@ -245,12 +255,16 @@ class SegmentTable:
         self.block = ledger.block_length()
         self.power = phi**ledger.segment_length
         self.candidates = [self.model.identity()] + list(self.gens.elements)
+        self.inverse_keys = [self.model.inverse_key(c.key) for c in self.candidates]
+        self.spliced_keys = [self.model.mul_keys(self.power.key, c.key) for c in self.candidates]
         self._letter_keys = {s: self.gens.letter_element(s).key for s in self.gens.signed_letters()}
         self._basepoint = as_geodesic(action.space.basepoint)
         self._entries: dict = {}
         self._windows: dict = {}
         self._cut_windows: dict = {}
         self._last_cut = None  # (key, prefix keys, suffix keys) of the last element cut
+        self._origin = self.entry(self.model.identity())  # phi's identity-based segment
+        self._tails: dict = {}  # key of b^-1 h -> tail of (b's segment, h x0)
 
     def cuts(self, g: GroupElement) -> tuple:
         """(prefix, suffix): the keys of s_1...s_i at ``prefix[i]`` and of
@@ -308,17 +322,25 @@ class SegmentTable:
         return entry.norms[cap]
 
     def tail(self, entry: SegmentEntry, point) -> tuple:
-        """``pair_diameters`` of (segment, point): on a tree, (n - i, 0),
-        where 2i = d(point, start) + n - d(point, end) places the point's
-        projection at index i of the length-n segment."""
+        """``pair_diameters`` of (segment, point): (n - i, 0), where
+        2i = d(point, start) + n - d(point, end) places the point's
+        projection at index i of the length-n segment.  Between tree
+        vertices 2i is even and in [0, 2n]; any other value is an error."""
         geo = entry.segment.projected
         space = self.action.space
-        if space.is_tree:
-            n = len(geo.points) - 1
-            two_i = space.distance(point, geo.start) + n - space.distance(point, geo.end)
-            if two_i % 2 == 0 and 0 <= two_i <= 2 * n:
-                return n - two_i // 2, 0
-        return pair_diameters(space, geo, as_geodesic(point))
+        n = len(geo.points) - 1
+        two_i = space.distance(point, geo.start) + n - space.distance(point, geo.end)
+        if two_i % 2 or not 0 <= two_i <= 2 * n:
+            raise ValueError(f"{point!r} projects to no vertex of the segment (2i = {two_i}, n = {n})")
+        return n - two_i // 2, 0
+
+    def tail_at(self, key) -> tuple:
+        """``tail`` of (the segment based at b, h x0) for the key of b^-1 h:
+        the tail of (phi's identity-based segment, b^-1 h x0)."""
+        found = self._tails.get(key)
+        if found is None:
+            found = self._tails[key] = self.tail(self._origin, self.action.proj(GroupElement(self.model, key)))
+        return found
 
     def report(self, entry: SegmentEntry, point, level: Fraction, bound: int) -> AlignmentReport:
         """``check_alignment`` of (basepoint, segment, point) at ``level``,
@@ -341,19 +363,6 @@ def _norm(ball: BallIndex, g: GroupElement) -> int:
     return ball.distance_from_identity(g, math.inf)
 
 
-def _thick_test(table: SegmentTable, entry: SegmentEntry, norm: int, point) -> tuple:
-    """The two thick-set conditions on integers, as (reason, least norm,
-    tail): the distance window (tail None when it fails), then the
-    alignment of (basepoint, segment, point) at ``ledger.dominating``."""
-    lo, hi = table.thick_window(norm)
-    best = table.least_norm(entry, hi + 1)
-    if best is None or not (lo <= best <= hi):
-        return "distance-window", best, None
-    tail = table.tail(entry, point)
-    aligned = max(entry.worst, *tail) < table.dominating_bound
-    return ("ok" if aligned else "alignment"), best, tail
-
-
 def a_thick_certify(
     table: SegmentTable,
     g: GroupElement,
@@ -362,8 +371,10 @@ def a_thick_certify(
 ) -> ThickCertificate:
     """Exact check of the two thick-set conditions for a candidate segment
     of the table's φ and ledger length: the word distance window and the
-    basepoint alignment.  ``norm`` is d_S(id, g), read from the table's
-    ball when it is not given."""
+    basepoint alignment at ``ledger.dominating``, whose tail is computed
+    from the distances of g x0 to this segment (not read per key, so every
+    thick witness of the search is certified independently).  ``norm`` is
+    d_S(id, g), read from the table's ball when it is not given."""
     ledger = table.ledger
     if segment.length != ledger.segment_length:
         raise ValueError(
@@ -374,11 +385,13 @@ def a_thick_certify(
     entry = table.entry(segment.base, segment)
     if norm is None:
         norm = _norm(table.ball, g)
-    reason, best, tail = _thick_test(table, entry, norm, table.action.proj(g))
-    if tail is None:
-        return ThickCertificate(False, reason, best)
+    lo, hi = table.thick_window(norm)
+    best = table.least_norm(entry, hi + 1)
+    if best is None or not (lo <= best <= hi):
+        return ThickCertificate(False, "distance-window", best)
+    tail = table.tail(entry, table.action.proj(g))
     report = assemble_report(ledger.dominating, table.dominating_bound, [entry.head, tail])
-    return ThickCertificate(reason == "ok", reason, best, report)
+    return ThickCertificate(report.aligned, "ok" if report.aligned else "alignment", best, report)
 
 
 @dataclass
@@ -394,17 +407,19 @@ def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
     perturbations of ``table.candidates``, deciding each candidate on
     integers; the first that passes is certified by :func:`a_thick_certify`.
     Sound when it answers yes; a no is heuristic."""
-    prefix, _ = table.cuts(g)
+    prefix, suffix = table.cuts(g)
     n = len(prefix) - 1
     lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
-    point = table.action.proj(g)
-    mul = table.model.mul_keys
+    mul, bound = table.model.mul_keys, table.dominating_bound
     for i in range(lo, hi + 1):
-        for s in table.candidates:
+        for s, s_inverse in zip(table.candidates, table.inverse_keys):
             entry = table.entry_at(mul(prefix[i], s.key))
-            if _thick_test(table, entry, n, point)[0] == "ok":
+            best = table.least_norm(entry, hi + 1)
+            # the segment's base is b = prefix[i] s, and b^-1 g = s^-1 suffix[i]
+            if (best is not None and lo <= best <= hi
+                    and max(entry.worst, *table.tail_at(mul(s_inverse, suffix[i]))) < bound):
                 cert = a_thick_certify(table, g, entry.segment, norm=n)
                 return ThickSearchResult(True, witness=entry.segment, certificate=cert)
     return ThickSearchResult(False)
@@ -431,8 +446,6 @@ class Replacement:
     s: GroupElement
     t: GroupElement
     report: AlignmentReport
-    norm_in: int
-    norm_out: int
 
 
 def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement:
@@ -441,9 +454,12 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
 
     The linkage pair (s, t) is the first one in deterministic order whose
     splice alignment certifies at the ledger level; the segments
-    w s (phi^0, ..., phi^L) come from the table, w and v from its cut keys,
-    and the output norm from its ball.  Each pair is decided on the integer
-    diameters; one report is built, for the result or the failure.
+    w s (phi^0, ..., phi^L) come from the table, and w and v from its cut
+    keys.  The output translated back by the segment's base w s is
+    phi^L t v, whatever w and s are, so the tail of each t is read once per
+    call by that key.  Each pair is decided on the integer diameters; the
+    output key is built for the pair returned, and one report for the
+    result or the failure.
     """
     prefix, suffix = table.cuts(g)
     n = len(prefix) - 1
@@ -453,20 +469,19 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
     block = table.block
     if i + block > n:
         raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
-    model, mul, proj, bound = table.model, table.model.mul_keys, table.action.proj, table.level_bound
+    mul, bound = table.model.mul_keys, table.level_bound
     w, v = prefix[i], suffix[i + block]
+    spliced = [mul(k, v) for k in table.spliced_keys]  # phi^L t v for each t
+    tails = [table.tail_at(k) for k in spliced]
     best = None  # (worst, entry, tail) of the first least-worst pair
     for s in table.candidates:
         ws = mul(w, s.key)
         entry = table.entry_at(ws)
-        head = mul(ws, table.power.key)
-        for t in table.candidates:
-            out = GroupElement(model, mul(mul(head, t.key), v))
-            tail = table.tail(entry, proj(out))
+        for t, key, tail in zip(table.candidates, spliced, tails):
             worst = max(entry.worst, *tail)
             if worst < bound:
                 report = assemble_report(table.level, bound, [entry.head, tail])
-                return Replacement(out, i, s, t, report, norm_in=n, norm_out=_norm(table.ball, out))
+                return Replacement(GroupElement(table.model, mul(ws, key)), i, s, t, report)
             if best is None or worst < best[0]:
                 best = (worst, entry, tail)
     raise LinkageFailure(f"no linkage certified at level {table.level}",

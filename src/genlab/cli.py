@@ -310,11 +310,15 @@ def _run_verify_lemmas(exp: ExperimentConfig, seed: int, profile: str, budget: i
     trials = int(raw.get("trials", 200))
     rng = random.Random(seed)
     suite = lemmas.appendix_suite_tree(int(raw.get("rank", 2)), trials, rng)
-    concat = _run_concat_suite(rng, trials=max(20, trials // 10))
+    try:
+        concat = _run_concat_suite(rng, trials=max(20, trials // 10), node_budget=budget)
+    except balls.BudgetExceeded:
+        concat = None  # a ledger outgrew the budget, so no concatenation suite
     doc_out = {"appendix": suite.to_json(), "concatenation": concat, "profile": profile}
     return Outcome([(f"{name}.json", _json_text(doc_out), None),
                     (f"{name}.txt", suite.summary() + "\n" + _concat_summary(concat) + "\n", None)],
-                   suite_failed=not (suite.all_green() and concat["failures"] == 0))
+                   partial=concat is None,
+                   suite_failed=not (suite.all_green() and (concat is None or concat["failures"] == 0)))
 
 
 def _run_probe(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
@@ -411,13 +415,16 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
     return status
 
 
-def _run_concat_suite(rng: random.Random, trials: int) -> dict:
+def _run_concat_suite(rng: random.Random, trials: int, node_budget: int | None) -> dict:
+    """The concatenation lemmas on random instances over measured F2 and B3
+    ledgers; raises :class:`~genlab.balls.BudgetExceeded` if a ledger's
+    ball or distance search outgrows ``node_budget``."""
     counts = {"midpoint": 0, "chain": 0, "distance-sum": 0, "quadratic": 0}
     failures = skipped = 0
     tree, action = build_cayley_tree(2)
     free = tree.group
     chain_ledger = measure_scaled_ledger(free, free.standard_gens(), action, free.element("a"), random.Random(0),
-                                         segment_length=4)
+                                         segment_length=4, node_budget=node_budget)
     for _ in range(trials):
         inst = lemmas.random_chain_instance(rng, n_segments=1, level=2, ledger=chain_ledger)
         v = lemmas.verify_midpoint_capture(inst)
@@ -442,7 +449,8 @@ def _run_concat_suite(rng: random.Random, trials: int) -> dict:
     braid = Braid3()
     gens = braid.standard_gens()
     ledger = measure_scaled_ledger(braid, gens, braid.tree_action(), braid.element("aB"),
-                                   random.Random(rng.randrange(10**9)), segment_length=4, sample_radius=4)
+                                   random.Random(rng.randrange(10**9)), segment_length=4, sample_radius=4,
+                                   node_budget=node_budget)
     m = int(ledger.chain_threshold(2)) + 1
     for _ in range(max(5, trials // 4)):
         qi = lemmas.random_quadratic_instance(rng, n_segments=m + rng.randrange(3, 6),
@@ -456,7 +464,9 @@ def _run_concat_suite(rng: random.Random, trials: int) -> dict:
     return {"trials": counts, "failures": failures, "skipped": skipped}
 
 
-def _concat_summary(concat: dict) -> str:
+def _concat_summary(concat: dict | None) -> str:
+    if concat is None:
+        return "concatenation suite: not run, a ledger outgrew the node budget"
     parts = [f"{k}: {v}" for k, v in sorted(concat["trials"].items())]
     return f"concatenation suite: {', '.join(parts)}; failures {concat['failures']}, skipped {concat['skipped']}"
 

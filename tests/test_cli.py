@@ -372,14 +372,29 @@ def test_fibers_budget_binds_fallback_searches(tmp_path):
         "ledger": {"dominating": "1", "segment_length": 2,
                    "window": ["1/4", "2/5"], "cut_window": ["1/4", "2/5"]},
     }]}
-    # #B(6) = 577 fits a budget of 600, but the norm searches for spliced
-    # braids outside the ball need 94 more nodes next to it
-    assert run(doc, tmp_path / "tight", 0, "scaled", 600) == 3
+    # a census holds its ball and nothing next to it: every norm and
+    # geodesic it asks for lies in the ball, so #B(6) = 577 nodes suffice
+    # and one node less leaves n = 6 out
+    assert run(doc, tmp_path / "tight", 0, "scaled", 576) == 3
     assert json.loads((tmp_path / "tight" / "fib.json").read_text())["reports"] == []
     assert json.loads((tmp_path / "tight" / "manifest.json").read_text())["partial"]
     assert run(doc, tmp_path / "a", 0, "scaled", None) == 0
-    assert run(doc, tmp_path / "b", 0, "scaled", 577 + 94) == 0
+    assert run(doc, tmp_path / "b", 0, "scaled", 577) == 0
     assert [r["n"] for r in json.loads((tmp_path / "a" / "fib.json").read_text())["reports"]] == [6]
+    assert _hashes(tmp_path / "a") == _hashes(tmp_path / "b")
+
+
+def test_verify_lemmas_budget_binds_the_concatenation_ledgers(tmp_path):
+    # the concatenation suite measures an F2 and a B3 ledger; a ledger that
+    # outgrows the budget leaves the suite out, and the run is partial
+    args = ["verify-lemmas", "--trials", "20"]
+    assert main(["--out-dir", str(tmp_path / "tight"), "--budget-nodes", "10"] + args) == 3
+    doc = json.loads((tmp_path / "tight" / "verify-lemmas.json").read_text())
+    assert doc["concatenation"] is None and doc["appendix"]
+    assert json.loads((tmp_path / "tight" / "manifest.json").read_text())["partial"]
+    assert main(["--out-dir", str(tmp_path / "a")] + args) == 0
+    assert main(["--out-dir", str(tmp_path / "b"), "--budget-nodes", "100000"] + args) == 0
+    assert json.loads((tmp_path / "a" / "verify-lemmas.json").read_text())["concatenation"]["failures"] == 0
     assert _hashes(tmp_path / "a") == _hashes(tmp_path / "b")
 
 
