@@ -13,15 +13,21 @@ integers.  The table cuts the keys of every prefix and suffix of an
 element's geodesic once, as running products of letter keys.  The action
 is an isometry, so the pair (segment based at b, g x0) has the diameters
 of (phi's identity-based segment, b^-1 g x0): the table reads them per
-translated key b^-1 g, from two tree distances computed once per key.  An
-:class:`~genlab.alignment.AlignmentReport` is built only for a
-certificate, a replacement or a failure that is returned.  A fiber census
-builds one index and one table per radius; with a thick window below 1 it
-asks for no norm outside its ball.  The negligibility probe decides core
-norms by membership in the spheres of its enumerated ball, and builds the
-set of conjugates h^-1 C h of the short cores C by the short h once per n,
-so it tests each shell element by one set lookup.  ``genericity`` and the
-probe stop at the last radius their ball completes within a node budget.
+translated key b^-1 g, from two tree distances computed once per key.
+Every verdict of the two maps depends on a prefix key or on a suffix key
+of the element alone, so the table memoizes it per key, not per element:
+the thick search ANDs a head bitmask of its candidates (by prefix key and
+window) with a tail bitmask (by suffix key), and a replacement map reads
+its segments per prefix key and its spliced keys with their tails per
+suffix key.  An :class:`~genlab.alignment.AlignmentReport` is built only
+for a certificate, a replacement or a failure that is returned.  A fiber
+census builds one index and one table per radius, so the memos go with
+it; with a thick window below 1 it asks for no norm outside its ball.
+The negligibility probe decides core norms by membership in the spheres
+of its enumerated ball, and builds the set of conjugates h^-1 C h of the
+short cores C by the short h once per n, so it tests each shell element
+by one set lookup.  ``genericity`` and the probe stop at the last radius
+their ball completes within a node budget.
 All ratios are exact rationals; only fitted decay exponents are floating
 point, each an exact least-squares slope over the float logs, rounded
 once.
@@ -234,11 +240,24 @@ class SegmentTable:
     length-n segment.  For a segment based at b those distances are
     d(b^-1 h x0, x0) and d(b^-1 h x0, phi^L x0), since the action is an
     isometry, so ``tail_at`` reads the pair by the key of b^-1 h alone, off
-    phi's identity-based segment, and computes it once per key.  The maps
-    decide on those integers and build an
-    :class:`~genlab.alignment.AlignmentReport` (``report``) only for what
-    they return.  The ledger constants the maps use are computed here once:
-    the alignment ``level``, the excised ``block`` length, the spliced
+    phi's identity-based segment, and computes it once per key.
+
+    The maps decide on those integers, and each verdict depends on one cut
+    key, so the table memoizes the verdicts per key.  Each memo holds one
+    value per cut key (per cut key and window for ``thick_heads``), and the
+    cut keys of a census lie in its ball:
+    - ``segments_at(w)``: each candidate s with the key w s and its entry,
+      read by both maps;
+    - ``thick_heads(w, lo, hi)``: a bitmask over the candidates s of the
+      segments based at w s whose basepoint pair is below the dominating
+      bound and whose least norm is in [lo, hi];
+    - ``thick_tails(v)``: a bitmask over the candidates s whose tail
+      ``tail_at(s^-1 v)`` is below it;
+    - ``splices(v)``: each candidate t with the key phi^L t v and its tail.
+
+    The maps build an :class:`~genlab.alignment.AlignmentReport` only for
+    what they return.  The ledger constants the maps use are computed here
+    once: the alignment ``level``, the excised ``block`` length, the spliced
     ``power`` phi^L, the linkage ``candidates`` (the identity, then S) with
     the keys of each candidate c's inverse (``inverse_keys``) and of
     phi^L c (``spliced_keys``), and the ceilings of ``level`` and
@@ -265,6 +284,10 @@ class SegmentTable:
         self._last_cut = None  # (key, prefix keys, suffix keys) of the last element cut
         self._origin = self.entry(self.model.identity())  # phi's identity-based segment
         self._tails: dict = {}  # key of b^-1 h -> tail of (b's segment, h x0)
+        self._thick_heads: dict = {}  # (prefix key, lo, hi) -> candidate bitmask
+        self._thick_tails: dict = {}  # suffix key -> candidate bitmask
+        self._segments: dict = {}  # prefix key w -> [(s, key of w s, entry)]
+        self._splices: dict = {}  # suffix key v -> [(t, key of phi^L t v, tail)]
 
     def cuts(self, g: GroupElement) -> tuple:
         """(prefix, suffix): the keys of s_1...s_i at ``prefix[i]`` and of
@@ -342,10 +365,61 @@ class SegmentTable:
             found = self._tails[key] = self.tail(self._origin, self.action.proj(GroupElement(self.model, key)))
         return found
 
-    def report(self, entry: SegmentEntry, point, level: Fraction, bound: int) -> AlignmentReport:
-        """``check_alignment`` of (basepoint, segment, point) at ``level``,
-        a Fraction (as every ledger constant is) of ceiling ``bound``."""
-        return assemble_report(level, bound, [entry.head, self.tail(entry, point)])
+    def thick_heads(self, key, lo: int, hi: int) -> int:
+        """The head verdicts of the thick search at a prefix key w in the
+        window [lo, hi]: bit c is set iff the segment based at w s, for
+        s = ``candidates[c]``, has its basepoint pair below the dominating
+        bound and its least norm (capped at hi + 1) in [lo, hi].  Memoized
+        per (key, lo, hi)."""
+        memo = (key, lo, hi)
+        mask = self._thick_heads.get(memo)
+        if mask is None:
+            mask, bound = 0, self.dominating_bound
+            for c, (_, _, entry) in enumerate(self.segments_at(key)):
+                if entry.worst < bound:
+                    best = self.least_norm(entry, hi + 1)
+                    if best is not None and lo <= best <= hi:
+                        mask |= 1 << c
+            self._thick_heads[memo] = mask
+        return mask
+
+    def thick_tails(self, key) -> int:
+        """The tail verdicts of the thick search at a suffix key v: bit c is
+        set iff the tail of (the segment based at w s, w v x0), for
+        s = ``candidates[c]`` and any w, is below the dominating bound.  That
+        tail is ``tail_at`` of s^-1 v, so it is memoized per key."""
+        mask = self._thick_tails.get(key)
+        if mask is None:
+            mask, mul, bound = 0, self.model.mul_keys, self.dominating_bound
+            for c, s_inverse in enumerate(self.inverse_keys):
+                if max(self.tail_at(mul(s_inverse, key))) < bound:
+                    mask |= 1 << c
+            self._thick_tails[key] = mask
+        return mask
+
+    def segments_at(self, key) -> list:
+        """(s, key of w s, entry of the segment based at w s) for each
+        candidate s, at a prefix key w; memoized per key."""
+        found = self._segments.get(key)
+        if found is None:
+            found = self._segments[key] = []
+            for s in self.candidates:
+                ws = self.model.mul_keys(key, s.key)
+                found.append((s, ws, self.entry_at(ws)))
+        return found
+
+    def splices(self, key) -> list:
+        """(t, key of phi^L t v, tail) for each candidate t, at a suffix key
+        v: phi^L t v is the spliced output w s phi^L t v translated back by
+        its segment's base w s, so the tail is that of every w and s.
+        Memoized per key."""
+        found = self._splices.get(key)
+        if found is None:
+            found = self._splices[key] = []
+            for t, spliced in zip(self.candidates, self.spliced_keys):
+                out = self.model.mul_keys(spliced, key)
+                found.append((t, out, self.tail_at(out)))
+        return found
 
 
 def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
@@ -404,24 +478,22 @@ class ThickSearchResult:
 
 def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
     """Window scan along the table ball's geodesic of g, with the left
-    perturbations of ``table.candidates``, deciding each candidate on
-    integers; the first that passes is certified by :func:`a_thick_certify`.
-    Sound when it answers yes; a no is heuristic."""
+    perturbations of ``table.candidates``.  Candidate (i, s) passes iff its
+    head verdict at prefix[i] and its tail verdict at suffix[i] both hold,
+    each read from the table's memos; the first that passes is certified by
+    :func:`a_thick_certify`.  Sound when it answers yes; a no is heuristic."""
     prefix, suffix = table.cuts(g)
     n = len(prefix) - 1
     lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
-    mul, bound = table.model.mul_keys, table.dominating_bound
     for i in range(lo, hi + 1):
-        for s, s_inverse in zip(table.candidates, table.inverse_keys):
-            entry = table.entry_at(mul(prefix[i], s.key))
-            best = table.least_norm(entry, hi + 1)
-            # the segment's base is b = prefix[i] s, and b^-1 g = s^-1 suffix[i]
-            if (best is not None and lo <= best <= hi
-                    and max(entry.worst, *table.tail_at(mul(s_inverse, suffix[i]))) < bound):
-                cert = a_thick_certify(table, g, entry.segment, norm=n)
-                return ThickSearchResult(True, witness=entry.segment, certificate=cert)
+        passing = table.thick_heads(prefix[i], lo, hi) & table.thick_tails(suffix[i])
+        if passing:
+            first = (passing & -passing).bit_length() - 1  # the first candidate that passes
+            _, _, entry = table.segments_at(prefix[i])[first]
+            cert = a_thick_certify(table, g, entry.segment, norm=n)
+            return ThickSearchResult(True, witness=entry.segment, certificate=cert)
     return ThickSearchResult(False)
 
 
@@ -453,12 +525,11 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
     linked power of the distinguished element: g = w l v  ->  w s phi^L t v.
 
     The linkage pair (s, t) is the first one in deterministic order whose
-    splice alignment certifies at the ledger level; the segments
-    w s (phi^0, ..., phi^L) come from the table, and w and v from its cut
-    keys.  The output translated back by the segment's base w s is
-    phi^L t v, whatever w and s are, so the tail of each t is read once per
-    call by that key.  Each pair is decided on the integer diameters; the
-    output key is built for the pair returned, and one report for the
+    splice alignment certifies at the ledger level.  w and v are the
+    table's cut keys; the segments w s (phi^0, ..., phi^L) are read per w
+    (``segments_at``), and the spliced keys phi^L t v with their tails
+    per v (``splices``).  Each pair is decided on the integer diameters;
+    the output key is built for the pair returned, and one report for the
     result or the failure.
     """
     prefix, suffix = table.cuts(g)
@@ -469,19 +540,15 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
     block = table.block
     if i + block > n:
         raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
-    mul, bound = table.model.mul_keys, table.level_bound
-    w, v = prefix[i], suffix[i + block]
-    spliced = [mul(k, v) for k in table.spliced_keys]  # phi^L t v for each t
-    tails = [table.tail_at(k) for k in spliced]
+    bound = table.level_bound
+    splices = table.splices(suffix[i + block])
     best = None  # (worst, entry, tail) of the first least-worst pair
-    for s in table.candidates:
-        ws = mul(w, s.key)
-        entry = table.entry_at(ws)
-        for t, key, tail in zip(table.candidates, spliced, tails):
+    for s, ws, entry in table.segments_at(prefix[i]):
+        for t, key, tail in splices:
             worst = max(entry.worst, *tail)
             if worst < bound:
                 report = assemble_report(table.level, bound, [entry.head, tail])
-                return Replacement(GroupElement(table.model, mul(ws, key)), i, s, t, report)
+                return Replacement(GroupElement(table.model, table.model.mul_keys(ws, key)), i, s, t, report)
             if best is None or worst < best[0]:
                 best = (worst, entry, tail)
     raise LinkageFailure(f"no linkage certified at level {table.level}",
@@ -606,14 +673,14 @@ def fiber_census(
     thick_skipped = 0
     degenerate = 0
     for r in range(inner + 1, n + 1):
+        lo, hi = table.cut_window(r)
+        indices = [i for i in range(max(lo, 1), hi + 1) if i + table.block <= r]
         for key in ball.spheres[r]:
             g = GroupElement(model, key)
             found = a_thick_search(table, g)
             if found.found:
                 thick_skipped += 1
                 continue
-            lo, hi = table.cut_window(r)
-            indices = [i for i in range(max(lo, 1), hi + 1) if i + table.block <= r]
             if not indices:
                 degenerate += 1
                 continue

@@ -236,16 +236,16 @@ def lipschitz_projection_bound(
     elements = [GroupElement(model, k) for k in sample_keys]
     k1 = Fraction(0)
     for g in elements:
-        d_seg = _distance_to_segment(model, gens, g, segment, r_max, node_budget)
+        # d_S(g, gamma) is the least d_S(g, h) over the segment's points h
+        d_gh = [word_distance(model, gens, g, h, r_max, node_budget) for h in segment.points]
+        d_seg = min((d for d in d_gh if d is not None), default=None)
         if d_seg is None:
             continue
         pg = segment_projection(action, segment, g)
-        for idx, h in enumerate(segment.points):
-            d_gh = word_distance(model, gens, g, h, r_max, node_budget)
-            if d_gh is None:
-                continue
-            diam = set_diameter(space, list(pg) + [segment.orbit_points[idx]])
-            k1 = max(k1, Fraction(d_gh, d_seg + diam + 1))
+        for d, orbit_point in zip(d_gh, segment.orbit_points):
+            if d is not None:
+                diam = set_diameter(space, list(pg) + [orbit_point])
+                k1 = max(k1, Fraction(d, d_seg + diam + 1))
     k0 = Fraction(0)
     for i, g in enumerate(elements):
         pg = segment_projection(action, segment, g)
@@ -365,8 +365,9 @@ def select_linkage(
     Minimizes, over (s, t) in (S u {id})^2, the larger of the two Gromov
     products (phi^i x0, s g x0)_x0 for i in [1, horizon] and
     (phi^-j x0, t g x0)_x0 for j in [1, horizon].  On trees the products
-    are eventually constant in i; the default horizon, 3 max(4, |phi|_S),
-    is checked to be in the stable range by doubling once.
+    are eventually constant in i; the default horizon is 3 max(4, |phi|_S).
+    ``achieved`` is read over [1, 2 horizon], a superset, so it is the
+    larger value when the horizon is not yet in the stable range.
     """
     require_loxodromic(action, phi)
     space = action.space
@@ -374,21 +375,20 @@ def select_linkage(
     if horizon is None:
         horizon = 3 * max(4, word_distance(model, gens, model.identity(), phi, math.inf))
     candidates = [model.identity()] + list(gens.elements)
+    axis = {}  # sign -> the points phi^(sign i) x0 for i in [1, 2 horizon]
+    for sign, step in ((+1, phi), (-1, phi.inverse())):
+        power, axis[sign] = step, []
+        for _ in range(2 * horizon):
+            axis[sign].append(action.proj(power))
+            power = power * step
 
     def side_max(w: GroupElement, sign: int, hz: int) -> Fraction:
         pt = action.proj(w * g)
-        return max(
-            gromov_product(space, action.proj(phi ** (sign * i)), pt, x0)
-            for i in range(1, hz + 1)
-        )
+        return max(gromov_product(space, p, pt, x0) for p in axis[sign][:hz])
 
     best_s = min(candidates, key=lambda s: (side_max(s, +1, horizon), s.key))
     best_t = min(candidates, key=lambda t: (side_max(t, -1, horizon), t.key))
-    ach = max(side_max(best_s, +1, horizon), side_max(best_t, -1, horizon))
-    ach2 = max(side_max(best_s, +1, 2 * horizon), side_max(best_t, -1, 2 * horizon))
-    if ach2 != ach:
-        ach = ach2  # horizon was not yet stable; report the larger value
-    return LinkageChoice(best_s, best_t, ach)
+    return LinkageChoice(best_s, best_t, max(side_max(best_s, +1, 2 * horizon), side_max(best_t, -1, 2 * horizon)))
 
 
 def measure_scaled_ledger(

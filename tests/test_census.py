@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genlab.alignment import as_geodesic, check_alignment, pair_diameters
+from genlab.alignment import as_geodesic, assemble_report, check_alignment, pair_diameters
 from genlab.balls import BallIndex, enumerate_ball, free_ball_count, word_distance
 from genlab.census import (
     LinkageFailure,
@@ -496,9 +496,9 @@ def test_negligibility_probe_matches_the_pair_scan_on_the_survey_points(f2):
 
 @pytest.mark.parametrize("which", ["f2", "zz23"])
 def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23, bass_serre, zz23_ledger):
-    # every report the table assembles from its stored (basepoint, segment)
-    # pair equals check_alignment on the whole sequence, and its least norms
-    # equal a word_distance search over the segment's points
+    # every report assembled from the table's stored (basepoint, segment)
+    # pair and its tail equals check_alignment on the whole sequence, and
+    # its least norms equal a word_distance search over the segment's points
     if which == "f2":
         model, action, ledger, phi, n = f2, tree2[1], f2_ledger, f2.element("a"), 8
     else:
@@ -535,7 +535,7 @@ def test_segment_table_matches_check_alignment(which, f2, tree2, f2_ledger, zz23
                 points = [action.proj(g)] + [action.proj(w * s * power * t * v) for t in candidates]
                 for p in points:
                     for level in levels:
-                        got = table.report(entry, p, level, math.ceil(level))
+                        got = assemble_report(level, math.ceil(level), [entry.head, table.tail(entry, p)])
                         want = check_alignment(space, [space.basepoint, seg.projected, p], level)
                         assert got == want
                         compared += 1
@@ -730,6 +730,46 @@ def test_thick_search_and_replacement_match_the_distance_reference(which):
     assert tally["thick"] and tally["thin"] and tally["replaced"]
 
 
+def _reference_census(table, shell):
+    """The counts of ``fiber_census`` over the shell of the table's ball,
+    with :func:`_reference_thick_search` and :func:`_reference_replacement`
+    in place of the memoized verdicts; None if a linkage fails."""
+    n = table.ball.radius
+    fibers, skipped = Counter(), Counter()
+    for r in range(math.floor(shell * n) + 1, n + 1):
+        for key in table.ball.spheres[r]:
+            g = GroupElement(table.model, key)
+            if _reference_thick_search(table, g)[0]:
+                skipped["thick"] += 1
+                continue
+            lo, hi = table.cut_window(r)
+            indices = [i for i in range(max(lo, 1), hi + 1) if i + table.block <= r]
+            skipped["degenerate"] += not indices
+            for i in indices:
+                want = _reference_replacement(table, g, i)
+                if want is None:
+                    return None
+                fibers[want[0]] += 1
+    return {"domain_size": sum(fibers.values()), "image_size": len(fibers),
+            "max_fiber": max(fibers.values(), default=0), "histogram": dict(Counter(fibers.values())),
+            "thick_skipped": skipped["thick"], "degenerate_skipped": skipped["degenerate"]}
+
+
+@pytest.mark.parametrize("which", list(_ORACLE_CASES))
+def test_half_shell_census_matches_the_distance_reference(which):
+    # with shell 1/2 one table serves the radii above n/2, each with its own
+    # thick and cut windows, so a verdict memoized under the wrong window or
+    # key would change a count
+    table, _ = _oracle_table(which)
+    shell, n = Fraction(1, 2), table.ball.radius
+    radii = range(math.floor(shell * n) + 1, n + 1)
+    assert len({table.thick_window(r) for r in radii}) > 1
+    want = _reference_census(table, shell)
+    assert want is not None and want["domain_size"] and want["thick_skipped"]
+    report = fiber_census(table.model, table.gens, table.action, table.phi, table.ledger, n, shell=shell)
+    assert {field: getattr(report, field) for field in want} == want
+
+
 @pytest.mark.parametrize("which", ["zz23", "f2", "braid3"])
 def test_tail_guard_never_fires_on_the_censuses(which, monkeypatch):
     # between tree vertices d(x, start) + d(x, end) - n = 2 d(x, segment),
@@ -749,3 +789,34 @@ def test_tail_guard_never_fires_on_the_censuses(which, monkeypatch):
     report = fiber_census(model, table.gens, table.action, table.phi, table.ledger, n)
     assert report.domain_size > 0 and len(seen) > 50
     assert all(two_i % 2 == 0 and 0 <= two_i <= 2 * length for two_i, length in seen)
+
+
+@pytest.mark.parametrize("which", ["zz23", "f2", "braid3", "appendix-tree"])
+def test_project_tree_guard_never_fires(which, monkeypatch):
+    # alignment.project falls back to a scan when 2i = d(x, start) + n -
+    # d(x, end) is odd or outside [0, 2n]; on a tree it never is.  Record 2i
+    # on every project call of a model's ledger measurement and census, and
+    # of the appendix suite on the free-group Cayley tree
+    from genlab import alignment, contraction, lemmas
+
+    seen = []
+    project = alignment.project
+
+    def recording_project(space, x, geo):
+        n = len(geo)
+        if space.is_tree and n > 0:
+            seen.append((space.distance(x, geo.start) + n - space.distance(x, geo.end), n))
+        return project(space, x, geo)
+
+    for module in (alignment, contraction, lemmas):
+        monkeypatch.setattr(module, "project", recording_project)
+    if which == "appendix-tree":
+        assert lemmas.appendix_suite_tree(2, 200, random.Random(13)).all_green()
+    else:
+        table, _ = _oracle_table(which)
+        model, gens, action, phi = table.model, table.gens, table.action, table.phi
+        measure_scaled_ledger(model, gens, action, phi, random.Random(7), segment_length=2, sample_radius=4)
+        report = fiber_census(model, gens, action, phi, table.ledger, table.ball.radius)
+        assert report.domain_size > 0
+    assert len(seen) > 50
+    assert all(two_i % 2 == 0 and 0 <= two_i <= 2 * n for two_i, n in seen)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from genlab.alignment import set_diameter
-from genlab.balls import BudgetExceeded, enumerate_ball
+from genlab.alignment import gromov_product, set_diameter
+from genlab.balls import BudgetExceeded, enumerate_ball, word_distance
 from genlab.contraction import (
+    LinkageChoice,
     NonLoxodromicError,
+    _distance_to_segment,
     lipschitz_projection_bound,
     measure_scaled_ledger,
     require_loxodromic,
@@ -220,3 +222,39 @@ def test_ledger_axis_word_norm_is_the_word_norm(braid, bass_serre, words):
     gens = GeneratingSet(braid, words)
     ledger = measure_scaled_ledger(braid, gens, bass_serre[2], phi, random.Random(0), segment_length=2, sample_radius=3)
     assert ledger.axis_word_norm == 2
+
+
+@pytest.mark.parametrize("which", ["braid3", "f2-ab"])
+def test_ledger_measurements_match_their_references(which, braid, bass_serre, f2, tree2):
+    # lipschitz_projection_bound reads d_S(g, gamma) as the least of the
+    # d_S(g, h) it computes, and select_linkage builds each phi^(+-i) x0
+    # once; both must equal the searches and powers they replace
+    if which == "braid3":
+        model, gens, action, phi = braid, braid.standard_gens(), bass_serre[2], braid.element("aB")
+    else:
+        model, gens, action, phi = f2, GeneratingSet(f2, ["a", "b", "ab"]), tree2[1], f2.element("a")
+    space, x0 = action.space, action.space.basepoint
+    segment = OrbitSegment(action, model.identity(), phi, 2)
+    keys = [k for sphere in enumerate_ball(model, gens, 3, keep_elements=True).elements for k in sphere]
+    keys = keys[:: max(1, len(keys) // 20)]
+    k1 = Fraction(0)
+    for key in keys:
+        g = GroupElement(model, key)
+        d_seg = _distance_to_segment(model, gens, g, segment, 64)
+        pg = segment_projection(action, segment, g)
+        for h, point in zip(segment.points, segment.orbit_points):
+            d = word_distance(model, gens, g, h, 64)
+            k1 = max(k1, Fraction(d, d_seg + set_diameter(space, list(pg) + [point]) + 1))
+    assert k1 > 0 and lipschitz_projection_bound(model, gens, action, segment, keys).recovery_constant == k1
+
+    def side_max(w, g, sign, horizon):
+        return max(gromov_product(space, action.proj(phi ** (sign * i)), action.proj(w * g), x0)
+                   for i in range(1, horizon + 1))
+
+    candidates = [model.identity()] + list(gens.elements)
+    for key in keys:
+        g = GroupElement(model, key)
+        s = min(candidates, key=lambda c: (side_max(c, g, +1, 8), c.key))
+        t = min(candidates, key=lambda c: (side_max(c, g, -1, 8), c.key))
+        achieved = max(side_max(s, g, +1, 16), side_max(t, g, -1, 16))
+        assert select_linkage(model, gens, action, phi, g, horizon=8) == LinkageChoice(s, t, achieved)
