@@ -46,20 +46,31 @@ def gromov_product(space: MetricSpaceModel, x, y, z) -> Fraction:
     return Fraction(space.distance(x, z) + space.distance(z, y) - space.distance(x, y), 2)
 
 
+def tree_projection(space: MetricSpaceModel, x, geo: Geodesic) -> tuple:
+    """(i, d(x, geo)) for a vertex x of a tree: x projects to the point at
+    index i of the length-n geodesic, the median of x and its endpoints,
+    where 2i = d(x, start) + n - d(x, end) is twice the Gromov product
+    (x, end)_start.  Between tree vertices d(x, start) + d(x, end) - n is
+    2 d(x, geo), so 2i is even and in [0, 2n]; any other value is an
+    error."""
+    n = len(geo)
+    d_start = space.distance(x, geo.start)
+    two_i = d_start + n - space.distance(x, geo.end)
+    if two_i % 2 or not 0 <= two_i <= 2 * n:
+        raise ValueError(f"{x!r} projects to no vertex of the geodesic (2i = {two_i}, n = {n})")
+    i = two_i // 2
+    return i, d_start - i
+
+
 def project(space: MetricSpaceModel, x, geo: Geodesic) -> ProjectionSet:
     """Exact nearest-point projection of x onto a finite geodesic.
 
-    On trees the projection is the median of x with the endpoints, found
-    from three distances; elsewhere every point is scanned.
+    On trees the projection is one median, found from two distances
+    (:func:`tree_projection`); elsewhere every point is scanned.
     """
-    n = len(geo)
-    if space.is_tree and n > 0:
-        d_start = space.distance(x, geo.start)
-        d_end = space.distance(x, geo.end)
-        two_i = d_start + n - d_end  # twice the Gromov product (x, end)_start
-        if two_i % 2 == 0 and 0 <= two_i <= 2 * n:
-            i = two_i // 2
-            return ProjectionSet(geo, d_start - i, (i,))
+    if space.is_tree and len(geo) > 0:
+        i, distance = tree_projection(space, x, geo)
+        return ProjectionSet(geo, distance, (i,))
     dists = [space.distance(x, p) for p in geo.points]
     best = min(dists)
     idx = tuple(i for i, d in enumerate(dists) if d == best)

@@ -363,6 +363,10 @@ class BallIndex:
         s_letters = tuple(reversed(self._walk(g.key)))
         return GeodesicWord(s_letters, self.gens.spell(s_letters))
 
+    def norm(self, key) -> Optional[int]:
+        """d_S(id, h) for the key of an h in the ball; None outside it."""
+        return len(self._walk(key)) if key in self._last else None
+
     def distance_from_identity(self, h: GroupElement, cap: int) -> Optional[int]:
         """``word_distance(model, gens, identity, h, cap)``: exact d_S(id, h)
         when it is at most ``cap``, else None."""
@@ -370,8 +374,8 @@ class BallIndex:
             n = self.model.exact_length(h.key)
             if n is not None:
                 return n if n <= cap else None
-        if h.key in self._last:
-            d = len(self._walk(h.key))
+        d = self.norm(h.key)
+        if d is not None:
             return d if d <= cap else None
         if cap <= self.radius:
             return None

@@ -14,15 +14,18 @@ element's geodesic once, as running products of letter keys.  The action
 is an isometry, so the pair (segment based at b, g x0) has the diameters
 of (phi's identity-based segment, b^-1 g x0): the table reads them per
 translated key b^-1 g, from two tree distances computed once per key.
-Every verdict of the two maps depends on a prefix key or on a suffix key
-of the element alone, so the table memoizes it per key, not per element:
-the thick search ANDs a head bitmask of its candidates (by prefix key and
-window) with a tail bitmask (by suffix key), and a replacement map reads
-its segments per prefix key and its spliced keys with their tails per
-suffix key.  An :class:`~genlab.alignment.AlignmentReport` is built only
-for a certificate, a replacement or a failure that is returned.  A fiber
-census builds one index and one table per radius, so the memos go with
-it; with a thick window below 1 it asks for no norm outside its ball.
+Every verdict of the thick search depends on a prefix key or on a suffix
+key of the element alone, and a replacement on the pair of its cut keys,
+so the table memoizes them per key, not per element: the thick search ANDs
+a head bitmask of its candidates (by prefix key and window) with a tail
+bitmask (by suffix key), and the linkage of a replacement, with its output
+key, is decided once per (prefix key, suffix key) pair, from segments read
+per prefix key and spliced keys with their tails per suffix key.  A fiber
+census reads only those output keys; an
+:class:`~genlab.alignment.AlignmentReport` is built only for a
+certificate, a replacement or a failure that is returned.  A census builds
+one index and one table per radius, so the memos go with it; with a thick
+window below 1 it asks for no norm outside its ball.
 The negligibility probe decides core norms by membership in the spheres
 of its enumerated ball, and builds the set of conjugates h^-1 C h of the
 short cores C by the short h once per n, so it tests each shell element
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .alignment import AlignmentReport, as_geodesic, assemble_report, pair_diameters
+from .alignment import AlignmentReport, as_geodesic, assemble_report, pair_diameters, tree_projection
 from .balls import BallIndex, BudgetExceeded, enumerate_ball, free_ball_count
 # not called here: perfbench's tracer test reads census.geodesic_representative
 from .balls import geodesic_representative  # noqa: F401
@@ -243,9 +246,10 @@ class SegmentTable:
     phi's identity-based segment, and computes it once per key.
 
     The maps decide on those integers, and each verdict depends on one cut
-    key, so the table memoizes the verdicts per key.  Each memo holds one
-    value per cut key (per cut key and window for ``thick_heads``), and the
-    cut keys of a census lie in its ball:
+    key or on a pair of them, so the table memoizes the verdicts per key.
+    Each memo holds one value per cut key (per cut key and window for
+    ``thick_heads``, per prefix and suffix key for ``linkage``), and the cut
+    keys of a census lie in its ball:
     - ``segments_at(w)``: each candidate s with the key w s and its entry,
       read by both maps;
     - ``thick_heads(w, lo, hi)``: a bitmask over the candidates s of the
@@ -253,7 +257,10 @@ class SegmentTable:
       bound and whose least norm is in [lo, hi];
     - ``thick_tails(v)``: a bitmask over the candidates s whose tail
       ``tail_at(s^-1 v)`` is below it;
-    - ``splices(v)``: each candidate t with the key phi^L t v and its tail.
+    - ``splices(v)``: each candidate t with the key phi^L t v and its tail;
+    - ``linkage(w, v)``: the first linkage pair (s, t) that certifies, with
+      the output key of w s phi^L t v, or the first least-worst pair when
+      none does (then each read raises :class:`LinkageFailure`).
 
     The maps build an :class:`~genlab.alignment.AlignmentReport` only for
     what they return.  The ledger constants the maps use are computed here
@@ -288,6 +295,7 @@ class SegmentTable:
         self._thick_tails: dict = {}  # suffix key -> candidate bitmask
         self._segments: dict = {}  # prefix key w -> [(s, key of w s, entry)]
         self._splices: dict = {}  # suffix key v -> [(t, key of phi^L t v, tail)]
+        self._linkages: dict = {}  # (prefix key w, suffix key v) -> (s, t, key of w s phi^L t v, entry, tail)
 
     def cuts(self, g: GroupElement) -> tuple:
         """(prefix, suffix): the keys of s_1...s_i at ``prefix[i]`` and of
@@ -345,17 +353,12 @@ class SegmentTable:
         return entry.norms[cap]
 
     def tail(self, entry: SegmentEntry, point) -> tuple:
-        """``pair_diameters`` of (segment, point): (n - i, 0), where
-        2i = d(point, start) + n - d(point, end) places the point's
-        projection at index i of the length-n segment.  Between tree
-        vertices 2i is even and in [0, 2n]; any other value is an error."""
+        """``pair_diameters`` of (segment, point): (n - i, 0), where i is
+        the index of the point's projection on the length-n segment, read
+        from :func:`~genlab.alignment.tree_projection` (which raises where
+        no vertex is that projection)."""
         geo = entry.segment.projected
-        space = self.action.space
-        n = len(geo.points) - 1
-        two_i = space.distance(point, geo.start) + n - space.distance(point, geo.end)
-        if two_i % 2 or not 0 <= two_i <= 2 * n:
-            raise ValueError(f"{point!r} projects to no vertex of the segment (2i = {two_i}, n = {n})")
-        return n - two_i // 2, 0
+        return len(geo) - tree_projection(self.action.space, point, geo)[0], 0
 
     def tail_at(self, key) -> tuple:
         """``tail`` of (the segment based at b, h x0) for the key of b^-1 h:
@@ -420,6 +423,34 @@ class SegmentTable:
                 out = self.model.mul_keys(spliced, key)
                 found.append((t, out, self.tail_at(out)))
         return found
+
+    def linkage(self, w, v) -> tuple:
+        """The replacement at the cut keys w and v: (s, t, key of
+        w s phi^L t v, entry of the segment based at w s, tail) for the first
+        linkage pair (s, t), in the order of ``segments_at(w)`` and
+        ``splices(v)``, whose worst diameter is below the level bound.
+        Memoized per (w, v), a failure too: when no pair passes, the memo
+        holds (None, None, None, entry, tail) of the first least-worst pair,
+        and each call raises :class:`LinkageFailure` with its report."""
+        found = self._linkages.get((w, v))
+        if found is None:
+            found = self._linkages[w, v] = self._first_linkage(w, v)
+        if found[0] is None:
+            raise LinkageFailure(f"no linkage certified at level {self.level}",
+                                 assemble_report(self.level, self.level_bound, [found[3].head, found[4]]))
+        return found
+
+    def _first_linkage(self, w, v) -> tuple:
+        bound, splices = self.level_bound, self.splices(v)
+        best = None  # (worst, entry, tail) of the first least-worst pair
+        for s, ws, entry in self.segments_at(w):
+            for t, key, tail in splices:
+                worst = max(entry.worst, *tail)
+                if worst < bound:
+                    return s, t, self.model.mul_keys(ws, key), entry, tail
+                if best is None or worst < best[0]:
+                    best = (worst, entry, tail)
+        return None, None, None, best[1], best[2]
 
 
 def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
@@ -525,34 +556,21 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
     linked power of the distinguished element: g = w l v  ->  w s phi^L t v.
 
     The linkage pair (s, t) is the first one in deterministic order whose
-    splice alignment certifies at the ledger level.  w and v are the
-    table's cut keys; the segments w s (phi^0, ..., phi^L) are read per w
-    (``segments_at``), and the spliced keys phi^L t v with their tails
-    per v (``splices``).  Each pair is decided on the integer diameters;
-    the output key is built for the pair returned, and one report for the
-    result or the failure.
+    splice alignment certifies at the ledger level.  It depends on g only
+    through the table's cut keys w and v, so it is read from the table's
+    memo (``linkage``), which raises :class:`LinkageFailure` when no pair
+    certifies; one report is built for the result.
     """
     prefix, suffix = table.cuts(g)
     n = len(prefix) - 1
     lo, hi = table.cut_window(n)
     if not (lo <= i <= hi):
         raise ValueError(f"cut index {i} outside window [{lo}, {hi}]")
-    block = table.block
-    if i + block > n:
-        raise ValueError(f"excised block [{i + 1}, {i + block}] does not fit in length {n}")
-    bound = table.level_bound
-    splices = table.splices(suffix[i + block])
-    best = None  # (worst, entry, tail) of the first least-worst pair
-    for s, ws, entry in table.segments_at(prefix[i]):
-        for t, key, tail in splices:
-            worst = max(entry.worst, *tail)
-            if worst < bound:
-                report = assemble_report(table.level, bound, [entry.head, tail])
-                return Replacement(GroupElement(table.model, table.model.mul_keys(ws, key)), i, s, t, report)
-            if best is None or worst < best[0]:
-                best = (worst, entry, tail)
-    raise LinkageFailure(f"no linkage certified at level {table.level}",
-                         assemble_report(table.level, bound, [best[1].head, best[2]]))
+    if i + table.block > n:
+        raise ValueError(f"excised block [{i + 1}, {i + table.block}] does not fit in length {n}")
+    s, t, out, entry, tail = table.linkage(prefix[i], suffix[i + table.block])
+    report = assemble_report(table.level, table.level_bound, [entry.head, tail])
+    return Replacement(GroupElement(table.model, out), i, s, t, report)
 
 
 @dataclass
@@ -661,6 +679,8 @@ def fiber_census(
 
     One :class:`BallIndex` of radius n supplies the shell and answers every
     geodesic and norm query of the thick search and the replacement map.
+    The image of each cut is the output key of the table's ``linkage`` at
+    the cut keys, the one value of the map this census reads.
     Raises :class:`BudgetExceeded` if that ball outgrows ``node_budget``.
     """
     ball = BallIndex(model, gens, n, node_budget=node_budget)
@@ -684,10 +704,11 @@ def fiber_census(
             if not indices:
                 degenerate += 1
                 continue
+            prefix, suffix = table.cuts(g)
             for i in indices:
-                rep = replacement_map(table, g, i)
-                domain += 1
-                fibers[rep.element.key] = fibers.get(rep.element.key, 0) + 1
+                out = table.linkage(prefix[i], suffix[i + table.block])[2]
+                fibers[out] = fibers.get(out, 0) + 1
+            domain += len(indices)
     histogram: dict = {}
     for size in fibers.values():
         histogram[size] = histogram.get(size, 0) + 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alignment import gromov_product, project, set_diameter
-from .balls import BudgetExceeded, enumerate_ball, word_distance
+from .balls import BallCensus, BallIndex, BudgetExceeded, enumerate_ball, word_distance
 from .groups import GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import Geodesic, GroupAction, MetricSpaceModel, OrbitSegment
@@ -123,14 +123,17 @@ def weak_contraction_profile(
     r_max: int = 64,
     seed: Optional[int] = None,
     node_budget: Optional[int] = None,
+    ball: Optional[BallCensus] = None,
 ) -> ContractionProfile:
     """Half-radius ball projections around random elements of given norms.
 
     For each sampled g, the ball of radius floor(factor * d_S(g, gamma)) is
     read from one exact ball enumeration and the projection diameter of its
     g-translate onto the segment's geodesic recorded.  The profile bound is
-    the max observed diameter.  Raises :class:`BudgetExceeded` if the ball
-    or a distance search outgrows ``node_budget`` nodes.
+    the max observed diameter.  ``ball`` is a kept ball to read from when it
+    reaches the radius needed; otherwise one is enumerated.  Raises
+    :class:`BudgetExceeded` if the ball or a distance search outgrows
+    ``node_budget`` nodes.
     """
     require_loxodromic(action, phi)
     segment = OrbitSegment(action, model.identity(), phi, segment_length)
@@ -143,7 +146,9 @@ def weak_contraction_profile(
     # the segment starts at the identity, so d_S(g, gamma) <= |g|_S <= top:
     # every projection ball is a prefix of this one
     top = max(sample_norms)
-    ball = _sample_ball(model, gens, max(top, int(factor * top)), node_budget)
+    needed = max(top, int(factor * top))
+    if ball is None or ball.radius < needed:
+        ball = _sample_ball(model, gens, needed, node_budget)
     for norm in sample_norms:
         sphere = ball.elements[norm]
         if not sphere:
@@ -224,20 +229,30 @@ def lipschitz_projection_bound(
     sample_keys: Sequence,
     r_max: int = 64,
     node_budget: Optional[int] = None,
+    ball: Optional[BallIndex] = None,
 ) -> LipschitzReport:
     """Measure the two coarse-Lipschitz constants of segment projections.
 
     recovery: d_S(g, h) <= K1 d_S(g, gamma) + K1 diam(pi(g) u h x0) + K1
     over orbit points h of the segment; proj: diam(pi(g) u pi(h)) <=
-    K0 d_S(g, h) + K0 over sample pairs.  Every distance search is bounded
-    by ``node_budget`` nodes (:class:`BudgetExceeded` beyond it).
+    K0 d_S(g, h) + K0 over sample pairs.  d_S(g, h) = |g^-1 h|_S is read
+    from ``ball`` when g^-1 h lies in it; every other distance is a search
+    bounded by ``node_budget`` nodes (:class:`BudgetExceeded` beyond it).
     """
     space = action.space
     elements = [GroupElement(model, k) for k in sample_keys]
+
+    def word_dist(g: GroupElement, h: GroupElement) -> Optional[int]:
+        if ball is not None:
+            d = ball.norm(model.mul_keys(model.inverse_key(g.key), h.key))
+            if d is not None:
+                return d if d <= r_max else None
+        return word_distance(model, gens, g, h, r_max, node_budget)
+
     k1 = Fraction(0)
     for g in elements:
         # d_S(g, gamma) is the least d_S(g, h) over the segment's points h
-        d_gh = [word_distance(model, gens, g, h, r_max, node_budget) for h in segment.points]
+        d_gh = [word_dist(g, h) for h in segment.points]
         d_seg = min((d for d in d_gh if d is not None), default=None)
         if d_seg is None:
             continue
@@ -250,7 +265,7 @@ def lipschitz_projection_bound(
     for i, g in enumerate(elements):
         pg = segment_projection(action, segment, g)
         for h in elements[i + 1 :]:
-            d_gh = word_distance(model, gens, g, h, r_max, node_budget)
+            d_gh = word_dist(g, h)
             if d_gh is None:
                 continue
             ph = segment_projection(action, segment, h)
@@ -431,13 +446,24 @@ def measure_scaled_ledger(
 
     meas_len = segment_length if segment_length is not None else 4
     profile = weak_contraction_profile(
-        model, gens, action, phi, meas_len,
-        sample_norms=[sample_radius - 1, sample_radius], rng=rng, samples_per_norm=6, node_budget=node_budget,
+        model, gens, action, phi, meas_len, sample_norms=[sample_radius - 1, sample_radius], rng=rng,
+        samples_per_norm=6, node_budget=node_budget, ball=ball,
     )
     f0 = Fraction(profile.bound)
 
     seg = OrbitSegment(action, model.identity(), phi, meas_len)
-    lip = lipschitz_projection_bound(model, gens, action, seg, sample_keys, node_budget=node_budget)
+    # Without a closed-form norm each d_S(g, h) is a search, which holds up
+    # to about 2 |B(sample_radius)| nodes.  Every sample pair lies in
+    # B(2 sample_radius), since |g^-1 h|_S <= |g|_S + |h|_S, and that ball has
+    # at most |B(sample_radius)|^2 elements: it is indexed once when that is
+    # no more than the searches it answers may hold.  An index the budget
+    # cuts short is no error; a query outside it is searched.
+    n = len(sample_keys)
+    searched = not (gens.standard and model.exact_length(model.identity_key()) is not None)
+    pairs = None
+    if searched and len(all_keys) <= 2 * (n * len(seg.points) + n * (n - 1) // 2):
+        pairs = BallIndex(model, gens, 2 * sample_radius, node_budget)
+    lip = lipschitz_projection_bound(model, gens, action, seg, sample_keys, node_budget=node_budget, ball=pairs)
 
     values = dict(
         delta=space.delta if space.delta is not None else Fraction(0),

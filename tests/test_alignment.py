@@ -63,6 +63,15 @@ def test_project_examples(tree2, f2):
         assert project(tree, x, geo).points == (geo.points[int(t)],)
 
 
+def test_tree_projection_rejects_a_path_that_is_not_a_geodesic(tree2, f2):
+    # two points three apart are no length-1 geodesic: 2i = 0 + 1 - 3 is out
+    # of range, and on a tree project raises where it used to scan
+    tree, action = tree2
+    start, end = action.proj(f2.identity()), action.proj(f2.element("aba"))
+    with pytest.raises(ValueError, match="projects to no vertex"):
+        project(tree, start, Geodesic((start, end)))
+
+
 def test_projection_fast_path_matches_generic(tree2):
     tree, _ = tree2
 

@@ -622,14 +622,15 @@ _ORACLE_CASES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_table(which):
+def _oracle_table(which, linkage_bound=1):
     """A table over a ball of the case's model on its tree, with a ledger
-    of dominating constant 1 and alignment level 2, and the ball's shell;
-    one per case, shared by the tests."""
+    of dominating constant 1 and alignment level linkage_bound + 1 (2 by
+    default), and the ball's shell; one per case and level, shared by the
+    tests."""
     model_id, words, phi, radius = _ORACLE_CASES[which]
     model = make_model(model_id)
     gens = model.standard_gens() if words is None else GeneratingSet(model, words)
-    ledger = ConstantLedger.scaled(0, 1, 1, 1, 1, 0, 1, 1, dominating=Fraction(1), segment_length=1,
+    ledger = ConstantLedger.scaled(0, 1, 1, 1, linkage_bound, 0, 1, 1, dominating=Fraction(1), segment_length=1,
                                    window=(Fraction(1, 4), Fraction(1, 2)), cut_window=(Fraction(1, 4), Fraction(1, 2)))
     ball = BallIndex(model, gens, radius)
     table = SegmentTable(ball, model.tree_action(), model.element(phi), ledger)
@@ -728,6 +729,75 @@ def test_thick_search_and_replacement_match_the_distance_reference(which):
             assert (rep.element.key, rep.s, rep.t, rep.report.pair_diameters) == want
             tally["replaced"] += 1
     assert tally["thick"] and tally["thin"] and tally["replaced"]
+
+
+def _reference_least_worst(table, g, i):
+    """The report of the first linkage pair of least worst diameter, each
+    segment built and each alignment checked from distances."""
+    model, gens, action = table.model, table.gens, table.action
+    space, length = action.space, table.ledger.segment_length
+    letters = table.ball.geodesic(g).s_letters
+    w = model.element(gens.spell(letters[:i]))
+    v = model.element(gens.spell(letters[i + table.block :]))
+    reports = []
+    for s in table.candidates:
+        seg = OrbitSegment(action, w * s, table.phi, length).projected
+        reports += [check_alignment(space, [space.basepoint, seg, action.proj(w * s * table.power * t * v)],
+                                    table.level) for t in table.candidates]
+    return _first_least_worst(reports)
+
+
+@pytest.mark.parametrize("linkage_bound", [1, -1], ids=["level-2", "level-0"])
+@pytest.mark.parametrize("which", list(_ORACLE_CASES))
+def test_linkage_memo_matches_the_reference(which, linkage_bound):
+    # a replacement depends on g only through its cut keys (w, v), and the
+    # table memoizes it per pair: at level 2 every linkage certifies and the
+    # memo must hold the reference's first certifying pair; at level 0 none
+    # does, and every read must raise with the first least-worst report
+    table, shell = _oracle_table(which, linkage_bound)
+    tally = Counter()
+    for g in shell:
+        prefix, suffix = table.cuts(g)
+        n = len(prefix) - 1
+        lo, hi = table.cut_window(n)
+        for i in range(max(lo, 1), min(hi, n - table.block) + 1):
+            want = _reference_replacement(table, g, i)
+            if want is None:
+                best = _reference_least_worst(table, g, i)
+                for read in (lambda: table.linkage(prefix[i], suffix[i + table.block]),
+                             lambda: replacement_map(table, g, i)):
+                    with pytest.raises(LinkageFailure) as failure:
+                        read()
+                    assert failure.value.best_report == best
+                tally["failure"] += 1
+                continue
+            s, t, out, entry, tail = table.linkage(prefix[i], suffix[i + table.block])
+            assert (out, s, t, [entry.head, tail]) == want
+            report = check_alignment(table.action.space, [table.action.space.basepoint, entry.segment.projected,
+                                                          table.action.proj(GroupElement(table.model, out))],
+                                     table.level)
+            assert replacement_map(table, g, i).report == report and report.aligned
+            tally["replaced"] += 1
+    assert set(tally) == {"replaced" if linkage_bound > 0 else "failure"}
+
+
+def test_fiber_census_decides_each_cut_key_pair_once(monkeypatch):
+    # the F2 n = 8 census of the fibers workload (seed 7) makes 15,066
+    # replacements on 288 distinct cut-key pairs (w, v); it computes one
+    # linkage per pair and reads the memo for the rest
+    model = make_model("free:2")
+    windows = (Fraction(1, 4), Fraction(2, 5))
+    gens, action, phi = model.standard_gens(), model.tree_action(), model.element("a")
+    ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(7), segment_length=2,
+                                   window=windows, cut_window=windows)
+    asked, computed = [], []
+    linkage, first_linkage = SegmentTable.linkage, SegmentTable._first_linkage
+    monkeypatch.setattr(SegmentTable, "linkage", lambda self, w, v: asked.append((w, v)) or linkage(self, w, v))
+    monkeypatch.setattr(SegmentTable, "_first_linkage",
+                        lambda self, w, v: computed.append((w, v)) or first_linkage(self, w, v))
+    report = fiber_census(model, gens, action, phi, ledger, 8)
+    assert report.domain_size == len(asked) == 15066
+    assert len(computed) == len(set(computed)) == len(set(asked)) == 288
 
 
 def _reference_census(table, shell):

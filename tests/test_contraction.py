@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from genlab import contraction
 from genlab.alignment import gromov_product, set_diameter
-from genlab.balls import BudgetExceeded, enumerate_ball, word_distance
+from genlab.balls import BallIndex, BudgetExceeded, enumerate_ball, word_distance
 from genlab.contraction import (
     LinkageChoice,
     NonLoxodromicError,
@@ -20,7 +21,7 @@ from genlab.contraction import (
     weak_contraction_profile,
     wpd_census,
 )
-from genlab.groups import GeneratingSet, GroupElement
+from genlab.groups import GeneratingSet, GroupElement, make_model
 from genlab.spaces import Geodesic, OrbitSegment, build_cayley_tree, grid_graph
 
 from conftest import random_reduced_word
@@ -215,6 +216,64 @@ def test_ledger_node_budget_binds_every_search(braid, bass_serre):
 
 
 @pytest.mark.parametrize("words", [["a", "b"], ["a", "b", "aba"]], ids=["ab", "ab-aba"])
+def test_ledger_reads_the_same_distances_from_its_ball(braid, bass_serre, words, monkeypatch):
+    # braid3 has no closed-form norm: the ledger reads its Lipschitz
+    # distances from one ball of twice the sample radius, and must measure
+    # what a search per distance measures
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return word_distance(*args)
+
+    def ledger():
+        searches.clear()
+        return measure_scaled_ledger(braid, GeneratingSet(braid, words), bass_serre[2], braid.element("aB"),
+                                     random.Random(5), segment_length=2, sample_radius=4).to_json()
+
+    monkeypatch.setattr(contraction, "word_distance", counted)
+    with_ball, searched_with_ball = ledger(), len(searches)
+    # a radius-0 index holds the identity alone, so every other distance is a search
+    monkeypatch.setattr(contraction, "BallIndex", lambda model, gens, radius, budget: BallIndex(model, gens, 0, budget))
+    assert ledger() == with_ball
+    assert len(searches) > searched_with_ball + 300
+
+
+@pytest.mark.parametrize("model_id, words, indexed", [
+    ("braid3", None, [10]),
+    ("free:2", None, []),  # closed-form norms, no searches to replace
+    ("free:2", ["a", "b", "ab"], []),  # #B(5) = 2,047 > 2 * 396 queries: B(10) could outgrow the searches
+], ids=["braid3", "f2", "f2-ab"])
+def test_ledger_indexes_its_pairs_only_where_it_pays(model_id, words, indexed, monkeypatch):
+    radii = []
+
+    def recorded(model, gens, radius, budget):
+        radii.append(radius)
+        return BallIndex(model, gens, radius, budget)
+
+    monkeypatch.setattr(contraction, "BallIndex", recorded)
+    model = make_model(model_id)
+    gens = model.standard_gens() if words is None else GeneratingSet(model, words)
+    phi = model.element("aB" if model_id == "braid3" else "a")
+    measure_scaled_ledger(model, gens, model.tree_action(), phi, random.Random(0), sample_radius=5)
+    assert radii == indexed
+
+
+def test_ledger_enumerates_its_sample_ball_once(braid, bass_serre, monkeypatch):
+    # the weak contraction profile samples from the ledger's own sample ball
+    radii = []
+
+    def counted(model, gens, radius, **kwargs):
+        radii.append(radius)
+        return enumerate_ball(model, gens, radius, **kwargs)
+
+    monkeypatch.setattr(contraction, "enumerate_ball", counted)
+    measure_scaled_ledger(braid, braid.standard_gens(), bass_serre[2], braid.element("aB"), random.Random(0),
+                          segment_length=2, sample_radius=4)
+    assert radii == [4]
+
+
+@pytest.mark.parametrize("words", [["a", "b"], ["a", "b", "aba"]], ids=["ab", "ab-aba"])
 def test_ledger_axis_word_norm_is_the_word_norm(braid, bass_serre, words):
     # |aB|_S = 2 under both sets, while the key word of aB has 24 letters
     phi = braid.element("aB")
@@ -224,13 +283,15 @@ def test_ledger_axis_word_norm_is_the_word_norm(braid, bass_serre, words):
     assert ledger.axis_word_norm == 2
 
 
-@pytest.mark.parametrize("which", ["braid3", "f2-ab"])
+@pytest.mark.parametrize("which", ["braid3", "braid3-aba", "f2-ab"])
 def test_ledger_measurements_match_their_references(which, braid, bass_serre, f2, tree2):
     # lipschitz_projection_bound reads d_S(g, gamma) as the least of the
-    # d_S(g, h) it computes, and select_linkage builds each phi^(+-i) x0
-    # once; both must equal the searches and powers they replace
-    if which == "braid3":
-        model, gens, action, phi = braid, braid.standard_gens(), bass_serre[2], braid.element("aB")
+    # d_S(g, h) it computes, searched or read from a ball, and select_linkage
+    # builds each phi^(+-i) x0 once; both must equal the searches and powers
+    # they replace
+    if which.startswith("braid3"):
+        gens = braid.standard_gens() if which == "braid3" else GeneratingSet(braid, ["a", "b", "aba"])
+        model, action, phi = braid, bass_serre[2], braid.element("aB")
     else:
         model, gens, action, phi = f2, GeneratingSet(f2, ["a", "b", "ab"]), tree2[1], f2.element("a")
     space, x0 = action.space, action.space.basepoint
@@ -246,6 +307,9 @@ def test_ledger_measurements_match_their_references(which, braid, bass_serre, f2
             d = word_distance(model, gens, g, h, 64)
             k1 = max(k1, Fraction(d, d_seg + set_diameter(space, list(pg) + [point]) + 1))
     assert k1 > 0 and lipschitz_projection_bound(model, gens, action, segment, keys).recovery_constant == k1
+    # B(4) holds some of the pairs' g^-1 h and not others
+    ball = BallIndex(model, gens, 4)
+    assert lipschitz_projection_bound(model, gens, action, segment, keys, ball=ball).recovery_constant == k1
 
     def side_max(w, g, sign, horizon):
         return max(gromov_product(space, action.proj(phi ** (sign * i)), action.proj(w * g), x0)
