@@ -5,6 +5,19 @@ exact.  Ball enumeration is a single-threaded breadth-first search; its
 ``workers`` argument is accepted and ignored (a GIL-bound thread pool gave
 no speedup), so outputs are the same for every worker setting.
 
+The BFS loops that know each node's last letter multiply it only by that
+letter's followers (:func:`_followers`, the first step of Cannon's cone
+types): if x = p·s was found from p, then x·t = p·(s·t) already lies in
+the ball whenever s·t is a generator or the identity, so x·t is not formed.
+A generating set is closed under inversion, so the rule holds for every
+model and generating set, and it skips only products that are already
+visited.  :func:`word_distance`'s bidirectional frontiers carry no
+letters, so it multiplies by every generator.  The enumeration and the
+index check their node budget within a sphere (after each pass, after
+each frontier key), so they stop one pass or one key after outgrowing it;
+the geodesic search checks after whole spheres, since its target may lie
+in the sphere that overruns the budget.
+
 :class:`BallIndex` keeps one shortlex BFS of a ball (the last S-letter of
 each element's shortlex-least geodesic) and answers geodesic and norm
 queries inside it by walking back, where :func:`geodesic_representative`
@@ -17,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .groups import GeneratingSet, GroupElement, GroupModel
@@ -89,35 +103,50 @@ def enumerate_ball(
 ) -> BallCensus:
     """BFS the ball of the given radius, deduplicating by canonical key.
 
-    ``workers`` is a no-op kept for callers that pass it.  If
-    ``node_budget`` is hit the census is returned truncated (sphere counts
-    up to the last complete radius are kept).
+    Each sphere is kept in buckets, one per discovering generator, and a
+    bucket is multiplied only by that generator's followers (see
+    :func:`_followers`); the identity is multiplied by every generator.
+    Spheres are sorted.  The table costs |S|² products; where the follower
+    rule leaves no redundant product (free groups, zz23 and free:2 over
+    {a, b, ab}) the BFS then forms exactly |B(R)| - 1 more.  ``workers`` is
+    a no-op kept for callers that pass it.  ``node_budget`` is checked
+    after each bucket × letter pass: once the visited nodes outgrow it the
+    census is returned truncated (sphere counts up to the last complete
+    radius are kept).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     ident = model.identity_key()
     visited = {ident}
-    frontier = [ident]
     sphere_counts = [1]
     spheres = [[ident]] if keep_elements else None
     gen_keys = [g.key for g in gens.elements]
+    follow = _followers(model, gen_keys)
     mul = model.mul_keys
+    limit = math.inf if node_budget is None else node_budget
     truncated = False
+    # (bucket, generator position, generator key): products of one pass are
+    # distinct, since x·t = y·t only when x = y
+    passes = [([ident], j, t) for j, t in enumerate(gen_keys)]
     for _r in range(radius):
-        new_frontier = []
-        for key in frontier:
-            for gk in gen_keys:
-                k = mul(key, gk)
-                if k not in visited:
-                    visited.add(k)
-                    new_frontier.append(k)
-        if node_budget is not None and len(visited) > node_budget:
-            truncated = True
+        buckets = [[] for _ in gen_keys]
+        for bucket, j, t in passes:
+            new = [k for k in map(mul, bucket, repeat(t)) if k not in visited]
+            visited.update(new)
+            buckets[j] += new
+            if len(visited) > limit:
+                truncated = True
+                break
+        if truncated:
             break
-        frontier = new_frontier
-        sphere_counts.append(len(frontier))
+        sphere_counts.append(sum(map(len, buckets)))
         if spheres is not None:
-            spheres.append(sorted(frontier))
+            # sorted buckets feed the next passes sorted runs, and the
+            # sphere sorts as a merge of them
+            for bucket in buckets:
+                bucket.sort()
+            spheres.append(sorted(chain.from_iterable(buckets)))
+        passes = [(bucket, j, gen_keys[j]) for bucket, row in zip(buckets, follow) if bucket for j in row]
 
     return BallCensus(
         model_name=model.name,
@@ -128,6 +157,40 @@ def enumerate_ball(
         truncated=truncated,
         key_repr=model.key_repr,
     )
+
+
+def _followers(model: GroupModel, gen_keys: list) -> list[list[int]]:
+    """For each generator s (by position in ``gen_keys``), the positions of
+    the generators t with s·t outside S ∪ {1}.
+
+    If x = p·s was found from p, then x·t = p·(s·t) lies within one step of
+    p, so a BFS need not form it; only the followers of its last letter can
+    leave the ball.  ``gen_keys`` must be closed under inversion.
+    """
+    near = set(gen_keys)
+    near.add(model.identity_key())
+    mul = model.mul_keys
+    return [[j for j, t in enumerate(gen_keys) if mul(s, t) not in near] for s in gen_keys]
+
+
+def _shortlex_steps(model: GroupModel, gens: GeneratingSet) -> dict:
+    """For each last S-letter of a shortlex BFS (0 at the identity), the
+    (letter, key) pairs it multiplies by, in ascending letter order.
+
+    Of several letters naming one element only the least can discover
+    anything, so the others are never multiplied; the identity takes every
+    remaining letter, and each letter only its followers.
+    """
+    step, seen = [], set()
+    for s in sorted(gens.signed_letters()):
+        key = gens.letter_element(s).key
+        if key not in seen:
+            seen.add(key)
+            step.append((s, key))
+    follow = {0: step}
+    for (s, _), row in zip(step, _followers(model, [key for _, key in step])):
+        follow[s] = [step[j] for j in row]
+    return follow
 
 
 def free_ball_count(rank: int, radius: int) -> int:
@@ -246,7 +309,12 @@ def geodesic_representative(
     """A geodesic word for g, or None if the budget runs out: the shortlex
     least one of a BFS, or the closed form's normal-form word, which need
     not be shortlex-least (a generating set lists each inverse as a
-    generator of its own, so in F_2 A is both S-letter -1 and 3)."""
+    generator of its own, so in F_2 A is both S-letter -1 and 3).
+
+    Each node is multiplied only by the followers of its last letter, read
+    from ``paths[k][-1]`` (see :func:`_followers`).  The budget is checked
+    after each whole sphere, not within one: the target may lie in the
+    sphere that overruns the budget, and it is still returned."""
     closed = _closed_form_geodesic(model, gens, g.key)
     if closed is not None:
         return closed
@@ -254,16 +322,16 @@ def geodesic_representative(
     ident = model.identity_key()
     # BFS in shortlex order: letters sorted ascending by signed index, and
     # within a radius the frontier is scanned in discovery (= shortlex) order.
-    letters = sorted(gens.signed_letters())
-    letter_keys = [(s, gens.letter_element(s).key) for s in letters]
+    follow = _shortlex_steps(model, gens)
+    mul = model.mul_keys
     paths = {ident: ()}
     frontier = [ident]
     while frontier:
         nxt = []
         for k in frontier:
             base = paths[k]
-            for s, gk in letter_keys:
-                nk = model.mul_keys(k, gk)
+            for s, gk in follow[base[-1] if base else 0]:
+                nk = mul(k, gk)
                 if nk not in paths:
                     paths[nk] = base + (s,)
                     if nk == target:
@@ -283,11 +351,15 @@ class BallIndex:
     The BFS runs as in :func:`geodesic_representative`, so the first visit
     of each element comes from the shortlex-least geodesic of its parent
     followed by the least letter; only that last S-letter is stored, and
-    ``geodesic`` walks back along it.  ``spheres[r]`` lists the keys at
+    ``geodesic`` walks back along it.  Each key is multiplied only by the
+    followers of its last letter (see :func:`_followers`); every product
+    skipped is already in the ball, so each first visit, sphere, geodesic
+    and norm is the one of the full BFS.  ``spheres[r]`` lists the keys at
     distance r in sorted order, as ``enumerate_ball(..., keep_elements=True)``
     does.  Queries about keys outside the ball fall back to the searches
-    they replace.  ``node_budget`` bounds the nodes held at once: if the
-    ball outgrows it, the index stops at the last complete radius and is
+    they replace.  ``node_budget`` bounds the nodes held at once and is
+    checked after each frontier key: once the ball outgrows it, the index
+    drops the partial sphere, stops at the last complete radius and is
     ``truncated``; a fallback search may hold what the ball leaves of it
     and raises :class:`BudgetExceeded` if it outgrows that.
     """
@@ -304,13 +376,8 @@ class BallIndex:
         self.model, self.gens, self.node_budget = model, gens, node_budget
         ident = model.identity_key()
         self._letter_keys = {s: gens.letter_element(s).key for s in gens.signed_letters()}
-        # of several letters naming one element only the least can discover
-        # anything, so the others are not multiplied at all
-        step, seen = [], set()
-        for s in sorted(self._letter_keys):
-            if self._letter_keys[s] not in seen:
-                seen.add(self._letter_keys[s])
-                step.append((s, self._letter_keys[s]))
+        follow = _shortlex_steps(model, gens)
+        limit = math.inf if node_budget is None else node_budget
         last = {ident: 0}  # key -> last S-letter of its geodesic; 0 at the identity
         self.spheres = [[ident]]
         self.truncated = False
@@ -319,15 +386,17 @@ class BallIndex:
         for _r in range(radius):
             nxt = []
             for k in frontier:
-                for s, gk in step:
+                for s, gk in follow[last[k]]:
                     nk = mul(k, gk)
                     if nk not in last:
                         last[nk] = s
                         nxt.append(nk)
-            if node_budget is not None and len(last) > node_budget:
+                if len(last) > limit:
+                    self.truncated = True
+                    break
+            if self.truncated:
                 for k in nxt:
                     del last[k]
-                self.truncated = True
                 break
             frontier = nxt
             self.spheres.append(sorted(nxt))

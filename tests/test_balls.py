@@ -1,5 +1,6 @@
 """Ball enumeration, distances, geodesics, translation lengths."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from genlab.balls import (
     BallIndex,
     _closed_form_geodesic,
+    _followers,
     center_coset_census,
     enumerate_ball,
     free_ball_count,
@@ -19,7 +21,7 @@ from genlab.balls import (
     translation_length,
     word_distance,
 )
-from genlab.groups import Braid3, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement
+from genlab.groups import Braid3, FiniteSample, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement
 
 from conftest import random_reduced_word, random_word
 
@@ -318,3 +320,152 @@ def test_ball_index_budget_matches_enumeration(braid):
     beyond = braid.element("aaaa")
     assert beyond.key not in index
     assert index.distance_from_identity(beyond, 8) == 4
+
+
+def unpruned_bfs(model, gens, radius):
+    """Independent reference: the plain shortlex BFS, which multiplies every
+    node by every signed S-letter in ascending order and prunes nothing.
+    Returns the sorted spheres and each key's first-visit S-letter path."""
+    letters = [(s, gens.letter_element(s).key) for s in sorted(gens.signed_letters())]
+    ident = model.identity_key()
+    paths = {ident: ()}
+    frontier, spheres = [ident], [[ident]]
+    for _ in range(radius):
+        nxt = []
+        for k in frontier:
+            for s, gk in letters:
+                nk = model.mul_keys(k, gk)
+                if nk not in paths:
+                    paths[nk] = paths[k] + (s,)
+                    nxt.append(nk)
+        frontier = nxt
+        spheres.append(sorted(nxt))
+    return spheres, paths
+
+
+def symmetric3() -> FiniteSample:
+    """S_3 generated by the transpositions (0 1) and (1 2); its ball
+    saturates at radius 3."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+    return FiniteSample("s3", table, [index[(1, 0, 2)], index[(0, 2, 1)]], ("s", "t"))
+
+
+def _unpruned_cases():
+    # none of these sets is flagged standard, so every geodesic is searched
+    f2, braid, zz23, c3, s3 = FreeGroup(2), Braid3(), FreeProductZ2Z3(), FiniteSample.cyclic(3), symmetric3()
+    return [
+        (f2, GeneratingSet(f2, ["a", "b"]), 5),
+        (f2, GeneratingSet(f2, ["a", "b", "ab"]), 4),
+        (zz23, GeneratingSet(zz23, ["x", "y"]), 10),
+        (braid, GeneratingSet(braid, ["a", "b"]), 6),
+        (braid, GeneratingSet(braid, ["a", "b", "aba"]), 4),
+        (c3, GeneratingSet(c3, ["t"]), 3),  # t·t = T is a generator: t has no follower
+        (s3, GeneratingSet(s3, ["s", "t"]), 5),
+    ]
+
+
+_UNPRUNED_IDS = ["f2", "f2-ab", "zz23", "braid3", "braid3-aba", "cyclic3", "s3"]
+
+
+@pytest.mark.parametrize("model,gens,radius", _unpruned_cases(), ids=_UNPRUNED_IDS)
+def test_enumerate_ball_matches_unpruned_bfs(model, gens, radius):
+    spheres, _ = unpruned_bfs(model, gens, radius)
+    census = enumerate_ball(model, gens, radius, keep_elements=True)
+    assert census.elements == spheres
+    assert census.sphere_counts == [len(s) for s in spheres]
+    assert enumerate_ball(model, gens, radius).sphere_counts == census.sphere_counts
+
+
+@pytest.mark.parametrize("model,gens,radius", _unpruned_cases(), ids=_UNPRUNED_IDS)
+def test_ball_index_matches_unpruned_bfs(model, gens, radius):
+    spheres, paths = unpruned_bfs(model, gens, radius)
+    index = BallIndex(model, gens, radius)
+    assert index.spheres == spheres
+    assert set(index._last) == set(paths)
+    for r, sphere in enumerate(spheres):
+        for key in sphere:
+            path = paths[key]
+            assert index._last[key] == (path[-1] if path else 0)
+            assert index.geodesic(GroupElement(model, key)).s_letters == path
+            assert index.norm(key) == r
+
+
+@pytest.mark.parametrize("model,gens,radius", _unpruned_cases(), ids=_UNPRUNED_IDS)
+def test_geodesic_representative_matches_unpruned_bfs(model, gens, radius):
+    spheres, paths = unpruned_bfs(model, gens, radius)
+    for r, sphere in enumerate(spheres):
+        # a budget of |B(r - 1)| is overrun only by the sphere that holds the
+        # target, and the search still returns it from there
+        budget = sum(map(len, spheres[:r]))
+        for key in sphere:
+            geo = geodesic_representative(model, gens, GroupElement(model, key), node_budget=budget)
+            assert geo is not None and geo.s_letters == paths[key]
+            assert geo.word == gens.spell(paths[key])
+
+
+class CountingModel:
+    """A model that counts the ``mul_keys`` calls made through it."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def mul_keys(self, a, b):
+        self.calls += 1
+        return self.inner.mul_keys(a, b)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_follower_table():
+    zz23 = FreeProductZ2Z3()
+    keys = [g.key for g in zz23.standard_gens().elements]  # x, y, Y
+    assert [len(row) for row in _followers(zz23, keys)] == [2, 1, 1]
+    for k in (1, 2, 3):
+        fk = FreeGroup(k)
+        keys = [g.key for g in fk.standard_gens().elements]
+        assert [len(row) for row in _followers(fk, keys)] == [2 * k - 1] * (2 * k)
+    c3 = FiniteSample.cyclic(3)
+    assert _followers(c3, [g.key for g in c3.standard_gens().elements]) == [[], []]
+
+
+@pytest.mark.parametrize(
+    "model,words,radius,ball",
+    [
+        (FreeGroup(3), None, 8, free_ball_count(3, 8)),
+        (FreeProductZ2Z3(), None, 24, 28_666),
+        (FreeGroup(2), ["a", "b", "ab"], 9, 524_287),
+    ],
+    ids=["f3", "zz23", "f2-ab"],
+)
+def test_enumerate_ball_forms_one_product_per_new_element(model, words, radius, ball):
+    # the follower rule leaves no redundant product on these sets: past the
+    # |S|² of the table, every product the BFS forms is a new element
+    gens = model.standard_gens() if words is None else GeneratingSet(model, words)
+    counting = CountingModel(model)
+    census = enumerate_ball(counting, gens, radius)
+    assert census.ball_count() == ball
+    assert counting.calls == len(gens) ** 2 + ball - 1
+
+
+def test_budget_stops_the_bfs_within_one_pass(f3):
+    gens = f3.standard_gens()
+    r, n_gens = 5, len(gens)
+    budget = free_ball_count(3, r) + 10
+    counting = CountingModel(f3)
+    census = enumerate_ball(counting, gens, 8, keep_elements=True, node_budget=budget)
+    assert census.truncated and census.radius == r
+    assert census.elements == enumerate_ball(f3, gens, r, keep_elements=True).elements
+    # the table, B(r), then one pass of sphere r + 1: the elements of sphere
+    # r ending in a, times a; a check after the whole sphere would have
+    # formed all |S(r + 1)| = 18,750 of its products first
+    assert counting.calls == n_gens**2 + free_ball_count(3, r) - 1 + free_sphere_count(3, r) // n_gens
+    counting.calls = 0
+    index = BallIndex(counting, gens, 8, node_budget=budget)
+    assert index.truncated and index.spheres == census.elements
+    assert len(index._last) == free_ball_count(3, r)  # the partial sphere is dropped
+    # the index stops after the frontier key that overruns the budget: each
+    # key of sphere r adds its five followers, and the third passes ball + 10
+    assert counting.calls == n_gens**2 + free_ball_count(3, r) - 1 + 3 * (n_gens - 1)

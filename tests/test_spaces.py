@@ -46,6 +46,35 @@ def test_tree_geodesics_unique_and_reversible(tree2):
             assert tree.distance(u, v) == 1
 
 
+def _isometric_spaces():
+    cayley, _ = build_cayley_tree(2)
+    bass_serre, _, _ = build_bass_serre_tree()
+    return [
+        (cayley, cayley.ball(cayley.basepoint, 3)),
+        (bass_serre, bass_serre.ball(bass_serre.basepoint, 5)),
+        (cycle_graph(7), range(7)),
+        (cycle_graph(8), range(8)),
+        (grid_graph(3, 4), range(12)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "space,points", _isometric_spaces(), ids=["cayley2", "bass-serre", "cycle7", "cycle8", "grid3x4"]
+)
+def test_every_geodesic_is_isometric(space, points):
+    # d(p_i, p_j) = |i - j| along every geodesic a space returns, between
+    # every pair of the given points
+    points = list(points)
+    for p in points:
+        for q in points:
+            geo = space.geodesic(p, q)
+            assert geo.start == p and geo.end == q and len(geo) == space.distance(p, q)
+            pts = geo.points
+            for i, u in enumerate(pts):
+                for j in range(i, len(pts)):
+                    assert space.distance(u, pts[j]) == j - i
+
+
 def test_cayley_tree_rank_validation():
     with pytest.raises(ValueError):
         build_cayley_tree(1)
