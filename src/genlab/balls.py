@@ -18,10 +18,11 @@ each frontier key), so they stop one pass or one key after outgrowing it;
 the geodesic search checks after whole spheres, since its target may lie
 in the sphere that overruns the budget.
 
-:class:`BallIndex` keeps one shortlex BFS of a ball (the last S-letter of
-each element's shortlex-least geodesic) and answers geodesic and norm
-queries inside it by walking back, where :func:`geodesic_representative`
-and :func:`word_distance` each run a new search per query.
+:class:`BallIndex` keeps one shortlex BFS tree of a ball (the last S-letter
+and the parent of each key) and answers geodesic and norm queries inside
+it by walking back through the parents, forming no product;
+:func:`geodesic_representative` grows such a tree until it meets its
+target, and :func:`word_distance` runs a new search per query.
 """
 
 from __future__ import annotations
@@ -311,36 +312,21 @@ def geodesic_representative(
     not be shortlex-least (a generating set lists each inverse as a
     generator of its own, so in F_2 A is both S-letter -1 and 3).
 
-    Each node is multiplied only by the followers of its last letter, read
-    from ``paths[k][-1]`` (see :func:`_followers`).  The budget is checked
-    after each whole sphere, not within one: the target may lie in the
-    sphere that overruns the budget, and it is still returned."""
+    The BFS is a :class:`BallIndex` grown a sphere at a time until it meets
+    g.  The budget is checked after each whole sphere, not within one: the
+    target may lie in the sphere that overruns the budget, and it is still
+    returned."""
     closed = _closed_form_geodesic(model, gens, g.key)
     if closed is not None:
         return closed
-    target = g.key
-    ident = model.identity_key()
-    # BFS in shortlex order: letters sorted ascending by signed index, and
-    # within a radius the frontier is scanned in discovery (= shortlex) order.
-    follow = _shortlex_steps(model, gens)
-    mul = model.mul_keys
-    paths = {ident: ()}
-    frontier = [ident]
+    tree = BallIndex(model, gens, 0)
+    frontier = tree.spheres[0]
     while frontier:
-        nxt = []
-        for k in frontier:
-            base = paths[k]
-            for s, gk in follow[base[-1] if base else 0]:
-                nk = mul(k, gk)
-                if nk not in paths:
-                    paths[nk] = base + (s,)
-                    if nk == target:
-                        sl = paths[nk]
-                        return GeodesicWord(sl, gens.spell(sl))
-                    nxt.append(nk)
-        if node_budget is not None and len(paths) > node_budget:
+        frontier, met = tree._grow(frontier, target=g.key)
+        if met:
+            return tree.geodesic(g)
+        if node_budget is not None and len(tree._last) > node_budget:
             return None
-        frontier = nxt
     return None
 
 
@@ -348,10 +334,12 @@ class BallIndex:
     """The ball of a given radius from one shortlex BFS, answering geodesic
     and norm queries without a new search.
 
-    The BFS runs as in :func:`geodesic_representative`, so the first visit
-    of each element comes from the shortlex-least geodesic of its parent
-    followed by the least letter; only that last S-letter is stored, and
-    ``geodesic`` walks back along it.  Each key is multiplied only by the
+    Each element is first visited from its parent, the prefix of its
+    shortlex-least geodesic one letter shorter (shortlex-least geodesics
+    are prefix-closed), by the least letter.  The index stores each key's
+    last S-letter and parent, and ``walk`` follows the parents back to the
+    identity, so ``geodesic``, ``norm`` and a geodesic's prefixes are read
+    without forming a product.  Each key is multiplied only by the
     followers of its last letter (see :func:`_followers`); every product
     skipped is already in the ball, so each first visit, sphere, geodesic
     and norm is the one of the full BFS.  ``spheres[r]`` lists the keys at
@@ -375,48 +363,57 @@ class BallIndex:
             raise ValueError("radius must be >= 0")
         self.model, self.gens, self.node_budget = model, gens, node_budget
         ident = model.identity_key()
-        self._letter_keys = {s: gens.letter_element(s).key for s in gens.signed_letters()}
-        follow = _shortlex_steps(model, gens)
-        limit = math.inf if node_budget is None else node_budget
-        last = {ident: 0}  # key -> last S-letter of its geodesic; 0 at the identity
+        self._follow = _shortlex_steps(model, gens)
+        self._last = {ident: 0}  # key -> last S-letter of its geodesic; 0 at the identity
+        self._parent = {}  # key -> the key one letter back; none at the identity
         self.spheres = [[ident]]
         self.truncated = False
-        frontier = [ident]
-        mul = model.mul_keys
+        limit = math.inf if node_budget is None else node_budget
+        frontier = self.spheres[0]
         for _r in range(radius):
-            nxt = []
-            for k in frontier:
-                for s, gk in follow[last[k]]:
-                    nk = mul(k, gk)
-                    if nk not in last:
-                        last[nk] = s
-                        nxt.append(nk)
-                if len(last) > limit:
-                    self.truncated = True
-                    break
+            frontier, self.truncated = self._grow(frontier, limit)
             if self.truncated:
-                for k in nxt:
-                    del last[k]
+                for k in frontier:
+                    del self._last[k], self._parent[k]
                 break
-            frontier = nxt
-            self.spheres.append(sorted(nxt))
-        self._last = last
+            self.spheres.append(sorted(frontier))
         self.radius = len(self.spheres) - 1
+
+    def _grow(self, frontier: list, limit=math.inf, target=None) -> tuple:
+        """The keys one letter past ``frontier``, stored with their last letter
+        and parent, in discovery (= shortlex) order when ``frontier`` is; and
+        whether it stopped early, after the frontier key whose products
+        outgrow ``limit`` nodes or reach ``target``."""
+        last, parent, follow, mul = self._last, self._parent, self._follow, self.model.mul_keys
+        nxt = []
+        for k in frontier:
+            for s, gk in follow[last[k]]:
+                nk = mul(k, gk)
+                if nk not in last:
+                    last[nk] = s
+                    parent[nk] = k
+                    nxt.append(nk)
+            if len(last) > limit or target in last:
+                return nxt, True
+        return nxt, False
 
     def __contains__(self, key) -> bool:
         return key in self._last
 
-    def _walk(self, key) -> list:
-        """The S-letters of the shortlex-least geodesic of a key in the
-        ball, last letter first."""
-        out = []
-        last, inverse, mul = self._last, self._letter_keys, self.model.mul_keys
+    def walk(self, key) -> tuple:
+        """(keys, letters) along the shortlex-least geodesic s_1...s_n of a
+        key in the ball, walked back through the parents: ``keys`` are the
+        prefixes s_1...s_i for i = n down to 0 (the key first, the identity
+        last) and ``letters`` are s_n, ..., s_1.  Forms no product."""
+        keys, letters = [key], []
+        last, parent = self._last, self._parent
         s = last[key]
         while s:
-            out.append(s)
-            key = mul(key, inverse[-s])
+            letters.append(s)
+            key = parent[key]
+            keys.append(key)
             s = last[key]
-        return out
+        return keys, letters
 
     def geodesic(self, g: GroupElement) -> Optional[GeodesicWord]:
         """``geodesic_representative(model, gens, g)``, by a walk back
@@ -429,12 +426,12 @@ class BallIndex:
             if geo is None:
                 raise BudgetExceeded(f"a geodesic search outgrew the node budget {self.node_budget}")
             return geo
-        s_letters = tuple(reversed(self._walk(g.key)))
+        s_letters = tuple(reversed(self.walk(g.key)[1]))
         return GeodesicWord(s_letters, self.gens.spell(s_letters))
 
     def norm(self, key) -> Optional[int]:
         """d_S(id, h) for the key of an h in the ball; None outside it."""
-        return len(self._walk(key)) if key in self._last else None
+        return len(self.walk(key)[1]) if key in self._last else None
 
     def distance_from_identity(self, h: GroupElement, cap: int) -> Optional[int]:
         """``word_distance(model, gens, identity, h, cap)``: exact d_S(id, h)

@@ -10,7 +10,8 @@ geodesic and norm query (a radius-0 index answers them by a new search
 each), and the table builds each orbit segment once, with its basepoint
 alignment pair and the least norm of its points.  They run on keys and
 integers.  The table cuts the keys of every prefix and suffix of an
-element's geodesic once, as running products of letter keys.  The action
+element's geodesic once: the prefixes of an element of the ball are its
+ancestors in the index's BFS tree, so only suffixes are products.  The action
 is an isometry, so the pair (segment based at b, g x0) has the diameters
 of (phi's identity-based segment, b^-1 g x0): the table reads them per
 translated key b^-1 g, from two tree distances computed once per key.
@@ -233,14 +234,17 @@ class SegmentTable:
     A radius-0 ball is the plain search path: every query but the
     identity's falls back to ``geodesic_representative`` or
     ``word_distance``.  ``cuts(g)`` gives the keys of every prefix and
-    suffix of the ball's geodesic of g, as running products of letter keys;
-    a census visits one g at a time, so one memo slot serves its thick
-    search and all its replacement maps.  Every alignment sequence of the
-    thick search and the replacement maps is (basepoint, segment, h x0).
-    Its first pair depends on the segment alone, so it is stored, and
-    ``tail`` gives the pair (segment, h x0): the integers (n - i, 0), from
-    the two tree distances that place h x0's projection at index i of the
-    length-n segment.  For a segment based at b those distances are
+    suffix of the ball's geodesic of g.  For a g in the ball the prefixes
+    are read off the ball's parents, g's ancestors in its BFS tree, and the
+    suffixes are running products of the letter keys read along them; for
+    a g outside it both are running products of the searched geodesic's
+    letter keys.  A census visits one g at a time, so one memo slot serves
+    its thick search and all its replacement maps.  Every alignment
+    sequence of the thick search and the replacement maps is (basepoint,
+    segment, h x0).  Its first pair depends on the segment alone, so it is
+    stored, and ``tail`` gives the pair (segment, h x0): the integers
+    (n - i, 0), from the two tree distances that place h x0's projection at
+    index i of the length-n segment.  For a segment based at b those distances are
     d(b^-1 h x0, x0) and d(b^-1 h x0, phi^L x0), since the action is an
     isometry, so ``tail_at`` reads the pair by the key of b^-1 h alone, off
     phi's identity-based segment, and computes it once per key.
@@ -303,13 +307,19 @@ class SegmentTable:
         of g; kept for the last g asked about."""
         memo = self._last_cut
         if memo is None or memo[0] != g.key:
-            letter_keys = [self._letter_keys[s] for s in self.ball.geodesic(g).s_letters]
-            mul, ident = self.model.mul_keys, self.model.identity_key()
-            prefix, suffix = [ident], [ident]
-            for k in letter_keys:
-                prefix.append(mul(prefix[-1], k))
-            for k in reversed(letter_keys):
-                suffix.append(mul(k, suffix[-1]))
+            mul, ident, letter_keys = self.model.mul_keys, self.model.identity_key(), self._letter_keys
+            if g.key in self.ball:  # walked back: g first, its last letter first
+                prefix, letters = self.ball.walk(g.key)
+                prefix.reverse()
+            else:
+                s_letters = self.ball.geodesic(g).s_letters
+                prefix = [ident]
+                for s in s_letters:
+                    prefix.append(mul(prefix[-1], letter_keys[s]))
+                letters = reversed(s_letters)
+            suffix = [ident]
+            for s in letters:
+                suffix.append(mul(letter_keys[s], suffix[-1]))
             suffix.reverse()
             memo = self._last_cut = (g.key, prefix, suffix)
         return memo[1], memo[2]

@@ -243,7 +243,7 @@ class Outcome:
     suite_failed: bool = False
 
 
-def _run_enumerate(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_enumerate(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     radius = int(_require(raw, "radius", path))
@@ -254,7 +254,7 @@ def _run_enumerate(exp: ExperimentConfig, seed: int, profile: str, budget: int |
                    partial=cen.truncated)
 
 
-def _run_classify(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_classify(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     raw, name, path = exp.raw, exp.name, exp.path
     model, _ = _build_model_gens(raw, path)
     verdicts = []
@@ -264,7 +264,7 @@ def _run_classify(exp: ExperimentConfig, seed: int, profile: str, budget: int | 
     return Outcome([(f"{name}.json", _json_text(verdicts), None)])
 
 
-def _run_genericity(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_genericity(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     radius = int(_require(raw, "radius", path))
@@ -278,7 +278,7 @@ def _run_genericity(exp: ExperimentConfig, seed: int, profile: str, budget: int 
                     (f"{name}.dat", curve.plot_data(), None)], partial=curve.truncated)
 
 
-def _run_fibers(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     action = model.tree_action()
@@ -305,7 +305,7 @@ def _run_fibers(exp: ExperimentConfig, seed: int, profile: str, budget: int | No
                    partial=over_budget)
 
 
-def _run_verify_lemmas(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_verify_lemmas(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     raw, name = exp.raw, exp.name
     trials = int(raw.get("trials", 200))
     rng = random.Random(seed)
@@ -314,14 +314,14 @@ def _run_verify_lemmas(exp: ExperimentConfig, seed: int, profile: str, budget: i
         concat = _run_concat_suite(rng, trials=max(20, trials // 10), node_budget=budget)
     except balls.BudgetExceeded:
         concat = None  # a ledger outgrew the budget, so no concatenation suite
-    doc_out = {"appendix": suite.to_json(), "concatenation": concat, "profile": profile}
+    doc_out = {"appendix": suite.to_json(), "concatenation": concat, "profile": "scaled"}
     return Outcome([(f"{name}.json", _json_text(doc_out), None),
                     (f"{name}.txt", suite.summary() + "\n" + _concat_summary(concat) + "\n", None)],
                    partial=concat is None,
                    suite_failed=not (suite.all_green() and (concat is None or concat["failures"] == 0)))
 
 
-def _run_probe(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_probe(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     n_values = [int(n) for n in _require(raw, "n_values", path)]
@@ -342,9 +342,9 @@ _RUNNERS = {
 _KINDS = tuple(_RUNNERS)
 
 
-def _run_one(exp: ExperimentConfig, seed: int, profile: str, budget: int | None) -> Outcome:
+def _run_one(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
     # the runner is looked up where the experiment runs, in a worker too
-    return _RUNNERS[exp.kind](exp, seed, profile, budget)
+    return _RUNNERS[exp.kind](exp, seed, budget)
 
 
 def _usable_cores() -> int:
@@ -402,7 +402,7 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
     }
     status = 0
     with _experiment_map(workers, len(experiments)) as mapper:
-        for outcome in mapper(partial(_run_one, seed=seed, profile=profile, budget=budget_nodes), experiments):
+        for outcome in mapper(partial(_run_one, seed=seed, budget=budget_nodes), experiments):
             for rel, text, flags in outcome.outputs:
                 _write(out_dir, rel, text, manifest, flags)
             manifest["partial"] |= outcome.partial

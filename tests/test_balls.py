@@ -23,7 +23,7 @@ from genlab.balls import (
 )
 from genlab.groups import Braid3, FiniteSample, FreeGroup, FreeProductZ2Z3, GeneratingSet, GroupElement
 
-from conftest import random_reduced_word, random_word
+from conftest import CountingModel, random_generating_sets, random_reduced_word, random_word, unpruned_bfs
 
 
 def naive_free_ball(rank: int, radius: int) -> set:
@@ -322,27 +322,6 @@ def test_ball_index_budget_matches_enumeration(braid):
     assert index.distance_from_identity(beyond, 8) == 4
 
 
-def unpruned_bfs(model, gens, radius):
-    """Independent reference: the plain shortlex BFS, which multiplies every
-    node by every signed S-letter in ascending order and prunes nothing.
-    Returns the sorted spheres and each key's first-visit S-letter path."""
-    letters = [(s, gens.letter_element(s).key) for s in sorted(gens.signed_letters())]
-    ident = model.identity_key()
-    paths = {ident: ()}
-    frontier, spheres = [ident], [[ident]]
-    for _ in range(radius):
-        nxt = []
-        for k in frontier:
-            for s, gk in letters:
-                nk = model.mul_keys(k, gk)
-                if nk not in paths:
-                    paths[nk] = paths[k] + (s,)
-                    nxt.append(nk)
-        frontier = nxt
-        spheres.append(sorted(nxt))
-    return spheres, paths
-
-
 def symmetric3() -> FiniteSample:
     """S_3 generated by the transpositions (0 1) and (1 2); its ball
     saturates at radius 3."""
@@ -405,18 +384,54 @@ def test_geodesic_representative_matches_unpruned_bfs(model, gens, radius):
             assert geo.word == gens.spell(paths[key])
 
 
-class CountingModel:
-    """A model that counts the ``mul_keys`` calls made through it."""
+_RANDOM_SETS = random_generating_sets()
+_RANDOM_IDS = [f"random-{model_id}-{i}" for i, (model_id, _, _) in enumerate(_RANDOM_SETS)]
 
-    def __init__(self, inner):
-        self.inner, self.calls = inner, 0
 
-    def mul_keys(self, a, b):
-        self.calls += 1
-        return self.inner.mul_keys(a, b)
+@pytest.mark.parametrize(
+    "model,gens,radius",
+    _unpruned_cases() + [(gens.model, gens, radius) for _, gens, radius in _RANDOM_SETS],
+    ids=_UNPRUNED_IDS + _RANDOM_IDS,
+)
+def test_ball_index_walks_the_unpruned_bfs_tree(model, gens, radius):
+    # each key's parent is its first-visit path one letter shorter, and a
+    # walk back reads the keys of every prefix of that path, on the fixed
+    # sets and on random ones (repeated elements, shuffled letter order)
+    spheres, paths = unpruned_bfs(model, gens, radius)
+    by_path = {path: key for key, path in paths.items()}
+    index = BallIndex(model, gens, radius)
+    assert index.spheres == spheres
+    assert set(index._parent) == set(paths) - {model.identity_key()}
+    for r, sphere in enumerate(spheres):
+        budget = sum(map(len, spheres[:r]))
+        for n, key in enumerate(sphere):
+            path = paths[key]
+            keys, letters = index.walk(key)
+            assert keys == [by_path[path[:i]] for i in range(r, -1, -1)]
+            assert letters == list(reversed(path))
+            assert index.geodesic(GroupElement(model, key)).s_letters == path
+            assert index.norm(key) == r
+            if n < 3:  # the search grows the same tree up to its target
+                geo = geodesic_representative(model, gens, GroupElement(model, key), node_budget=budget)
+                assert geo.s_letters == path
 
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+
+@pytest.mark.parametrize(
+    "model,words,radius",
+    [(Braid3(), ["a", "b", "aba"], 5), (FreeGroup(2), ["a", "b", "ab"], 4), (FreeProductZ2Z3(), ["x", "y"], 10)],
+    ids=["braid3-aba", "f2-ab", "zz23"],
+)
+def test_ball_index_walks_form_no_product(model, words, radius):
+    # sets not flagged standard, so no closed form answers: every geodesic,
+    # norm and walk of a key in the ball is read from the stored parents
+    counting = CountingModel(model)
+    index = BallIndex(counting, GeneratingSet(model, words), radius)
+    counting.calls = 0
+    for r, sphere in enumerate(index.spheres):
+        for key in sphere:
+            assert len(index.geodesic(GroupElement(counting, key))) == index.norm(key) == r
+            assert len(index.walk(key)[0]) == r + 1
+    assert counting.calls == 0
 
 
 def test_follower_table():
@@ -466,6 +481,7 @@ def test_budget_stops_the_bfs_within_one_pass(f3):
     index = BallIndex(counting, gens, 8, node_budget=budget)
     assert index.truncated and index.spheres == census.elements
     assert len(index._last) == free_ball_count(3, r)  # the partial sphere is dropped
+    assert len(index._parent) == free_ball_count(3, r) - 1  # with its parents
     # the index stops after the frontier key that overruns the budget: each
     # key of sphere r adds its five followers, and the third passes ball + 10
     assert counting.calls == n_gens**2 + free_ball_count(3, r) - 1 + 3 * (n_gens - 1)

@@ -35,7 +35,7 @@ from genlab.groups import Braid3, FiniteSample, FreeGroup, GeneratingSet, GroupE
 from genlab.ledger import ConstantLedger
 from genlab.spaces import GroupAction, OrbitSegment, build_cayley_tree, cycle_graph
 
-from conftest import random_reduced_word, random_word
+from conftest import CountingModel, random_generating_sets, random_reduced_word, random_word, unpruned_bfs
 
 
 def test_classify_worked_examples(braid):
@@ -781,23 +781,81 @@ def test_linkage_memo_matches_the_reference(which, linkage_bound):
     assert set(tally) == {"replaced" if linkage_bound > 0 else "failure"}
 
 
+@functools.lru_cache(maxsize=None)
+def _fibers_f2_ledger():
+    """The ledger of the fibers workload's F2 experiment at seed 7."""
+    model = make_model("free:2")
+    windows = (Fraction(1, 4), Fraction(2, 5))
+    return measure_scaled_ledger(model, model.standard_gens(), model.tree_action(), model.element("a"),
+                                 random.Random(7), segment_length=2, window=windows, cut_window=windows)
+
+
 def test_fiber_census_decides_each_cut_key_pair_once(monkeypatch):
     # the F2 n = 8 census of the fibers workload (seed 7) makes 15,066
     # replacements on 288 distinct cut-key pairs (w, v); it computes one
     # linkage per pair and reads the memo for the rest
     model = make_model("free:2")
-    windows = (Fraction(1, 4), Fraction(2, 5))
     gens, action, phi = model.standard_gens(), model.tree_action(), model.element("a")
-    ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(7), segment_length=2,
-                                   window=windows, cut_window=windows)
     asked, computed = [], []
     linkage, first_linkage = SegmentTable.linkage, SegmentTable._first_linkage
     monkeypatch.setattr(SegmentTable, "linkage", lambda self, w, v: asked.append((w, v)) or linkage(self, w, v))
     monkeypatch.setattr(SegmentTable, "_first_linkage",
                         lambda self, w, v: computed.append((w, v)) or first_linkage(self, w, v))
-    report = fiber_census(model, gens, action, phi, ledger, 8)
+    report = fiber_census(model, gens, action, phi, _fibers_f2_ledger(), 8)
     assert report.domain_size == len(asked) == 15066
     assert len(computed) == len(set(computed)) == len(set(asked)) == 288
+
+
+def test_fiber_census_products_are_pinned():
+    # the same census forms 90,401 products: the prefixes of each shell
+    # element's cuts are read from the ball's parents, so only the suffixes
+    # are running products (160,385 when the prefixes were formed too)
+    counting = CountingModel(make_model("free:2"))
+    report = fiber_census(counting, counting.standard_gens(), counting.tree_action(), counting.element("a"),
+                          _fibers_f2_ledger(), 8)
+    assert report.domain_size == 15066
+    assert counting.calls == 90401
+
+
+_RANDOM_SETS = random_generating_sets()
+_RANDOM_PHI = {"free:2": "a", "zz23": "xy", "braid3": "aB"}
+
+
+def _running_cuts(model, gens, path) -> tuple:
+    """The prefix and suffix keys of a path of S-letters, as running
+    products of its letter keys."""
+    letter_keys = [gens.letter_element(s).key for s in path]
+    prefix, suffix = [model.identity_key()], [model.identity_key()]
+    for k in letter_keys:
+        prefix.append(model.mul_keys(prefix[-1], k))
+    for k in reversed(letter_keys):
+        suffix.append(model.mul_keys(k, suffix[-1]))
+    return prefix, suffix[::-1]
+
+
+@pytest.mark.parametrize("which", list(_ORACLE_CASES) + list(range(len(_RANDOM_SETS))),
+                         ids=list(_ORACLE_CASES) + [f"random-{m}-{i}" for i, (m, _, _) in enumerate(_RANDOM_SETS)])
+def test_cuts_read_from_parents_equal_the_running_products(which, zz23_ledger):
+    # every shell element of the oracle balls and of balls over random
+    # generating sets: the cuts walked back through the ball's parents, and
+    # a few searched by a radius-0 table, against the running products of
+    # the unpruned BFS's first-visit path
+    if which in _ORACLE_CASES:
+        table, shell = _oracle_table(which)
+    else:
+        model_id, gens, radius = _RANDOM_SETS[which]
+        model = gens.model
+        table = SegmentTable(BallIndex(model, gens, radius), model.tree_action(),
+                             model.element(_RANDOM_PHI[model_id]), zz23_ledger)
+        shell = [GroupElement(model, k) for k in table.ball.spheres[radius]]
+    model, gens = table.model, table.gens
+    _, paths = unpruned_bfs(model, gens, table.ball.radius)
+    search = _search_table(model, gens, table.action, table.phi, table.ledger)
+    for n, g in enumerate(shell):
+        want = _running_cuts(model, gens, paths[g.key])
+        assert table.cuts(g) == want
+        if n < 3:
+            assert search.cuts(g) == want
 
 
 def _reference_census(table, shell):
