@@ -11,6 +11,11 @@ usable cores); this process writes every output and the manifest in
 config order either way.  ``--budget-nodes`` bounds each experiment on its
 own, and only the scaled profile is accepted.
 
+Of genlab's modules, importing this one loads only ``groups`` (and the
+``words`` it reads).  A run imports each kind's modules while it validates
+an experiment of that kind, before any worker forks, so it compiles only
+what its kinds use.
+
 Exit codes: 0 success, 2 config validation error, 3 budget-partial
 outputs, 4 verification-suite failure.
 """
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -29,10 +35,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from . import balls, census, lemmas
-from .contraction import NonLoxodromicError, measure_scaled_ledger, require_loxodromic
 from .groups import Braid3, GeneratingSet, make_model
-from .spaces import build_cayley_tree
 
 
 class ConfigError(ValueError):
@@ -83,6 +86,8 @@ def _build_model_gens(raw: dict, path: str):
 
 
 def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, node_budget: int | None):
+    from .contraction import measure_scaled_ledger
+
     lraw = raw.get("ledger", {})
     phi_word = raw.get("phi", model.default_phi)
     try:
@@ -171,6 +176,8 @@ def _check_experiment(kind: str, raw: dict, path: str) -> None:
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"{path}.{key}", str(e))
         if kind == "fibers":
+            from .contraction import NonLoxodromicError, require_loxodromic
+
             action = model.tree_action()
             if action is None:
                 raise ConfigError(f"{path}.model", f"no tree action for {model.name}")
@@ -209,6 +216,8 @@ def validate_config(doc: dict) -> list[ExperimentConfig]:
         kind = _require(raw, "kind", path)
         if kind not in _KINDS:
             raise ConfigError(f"{path}.kind", f"unknown kind {kind!r} (choose from {_KINDS})")
+        for module in _KIND_MODULES[kind]:
+            importlib.import_module(f".{module}", __package__)
         _check_experiment(kind, raw, path)
         name = raw.get("name", f"{kind}-{idx}")
         out.append(ExperimentConfig(kind, name, raw))
@@ -244,6 +253,8 @@ class Outcome:
 
 
 def _run_enumerate(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+    from . import balls
+
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     radius = int(_require(raw, "radius", path))
@@ -255,6 +266,8 @@ def _run_enumerate(exp: ExperimentConfig, seed: int, budget: int | None) -> Outc
 
 
 def _run_classify(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+    from . import census
+
     raw, name, path = exp.raw, exp.name, exp.path
     model, _ = _build_model_gens(raw, path)
     verdicts = []
@@ -265,6 +278,8 @@ def _run_classify(exp: ExperimentConfig, seed: int, budget: int | None) -> Outco
 
 
 def _run_genericity(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+    from . import census
+
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     radius = int(_require(raw, "radius", path))
@@ -279,6 +294,8 @@ def _run_genericity(exp: ExperimentConfig, seed: int, budget: int | None) -> Out
 
 
 def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+    from . import balls, census
+
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     action = model.tree_action()
@@ -306,6 +323,8 @@ def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome
 
 
 def _run_verify_lemmas(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+    from . import balls, lemmas
+
     raw, name = exp.raw, exp.name
     trials = int(raw.get("trials", 200))
     rng = random.Random(seed)
@@ -322,6 +341,8 @@ def _run_verify_lemmas(exp: ExperimentConfig, seed: int, budget: int | None) -> 
 
 
 def _run_probe(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+    from . import census
+
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     n_values = [int(n) for n in _require(raw, "n_values", path)]
@@ -340,6 +361,16 @@ _RUNNERS = {
     "probe-negligibility": _run_probe,
 }
 _KINDS = tuple(_RUNNERS)
+# the modules each kind's runner imports besides groups; validate_config
+# imports them, so a runner's own import statements only look them up
+_KIND_MODULES = {
+    "enumerate": ("balls",),
+    "classify": ("census",),
+    "genericity": ("census",),
+    "fibers": ("balls", "census", "contraction"),
+    "verify-lemmas": ("balls", "contraction", "lemmas", "spaces"),
+    "probe-negligibility": ("census",),
+}
 
 
 def _run_one(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
@@ -388,6 +419,8 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
         raise ConfigError("$", f"{profile}-profile constants are out of desk-scale reach; use scaled")
     if workers < 1:
         raise ConfigError("--workers", f"must be >= 1, got {workers}")
+    if budget_nodes is not None and budget_nodes < 0:
+        raise ConfigError("--budget-nodes", f"must be >= 0, got {budget_nodes}")
     seed = int(seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the worker count is deliberately absent: results are contracted to be
@@ -419,6 +452,10 @@ def _run_concat_suite(rng: random.Random, trials: int, node_budget: int | None) 
     """The concatenation lemmas on random instances over measured F2 and B3
     ledgers; raises :class:`~genlab.balls.BudgetExceeded` if a ledger's
     ball or distance search outgrows ``node_budget``."""
+    from . import lemmas
+    from .contraction import measure_scaled_ledger
+    from .spaces import build_cayley_tree
+
     counts = {"midpoint": 0, "chain": 0, "distance-sum": 0, "quadratic": 0}
     failures = skipped = 0
     tree, action = build_cayley_tree(2)

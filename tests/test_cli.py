@@ -189,6 +189,19 @@ def test_workers_below_one_exits_2(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_negative_node_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--budget-nodes", "-5", "enumerate", "--model", "free:2", "--radius", "3"]) == 2
+    assert "config error at --budget-nodes: must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_node_budget_is_partial(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--budget-nodes", "0", "enumerate", "--model", "free:2", "--radius", "3"]) == 3
+    assert json.loads((out / "manifest.json").read_text())["partial"]
+
+
 def test_pool_is_bounded_by_the_experiment_count(tmp_path, monkeypatch):
     sizes = []
 
