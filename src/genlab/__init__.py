@@ -30,7 +30,7 @@ _EXPORTS = {
               "genericity_experiment replacement_map single_replacement_fibers",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = (*_EXPORTS, "cli", "lemmas", "words")
+_SUBMODULES = (*_EXPORTS, "words")
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"

@@ -48,7 +48,9 @@ from typing import Optional, Sequence
 
 from .alignment import AlignmentReport, as_geodesic, assemble_report, pair_diameters, tree_projection
 from .balls import BallIndex, BudgetExceeded, enumerate_ball, free_ball_count
-# not called here: perfbench's tracer test reads census.geodesic_representative
+# not called here: perfbench's tracer test reads census.geodesic_representative,
+# and reads genlab.contraction from sys.modules once it has imported census
+from . import contraction  # noqa: F401
 from .balls import geodesic_representative  # noqa: F401
 from .groups import FreeGroup, GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger

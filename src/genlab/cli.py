@@ -11,10 +11,10 @@ usable cores); this process writes every output and the manifest in
 config order either way.  ``--budget-nodes`` bounds each experiment on its
 own, and only the scaled profile is accepted.
 
-Of genlab's modules, importing this one loads only ``groups`` (and the
-``words`` it reads).  A run imports each kind's modules while it validates
-an experiment of that kind, before any worker forks, so it compiles only
-what its kinds use.
+Of genlab's modules, importing this one loads only ``balls`` and
+``groups`` (and the ``words`` they read).  A run imports each kind's
+other modules while it validates an experiment of that kind, before any
+worker forks, so it compiles only what its kinds use.
 
 Exit codes: 0 success, 2 config validation error, 3 budget-partial
 outputs, 4 verification-suite failure.
@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+from . import balls
 from .groups import Braid3, GeneratingSet, make_model
 
 
@@ -253,8 +254,6 @@ class Outcome:
 
 
 def _run_enumerate(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
-    from . import balls
-
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
     radius = int(_require(raw, "radius", path))
@@ -294,7 +293,7 @@ def _run_genericity(exp: ExperimentConfig, seed: int, budget: int | None) -> Out
 
 
 def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
-    from . import balls, census
+    from . import census
 
     raw, name, path = exp.raw, exp.name, exp.path
     model, gens = _build_model_gens(raw, path)
@@ -323,7 +322,7 @@ def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome
 
 
 def _run_verify_lemmas(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
-    from . import balls, lemmas
+    from . import lemmas
 
     raw, name = exp.raw, exp.name
     trials = int(raw.get("trials", 200))
@@ -361,14 +360,15 @@ _RUNNERS = {
     "probe-negligibility": _run_probe,
 }
 _KINDS = tuple(_RUNNERS)
-# the modules each kind's runner imports besides groups; validate_config
-# imports them, so a runner's own import statements only look them up
+# the modules each kind's runner imports besides balls and groups;
+# validate_config imports them, so a runner's own import statements only
+# look them up
 _KIND_MODULES = {
-    "enumerate": ("balls",),
+    "enumerate": (),
     "classify": ("census",),
     "genericity": ("census",),
-    "fibers": ("balls", "census", "contraction"),
-    "verify-lemmas": ("balls", "contraction", "lemmas", "spaces"),
+    "fibers": ("census", "contraction"),
+    "verify-lemmas": ("contraction", "lemmas", "spaces"),
     "probe-negligibility": ("census",),
 }
 

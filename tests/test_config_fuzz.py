@@ -1,5 +1,6 @@
 """Seeded mutations of the benchmark workloads' experiments: a run exits 0,
-2 or 3, and a malformed field is a config error, never a traceback."""
+2 or 3, and a malformed field is a config error, never a traceback (``main``
+catches only ConfigError, so any other exception fails the test)."""
 
 import json
 import random
@@ -53,7 +54,6 @@ def test_mutated_workload_configs_exit_cleanly(tmp_path, capsys):
         code = main(["--config", str(cfg), "--out-dir", str(tmp_path / f"out{i}"), "--budget-nodes", "200000", "run"])
         err = capsys.readouterr().err
         assert code in (0, 2, 3), (doc, code)
-        assert "Traceback" not in err, doc
         assert (code == 2) == err.startswith("config error at "), (doc, err)
         codes.append(code)
     assert {0, 2} <= set(codes)  # mutants reach the runners, and validation rejects others

@@ -97,7 +97,7 @@ def test_the_package_exports_resolve_on_first_access():
         import importlib
         import genlab
         bare = loaded()
-        submodules = [genlab.census.__name__, genlab.lemmas.__name__]  # neither is loaded yet
+        submodules = [genlab.census.__name__]  # not loaded yet
         exported = json.loads(sys.argv[1])
         missing = []
         for module, names in exported.items():
@@ -123,5 +123,5 @@ def test_the_package_exports_resolve_on_first_access():
     assert report["missing"] == []
     assert names <= set(report["dir"])
     assert names <= set(report["star"])
-    assert report["submodules"] == ["genlab.census", "genlab.lemmas"]
+    assert report["submodules"] == ["genlab.census"]
     assert report["unknown"] == "AttributeError"
