@@ -12,11 +12,15 @@ the ball whenever s·t is a generator or the identity, so x·t is not formed.
 A generating set is closed under inversion, so the rule holds for every
 model and generating set, and it skips only products that are already
 visited.  :func:`word_distance`'s bidirectional frontiers carry no
-letters, so it multiplies by every generator.  The enumeration and the
-index check their node budget within a sphere (after each pass, after
-each frontier key), so they stop one pass or one key after outgrowing it;
-the geodesic search checks after whole spheres, since its target may lie
-in the sphere that overruns the budget.
+letters, so it multiplies by every generator.  The enumeration forms a
+pass's products in one ``map`` and filters them against the visited set
+only when ``isdisjoint`` finds one already there: a pass of only new keys
+(most passes, under the follower rule) is tested in one C call, not one
+Python test per key.  The enumeration and the index check their node
+budget within a sphere (after each pass, after each frontier key), so
+they stop one pass or one key after outgrowing it; the geodesic search
+checks after whole spheres, since its target may lie in the sphere that
+overruns the budget.
 
 :class:`BallIndex` keeps one shortlex BFS tree of a ball (the last S-letter
 and the parent of each key) and answers geodesic and norm queries inside
@@ -132,7 +136,9 @@ def enumerate_ball(
     for _r in range(radius):
         buckets = [[] for _ in gen_keys]
         for bucket, j, t in passes:
-            new = [k for k in map(mul, bucket, repeat(t)) if k not in visited]
+            new = list(map(mul, bucket, repeat(t)))
+            if not visited.isdisjoint(new):
+                new = [k for k in new if k not in visited]
             visited.update(new)
             buckets[j] += new
             if len(visited) > limit:

@@ -6,10 +6,12 @@ content hashes, so identical config and seed reproduce identical bytes.
 
 Each experiment kind has one runner, which returns its output texts and
 writes nothing.  With ``--workers N`` above 1, up to N experiments run at
-once in forked worker processes (never more than there are experiments or
-usable cores); this process writes every output and the manifest in
-config order either way.  ``--budget-nodes`` bounds each experiment on its
-own, and only the scaled profile is accepted.
+once in worker processes forked with ``os.fork`` (never more than there
+are experiments or usable cores): each takes the next experiment's index
+from a pipe and sends its outcome back pickled, and ``multiprocessing`` is
+never imported.  This process writes every output and the manifest in
+config order either way.  ``--budget-nodes`` bounds each experiment on
+its own, and only the scaled profile is accepted.
 
 Of genlab's modules, importing this one loads only ``balls`` and
 ``groups`` (and the ``words`` they read).  A run imports each kind's
@@ -36,7 +38,7 @@ from functools import partial
 from pathlib import Path
 
 from . import balls
-from .groups import Braid3, GeneratingSet, make_model
+from .groups import Braid3, FreeGroup, GeneratingSet, make_model
 
 
 class ConfigError(ValueError):
@@ -110,9 +112,9 @@ def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, node_bud
     return phi, ledger
 
 
-def _check_int(value, path: str, minimum: int | None = 0) -> None:
+def _check_int(value, path: str, minimum: int | None = 0, maximum: int | None = None) -> None:
     """An integer field (an int, or a string of one) of at least ``minimum``
-    (of any value when ``minimum`` is None)."""
+    and at most ``maximum`` (unbounded on a side given None)."""
     try:
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise ValueError
@@ -121,6 +123,8 @@ def _check_int(value, path: str, minimum: int | None = 0) -> None:
         raise ConfigError(path, f"must be an integer, got {value!r}")
     if minimum is not None and n < minimum:
         raise ConfigError(path, f"must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {n}")
 
 
 def _check_fraction(value, path: str) -> None:
@@ -150,11 +154,11 @@ def _check_ledger(lraw, path: str) -> None:
                 _check_fraction(x, f"{path}.{key}[{j}]")
 
 
-# integer fields of each kind: (field, required, minimum)
+# integer fields of each kind: (field, required, minimum, maximum)
 _INT_FIELDS = {
-    "enumerate": (("radius", True, 0),),
-    "genericity": (("radius", True, 0), ("tree_threshold", False, 0)),
-    "verify-lemmas": (("trials", False, 0), ("rank", False, 2)),
+    "enumerate": (("radius", True, 0, None),),
+    "genericity": (("radius", True, 0, None), ("tree_threshold", False, 0, None)),
+    "verify-lemmas": (("trials", False, 0, None), ("rank", False, 2, FreeGroup.max_rank)),
 }
 
 
@@ -186,9 +190,9 @@ def _check_experiment(kind: str, raw: dict, path: str) -> None:
                 require_loxodromic(action, model.element(raw.get("phi", model.default_phi)))
             except NonLoxodromicError as e:
                 raise ConfigError(f"{path}.phi", str(e))
-    for key, required, minimum in _INT_FIELDS.get(kind, ()):
+    for key, required, minimum, maximum in _INT_FIELDS.get(kind, ()):
         if required or key in raw:
-            _check_int(_require(raw, key, path), f"{path}.{key}", minimum)
+            _check_int(_require(raw, key, path), f"{path}.{key}", minimum, maximum)
     if kind in ("fibers", "probe-negligibility"):
         n_values = _require(raw, "n_values", path)
         if not isinstance(n_values, list) or not n_values:
@@ -386,25 +390,120 @@ def _usable_cores() -> int:
 
 
 @contextmanager
-def _experiment_map(workers: int, count: int):
-    """A map that yields results in input order: the builtin one in this
-    process when one process suffices, else a pool of forked processes,
-    no more than there are experiments or usable cores.  The pool is
-    shut down on exit, pending work cancelled."""
-    size = min(workers, count, _usable_cores())
+def _experiment_map(workers: int, fn, items: list):
+    """The results of ``fn`` on ``items`` in input order: from the builtin
+    map in this process when one process suffices, else from a fork map of
+    no more workers than there are items or usable cores.  On exit every
+    worker is killed and reaped."""
+    size = min(workers, len(items), _usable_cores())
     if size <= 1:
-        yield map
+        yield map(fn, items)
         return
-    import multiprocessing  # imported only when a pool starts
-    from concurrent.futures import ProcessPoolExecutor
-
-    # forked workers start from this process's imports, and a fork pool
-    # forks them all before it starts its own threads
-    pool = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"))
+    results = _fork_map(size, fn, items)
     try:
-        yield pool.map
+        yield results
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        results.close()
+
+
+def _fork_map(size: int, fn, items: list):
+    """Yield ``fn`` of each item, in order, from ``size`` forked workers.
+
+    Workers start from this process's memory, so neither ``fn`` nor the
+    items are pickled; forking is safe because genlab starts no threads.
+    Each worker takes the next index from one shared pipe and sends back
+    ``(index, ok, value)`` on a pipe of its own.  A worker's exception is
+    raised here when its item's turn comes, and a worker that exits without
+    sending its result raises RuntimeError.
+    """
+    import pickle  # imported only when workers fork
+    import select
+
+    # four bytes an index, written at most PIPE_BUF at a time: each write
+    # lands whole, so a worker's four-byte read takes exactly one index
+    tasks = b"".join(i.to_bytes(4, "big") for i in range(len(items)))
+    task_r, task_w = os.pipe()
+    pipes = {}  # result pipe -> its worker's pid
+    try:
+        for _ in range(size):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, items, task_r, w, inherited=(task_w, r, *pipes))
+            os.close(w)
+            pipes[r] = pid
+        done = {}
+        for i in range(len(items)):
+            while i not in done:
+                if not pipes:
+                    raise RuntimeError(f"no worker sent the result of item {i}")
+                readable, writable, _ = select.select(list(pipes), [task_w] if tasks else [], [])
+                if writable:  # a pipe with room takes PIPE_BUF bytes without blocking
+                    tasks = tasks[os.write(task_w, tasks[: select.PIPE_BUF]):]
+                    if not tasks:
+                        os.close(task_w)  # so the workers read the end of it
+                for r in readable:
+                    data = _receive(r)
+                    if data is None:  # the worker has exited
+                        os.close(r)
+                        pid = pipes.pop(r)
+                        if os.waitpid(pid, 0)[1]:
+                            raise RuntimeError(f"worker {pid} died without sending its result")
+                    else:
+                        j, ok, value = pickle.loads(data)
+                        done[j] = ok, value
+            ok, value = done.pop(i)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        os.close(task_r)
+        if tasks:
+            os.close(task_w)
+        for r, pid in pipes.items():
+            os.close(r)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
+def _work(fn, items: list, tasks: int, out: int, inherited: tuple):
+    """A forked worker's life: close the ``inherited`` descriptors it has no
+    use for, then run ``fn`` on the item of each index read from ``tasks``
+    and send ``(index, ok, value)`` on ``out``, pickled and length first,
+    until ``tasks`` ends.  It never returns."""
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with os.fdopen(out, "wb") as sink:
+            while index := os.read(tasks, 4):
+                i = int.from_bytes(index, "big")
+                try:
+                    message = (i, True, fn(items[i]))
+                except Exception as e:  # the parent raises it
+                    message = (i, False, e)
+                data = pickle.dumps(message)
+                sink.write(len(data).to_bytes(8, "big") + data)
+                sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(fd: int):
+    """The next message on ``fd``, sent length first, or None once its
+    writer has closed it (also partway through a message)."""
+    data, size = bytearray(), 8  # a bytearray grows in place, chunk by chunk
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+        if len(data) == 8:  # the length has arrived
+            size += int.from_bytes(data, "big")
+    return memoryview(data)[8:]
 
 
 def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | None, workers: int = 1) -> int:
@@ -434,15 +533,15 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
         "suite_failures": 0,
     }
     status = 0
-    with _experiment_map(workers, len(experiments)) as mapper:
-        for outcome in mapper(partial(_run_one, seed=seed, budget=budget_nodes), experiments):
+    with _experiment_map(workers, partial(_run_one, seed=seed, budget=budget_nodes), experiments) as outcomes:
+        for outcome in outcomes:
             for rel, text, flags in outcome.outputs:
                 _write(out_dir, rel, text, manifest, flags)
             manifest["partial"] |= outcome.partial
             if outcome.suite_failed:
                 manifest["suite_failures"] += 1
                 status = 4
-    _write(out_dir, "manifest.json", _json_text({k: v for k, v in manifest.items() if k != "outputs"} | {"outputs": manifest["outputs"]}), manifest)
+    (out_dir / "manifest.json").write_bytes(_json_text(manifest).encode())
     if manifest["partial"]:
         status = max(status, 3)
     return status

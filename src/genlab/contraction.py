@@ -426,8 +426,12 @@ def measure_scaled_ledger(
     Lipschitz pair from projection statistics.  The dominating constant is
     their max (scale factor one); callers may override any entry.
     ``node_budget`` bounds every ball and distance search of the
-    measurement; one that outgrows it raises :class:`BudgetExceeded`.
+    measurement, and the points of its orbit segment; one that outgrows it
+    raises :class:`BudgetExceeded`.
     """
+    meas_len = segment_length if segment_length is not None else 4
+    if node_budget is not None and meas_len + 1 > node_budget:
+        raise BudgetExceeded(f"an orbit segment of {meas_len + 1} points outgrows the node budget {node_budget}")
     require_loxodromic(action, phi)
     space = action.space
     x0 = space.basepoint
@@ -444,7 +448,6 @@ def measure_scaled_ledger(
         g = GroupElement(model, key)
         e0 = max(e0, select_linkage(model, gens, action, phi, g, horizon=3 * max(4, d_s)).achieved)
 
-    meas_len = segment_length if segment_length is not None else 4
     profile = weak_contraction_profile(
         model, gens, action, phi, meas_len, sample_norms=[sample_radius - 1, sample_radius], rng=rng,
         samples_per_norm=6, node_budget=node_budget, ball=ball,

@@ -19,9 +19,10 @@ classifies its elements with ``verdict``.  Supported models:
 * :class:`FreeGroup` -- free reduction, exact geodesic lengths; keys are
   the reduced words stored as bytes (letter x as the byte 128 + x);
 * :class:`FreeProductZ2Z3` -- syllable normal form for Z/2 * Z/3
-  (isomorphic to PSL(2,Z));
+  (isomorphic to PSL(2,Z)); keys are the syllables stored as bytes;
 * :class:`Braid3` -- the 3-strand braid group as a central extension of
-  Z/2 * Z/3 by the squared half-twist;
+  Z/2 * Z/3 by the squared half-twist; keys are (central exponent,
+  syllable bytes);
 * :class:`FiniteSample` -- explicit multiplication table, for tests.
 """
 
@@ -279,9 +280,13 @@ class FreeGroup(GroupModel):
     tuples collide (``hash(-1) == hash(-2)``), and products are C slices.
     """
 
+    max_rank = 127  # letters 1..127 and their inverses fill the bytes 1..255
+
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be >= 1")
+        if rank > self.max_rank:
+            raise ValueError(f"rank must be <= {self.max_rank} (byte keys hold {self.max_rank} generators), got {rank}")
         self.rank = rank
         self.name = f"free:{rank}"
         self.alphabet = GeneratorAlphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:rank]))
@@ -341,8 +346,8 @@ _BYTE_INVERSE = bytes(-c % 256 for c in range(256))  # key byte -> byte of the i
 X_SYL = 0  # order-2 generator
 # y-syllables are stored as 1 or 2 (the exponent)
 
-
-_SYLL_INVERSE = (X_SYL, 2, 1)  # syllable -> its inverse: x -> x, y^e -> y^(3-e)
+_SYLL_KEY = (b"\x00", b"\x01", b"\x02")  # syllable -> the key of that one syllable
+_SYLL_INVERSE = bytes((X_SYL, 2, 1, *range(3, 256)))  # translation table: x -> x, y^e -> y^(3-e)
 
 
 def _is_y(s: int) -> bool:
@@ -350,16 +355,18 @@ def _is_y(s: int) -> bool:
 
 
 class FreeProductZ2Z3(GroupModel):
-    """Z/2 * Z/3 = <x, y | x^2, y^3>, keys are alternating syllable tuples.
+    """Z/2 * Z/3 = <x, y | x^2, y^3>, keys are alternating syllable bytes.
 
-    A key is a tuple of syllables: ``0`` for x, ``1``/``2`` for y/y^2, with
-    no two adjacent syllables of the same kind.  With generators {x, y} the
+    A key is a byte string of syllables: ``0`` for x, ``1``/``2`` for
+    y/y^2, with no two adjacent syllables of the same kind.  Byte keys sort
+    exactly as the tuples of those syllables, which ``key_repr`` prints,
+    and cache their hash.  With generators {x, y} the
     geodesic length of an element is its syllable count (y^2 = y^-1 costs
     one letter).  A product touches only the seam: x x cancels, and y^e y^f
     cancels when e + f = 3 and otherwise merges into one syllable, which
     ends the walk.  This product is the model's one group law: a word's key
-    is the product of its letters' keys, x^+-1 -> (x,), y -> (y,) and
-    y^-1 -> (y^2,).  The inverse reverses the syllables and maps y^e to
+    is the product of its letters' keys, x^+-1 -> x, y -> y and
+    y^-1 -> y^2.  The inverse reverses the syllables and maps y^e to
     y^(3-e).
     """
 
@@ -368,10 +375,10 @@ class FreeProductZ2Z3(GroupModel):
         self.alphabet = GeneratorAlphabet(("x", "y"))
 
     default_phi = "xy"
-    letter_keys = {1: (X_SYL,), -1: (X_SYL,), 2: (1,), -2: (2,)}
+    letter_keys = {1: _SYLL_KEY[X_SYL], -1: _SYLL_KEY[X_SYL], 2: _SYLL_KEY[1], -2: _SYLL_KEY[2]}
 
     def identity_key(self):
-        return ()
+        return b""
 
     def mul_keys(self, a, b):
         # only the seam can cancel: a[:i] and b[j:] stay as they are
@@ -381,7 +388,7 @@ class FreeProductZ2Z3(GroupModel):
             if s and t:  # y^s y^t
                 e = (s + t) % 3
                 if e:
-                    return a[: i - 1] + (e,) + b[j + 1 :]
+                    return a[: i - 1] + _SYLL_KEY[e] + b[j + 1 :]
             elif s or t:  # syllables of different kinds
                 break
             i -= 1  # x x = 1, or y^s y^t = 1
@@ -389,7 +396,10 @@ class FreeProductZ2Z3(GroupModel):
         return a[:i] + b[j:]
 
     def inverse_key(self, key):
-        return tuple(map(_SYLL_INVERSE.__getitem__, key[::-1]))
+        return key[::-1].translate(_SYLL_INVERSE)
+
+    def key_repr(self, key) -> str:
+        return repr(tuple(key))
 
     def key_word(self, key):
         out = []
@@ -406,7 +416,7 @@ class FreeProductZ2Z3(GroupModel):
         return len(key)
 
     @staticmethod
-    def cyclic_syllable_reduction(key) -> Tuple[int, ...]:
+    def cyclic_syllable_reduction(key) -> bytes:
         """Cyclically reduce: conjugate until first/last syllables differ in kind.
 
         The result is empty or a single syllable for elliptic elements and an
@@ -424,7 +434,7 @@ class FreeProductZ2Z3(GroupModel):
                     sylls = [e] + sylls  # rotate the merged syllable to the front
             else:
                 break
-        return tuple(sylls)
+        return bytes(sylls)
 
     def translation_length_exact(self, key) -> int:
         """Translation length on the Bass-Serre tree (0 iff elliptic)."""
@@ -476,7 +486,8 @@ class Braid3(GroupModel):
 
     With x = s1 s2 s1 and y = s1 s2 one has x^2 = y^3 =: c, the generator of
     the center.  Every element is uniquely c^z * (lift of a syllable word in
-    Z/2 * Z/3), so keys are pairs ``(z, syllables)``.  Alphabet letters are
+    Z/2 * Z/3), so keys are pairs ``(z, syllables)``, the syllables a
+    Z/2 * Z/3 key; ``key_repr`` prints them as a tuple.  Alphabet letters are
     a = s1, b = s2.  Products touch only the seam, as in Z/2 * Z/3, and add
     1 to z for each x^2 or y^3 there; this product is the model's one group
     law, and a word's key is the product of its letters' keys (each letter
@@ -493,10 +504,11 @@ class Braid3(GroupModel):
     default_phi = "aB"
     # s1 = y^-1 x = c^-1 y^2 x,  s1^-1 = x^-1 y = c^-1 x y,
     # s2 = x y^-1 = c^-1 x y^2,  s2^-1 = y x^-1 = c^-1 y x
-    letter_keys = {1: (-1, (2, X_SYL)), -1: (-1, (X_SYL, 1)), 2: (-1, (X_SYL, 2)), -2: (-1, (1, X_SYL))}
+    letter_keys = {1: (-1, bytes((2, X_SYL))), -1: (-1, bytes((X_SYL, 1))), 2: (-1, bytes((X_SYL, 2))),
+                   -2: (-1, bytes((1, X_SYL)))}
 
     def identity_key(self):
-        return (0, ())
+        return (0, b"")
 
     def mul_keys(self, a, b):
         # only the seam can cancel, and each cancellation adds c to z
@@ -510,7 +522,7 @@ class Braid3(GroupModel):
                     z += 1  # y^3 = c
                     e -= 3
                 if e:
-                    return (z, a[: i - 1] + (e,) + b[j + 1 :])
+                    return (z, a[: i - 1] + _SYLL_KEY[e] + b[j + 1 :])
             elif s or t:  # syllables of different kinds
                 break
             else:
@@ -522,7 +534,10 @@ class Braid3(GroupModel):
     def inverse_key(self, key):
         # x^-1 = c^-1 x, y^-1 = c^-1 y^2, y^-2 = c^-1 y
         z, sylls = key
-        return (-z - len(sylls), tuple(map(_SYLL_INVERSE.__getitem__, sylls[::-1])))
+        return (-z - len(sylls), sylls[::-1].translate(_SYLL_INVERSE))
+
+    def key_repr(self, key) -> str:
+        return repr((key[0], tuple(key[1])))
 
     def key_word(self, key):
         z, sylls = key
@@ -542,7 +557,7 @@ class Braid3(GroupModel):
     def center_membership(self, key):
         return len(key[1]) == 0
 
-    def quotient_key(self, key) -> Tuple[int, ...]:
+    def quotient_key(self, key) -> bytes:
         """Image in Z/2 * Z/3 (= B_3 modulo its center)."""
         return key[1]
 

@@ -330,7 +330,7 @@ def central_mix_norm(model: Braid3, m: int, t: int) -> int:
     block = _POS_D2_PHI if t >= 0 else _POS_D2_PHI_INV
     witness = block * abs(t) + (1, 2) * (3 * (m - abs(t)))
     phi = model.element("aB")
-    key = model.mul_keys((m, ()), (phi**t).key)
+    key = model.mul_keys((m, b""), (phi**t).key)  # Delta^(2m) = c^m
     return certified_braid_norm(model, key, witness)
 
 

@@ -20,6 +20,7 @@ from .groups import (
     GroupElement,
     GroupModel,
     X_SYL,
+    _SYLL_KEY,
     _is_y,
 )
 
@@ -140,10 +141,11 @@ class CayleyTree(MetricSpaceModel):
 # The Bass-Serre tree of Z/2 * Z/3
 
 # A vertex is (kind, name): kind 0 for cosets of <x>, kind 1 for cosets of
-# <y>.  The name is the syllable word of the shortest coset representative:
-# it never ends with an x-syllable for kind 0, nor with a y-syllable for
-# kind 1.  Dropping the last syllable steps toward the root (0, ()); the two
-# roots (0, ()) and (1, ()) are joined by the edge of the identity.
+# <y>.  The name is the Z/2 * Z/3 key (syllable bytes) of the shortest coset
+# representative: it never ends with an x-syllable for kind 0, nor with a
+# y-syllable for kind 1.  Dropping the last syllable steps toward the root
+# (0, b""); the two roots (0, b"") and (1, b"") are joined by the edge of
+# the identity.
 
 KIND_X, KIND_Y = 0, 1
 
@@ -153,7 +155,7 @@ class BassSerreTree(MetricSpaceModel):
 
     is_tree = True
 
-    def __init__(self, basepoint=(KIND_X, ())):
+    def __init__(self, basepoint=(KIND_X, b"")):
         self.group = FreeProductZ2Z3()
         self.name = "bass-serre:zz23"
         self.delta = Fraction(0)
@@ -162,7 +164,7 @@ class BassSerreTree(MetricSpaceModel):
 
     @staticmethod
     def vertex(kind: int, sylls: Sequence[int]) -> tuple:
-        sylls = tuple(sylls)
+        sylls = bytes(sylls)
         if kind == KIND_X and sylls and sylls[-1] == X_SYL:
             sylls = sylls[:-1]
         elif kind == KIND_Y and sylls and _is_y(sylls[-1]):
@@ -175,7 +177,7 @@ class BassSerreTree(MetricSpaceModel):
         if name:
             return (1 - kind, name[:-1])
         if kind == KIND_Y:
-            return (KIND_X, ())
+            return (KIND_X, b"")
         return None
 
     def _chain(self, v) -> list:
@@ -225,17 +227,17 @@ class BassSerreTree(MetricSpaceModel):
         grp = self.group
         if kind == KIND_X:
             down = self.vertex(KIND_Y, name)  # strip a trailing y if any
-            return [down, (KIND_Y, grp.mul_keys(name, (X_SYL,)))]
+            return [down, (KIND_Y, grp.mul_keys(name, _SYLL_KEY[X_SYL]))]
         down = self.vertex(KIND_X, name)
         return [
             down,
-            (KIND_X, grp.mul_keys(name, (1,))),
-            (KIND_X, grp.mul_keys(name, (2,))),
+            (KIND_X, grp.mul_keys(name, _SYLL_KEY[1])),
+            (KIND_X, grp.mul_keys(name, _SYLL_KEY[2])),
         ]
 
     def act_syllables(self, sylls, v):
         kind, name = v
-        return self.vertex(kind, self.group.mul_keys(tuple(sylls), name))
+        return self.vertex(kind, self.group.mul_keys(bytes(sylls), name))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +382,7 @@ def build_cayley_tree(rank: int) -> tuple[CayleyTree, GroupAction]:
     return tree, GroupAction(grp, tree, act)
 
 
-def build_bass_serre_tree(basepoint=(KIND_X, ())) -> tuple[BassSerreTree, GroupAction, GroupAction]:
+def build_bass_serre_tree(basepoint=(KIND_X, b"")) -> tuple[BassSerreTree, GroupAction, GroupAction]:
     """The (2,3)-biregular tree with its Z/2 * Z/3 action and the induced
     Braid3 action through the central quotient."""
     tree = BassSerreTree(basepoint)
@@ -402,8 +404,9 @@ def axis_basepoint(tree: BassSerreTree, phi_sylls, search_depth: int = 6):
     Scans vertices near the roots and returns the first (deterministic
     order) vertex v with d(v, phi^2 v) = 2 d(v, phi v) > 0.
     """
-    phi2 = tree.group.mul_keys(tuple(phi_sylls), tuple(phi_sylls))
-    candidates = sorted(tree.ball((KIND_X, ()), search_depth)) + sorted(tree.ball((KIND_Y, ()), search_depth))
+    phi_sylls = bytes(phi_sylls)
+    phi2 = tree.group.mul_keys(phi_sylls, phi_sylls)
+    candidates = sorted(tree.ball((KIND_X, b""), search_depth)) + sorted(tree.ball((KIND_Y, b""), search_depth))
     best = None
     for v in candidates:
         d1 = tree.distance(v, tree.act_syllables(phi_sylls, v))

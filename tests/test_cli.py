@@ -1,9 +1,7 @@
 """Config validation, experiment runs, manifests, reproducibility."""
 
-import concurrent.futures
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import resource
@@ -176,6 +174,44 @@ def test_ledger_budget_overrun_exits_3(tmp_path):
     assert (out / "fib.csv").read_text() == "n,domain,image,max_fiber,sqrt_ratio\n"
 
 
+def test_orbit_segment_beyond_the_budget_exits_3(tmp_path):
+    # a segment of 10^8 points outgrows the budget before it is built; run
+    # capped, so a segment that is built fails the test, not the machine
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{
+        "kind": "fibers", "name": "fib", "model": "zz23", "phi": "xy", "n_values": [4],
+        "ledger": {"segment_length": 10**8},
+    }]}))
+    out = tmp_path / "out"
+    src = str(Path(genlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    limit = 1024 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run([sys.executable, "-m", "genlab.cli", "--config", str(cfg), "--out-dir", str(out),
+                           "--budget-nodes", "1000", "run"],
+                          env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["partial"]
+    assert json.loads((out / "fib.json").read_text()) == {"ledger": None, "reports": []}
+
+
+@pytest.mark.parametrize("rank", [128, 200, 10**6])
+def test_lemma_rank_beyond_byte_keys_exits_2(tmp_path, capsys, rank):
+    assert _main_with_config(tmp_path, {"experiments": [{"kind": "verify-lemmas", "rank": rank}]}) == 2
+    assert f"config error at $.experiments[0].rank: must be <= 127, got {rank}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    validate_config({"experiments": [{"kind": "verify-lemmas", "rank": 127}]})
+
+
+def test_free_model_rank_beyond_byte_keys_is_a_config_error(tmp_path, capsys):
+    doc = {"experiments": [{"kind": "enumerate", "model": "free:200", "radius": 1}]}
+    assert _main_with_config(tmp_path, doc) == 2
+    assert "config error at $.experiments[0].model: rank must be <= 127" in capsys.readouterr().err
+
+
 def test_config_error_survives_pickling():
     err = pickle.loads(pickle.dumps(ConfigError("$.x", "m")))
     assert (type(err), str(err), err.path) == (ConfigError, "config error at $.x: m", "$.x")
@@ -202,16 +238,22 @@ def test_zero_node_budget_is_partial(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["partial"]
 
 
+def _assert_no_child_left():
+    # waitpid(-1) raises only when this process has no child, running or not reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_is_bounded_by_the_experiment_count(tmp_path, monkeypatch):
     sizes = []
+    fork_map = cli._fork_map
 
-    class SpyPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            assert max_workers <= 2  # checked before any process starts
-            super().__init__(max_workers, **kwargs)
+    def spy(size, fn, items):
+        sizes.append(size)
+        assert size <= 2  # checked before any process starts
+        return fork_map(size, fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(cli, "_fork_map", spy)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 64)  # so the experiment count is the bound
     doc = {"experiments": [
         {"kind": "enumerate", "name": "ball", "model": "free:2", "radius": 4},
@@ -221,7 +263,7 @@ def test_pool_is_bounded_by_the_experiment_count(tmp_path, monkeypatch):
     assert sizes == []  # one worker runs in this process
     assert run(doc, tmp_path / "many", 3, "scaled", None, workers=10**6) == 0
     assert sizes == [2]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert _hashes(tmp_path / "one") == _hashes(tmp_path / "many")
 
 
@@ -242,9 +284,36 @@ def test_runner_failure_is_the_same_in_workers(tmp_path, monkeypatch, error):
         out = tmp_path / f"w{workers}"
         with pytest.raises(type(error), match="boom"):
             run(doc, out, 0, "scaled", None, workers=workers)
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         files.append(sorted(p.name for p in out.iterdir()))
     assert files[0] == files[1] == ["before.csv", "before.json"]
+
+
+def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "genericity", lambda *args: os._exit(3))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    doc = {"experiments": [
+        {"kind": "enumerate", "name": "before", "model": "free:2", "radius": 3},
+        {"kind": "genericity", "name": "curve", "model": "braid3", "radius": 4},
+        {"kind": "enumerate", "name": "after", "model": "free:2", "radius": 3},
+    ]}
+    with pytest.raises(RuntimeError, match="without sending its result"):
+        run(doc, tmp_path, 0, "scaled", None, workers=2)
+    _assert_no_child_left()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_fork_map_yields_in_order_and_kills_its_workers_when_closed():
+    items = list(range(20000))  # more indices than a pipe holds at once
+    results = cli._fork_map(2, lambda i: i * i, items)
+    assert [next(results) for _ in range(10)] == [i * i for i in range(10)]
+    results.close()  # both workers are still running or not yet reaped
+    _assert_no_child_left()
+    assert list(cli._fork_map(2, lambda i: -i, items)) == [-i for i in items]
+    _assert_no_child_left()
+    sizes = [3 * 2**20, 3, 2**21]  # results far larger than a pipe holds
+    assert list(cli._fork_map(2, lambda n: "x" * n, sizes)) == ["x" * n for n in sizes]
+    _assert_no_child_left()
 
 
 def test_cli_single_subcommand(tmp_path):

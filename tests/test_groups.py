@@ -76,7 +76,7 @@ def test_braid_key_word_roundtrip(w):
 def test_braid_relation_and_center(braid):
     assert braid.normalize((1, 2, 1)) == braid.normalize((2, 1, 2))
     d2 = braid.normalize((1, 2) * 3)
-    assert d2 == (1, ())
+    assert d2 == (1, b"")
     assert braid.center_membership(d2)
     assert not braid.center_membership(braid.normalize((1,)))
     # the center commutes with everything
@@ -137,8 +137,8 @@ def test_zz23_key_is_the_psl2_image(zz23, w):
 
 
 def test_zz23_torsion(zz23):
-    assert zz23.normalize((1, 1)) == ()
-    assert zz23.normalize((2, 2, 2)) == ()
+    assert zz23.normalize((1, 1)) == b""
+    assert zz23.normalize((2, 2, 2)) == b""
     assert zz23.normalize((2, 2)) == zz23.normalize((-2,))
 
 
@@ -347,3 +347,29 @@ def test_free_ball_elements_written_as_words(tmp_path):
     assert run(doc, tmp_path, 0, "scaled", None) == 0
     elements = json.loads((tmp_path / "e.json").read_text())["elements"]
     assert elements == [["()"], ["(-2,)", "(-1,)", "(1,)", "(2,)"]]
+
+
+def test_syllable_key_repr_is_the_tuple_text(zz23, braid):
+    # ball censuses write the text the tuple keys had before keys were bytes
+    assert [zz23.key_repr(zz23.element(w).key) for w in ("", "x", "Y", "xyx")] == ["()", "(0,)", "(2,)", "(0, 1, 0)"]
+    assert [braid.key_repr(braid.element(w).key) for w in ("", "a", "B", "ababab")] == [
+        "(0, ())", "(-1, (2, 0))", "(-1, (1, 0))", "(1, ())"]
+
+
+def _tuple_key(key):
+    """A zz23 or braid3 key as the tuple it was before keys were bytes."""
+    return (key[0], tuple(key[1])) if isinstance(key, tuple) else tuple(key)
+
+
+@pytest.mark.parametrize("model_id, gens_words, radius", [
+    ("braid3", None, 8), ("braid3", ["a", "b", "aba"], 8), ("zz23", None, 12),
+], ids=["braid3", "braid3-aba", "zz23"])
+def test_syllable_byte_keys_sort_as_tuple_keys(model_id, gens_words, radius):
+    model = make_model(model_id)
+    gens = model.standard_gens() if gens_words is None else GeneratingSet(model, gens_words)
+    census = enumerate_ball(model, gens, radius, keep_elements=True)
+    for sphere in census.elements:
+        old = [_tuple_key(k) for k in sphere]
+        assert old == sorted(old)
+        assert [model.key_repr(k) for k in sphere] == [repr(k) for k in old]
+    assert len({_tuple_key(k) for sphere in census.elements for k in sphere}) == census.ball_count()

@@ -125,3 +125,18 @@ def test_the_package_exports_resolve_on_first_access():
     assert names <= set(report["star"])
     assert report["submodules"] == ["genlab.census"]
     assert report["unknown"] == "AttributeError"
+
+
+def test_a_run_in_workers_imports_no_process_pool(tmp_path):
+    doc = {"experiments": [{"kind": "enumerate", "name": f"e{r}", "model": "free:2", "radius": r} for r in (3, 4)]}
+    sizes, code, pools = _fresh("""
+        from pathlib import Path
+        from genlab import cli
+        sizes, fork_map = [], cli._fork_map
+        cli._fork_map = lambda size, fn, items: sizes.append(size) or fork_map(size, fn, items)
+        cli._usable_cores = lambda: 2  # workers even on one core
+        code = cli.run(json.loads(sys.argv[1]), Path(sys.argv[2]), 0, "scaled", None, workers=2)
+        print(json.dumps([sizes, code, [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]]))
+    """, json.dumps(doc), str(tmp_path / "out"))
+    assert (sizes, code) == ([2], 0)
+    assert pools == []
