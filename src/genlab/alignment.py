@@ -53,9 +53,10 @@ def tree_projection(space: MetricSpaceModel, x, geo: Geodesic) -> tuple:
     (x, end)_start.  Between tree vertices d(x, start) + d(x, end) - n is
     2 d(x, geo), so 2i is even and in [0, 2n]; any other value is an
     error."""
-    n = len(geo)
-    d_start = space.distance(x, geo.start)
-    two_i = d_start + n - space.distance(x, geo.end)
+    pts = geo.points
+    n = len(pts) - 1
+    d_start = space.distance(x, pts[0])
+    two_i = d_start + n - space.distance(x, pts[-1])
     if two_i % 2 or not 0 <= two_i <= 2 * n:
         raise ValueError(f"{x!r} projects to no vertex of the geodesic (2i = {two_i}, n = {n})")
     i = two_i // 2
@@ -96,16 +97,33 @@ def hausdorff_distance(space: MetricSpaceModel, a: Sequence, b: Sequence) -> int
     return max(d1, d2)
 
 
+def tree_hausdorff_distance(space: MetricSpaceModel, gamma: Geodesic, eta: Geodesic) -> int:
+    """``hausdorff_distance`` of the points of two geodesics of a tree, in
+    O(n + m) distances: d(p, eta) is the second value of
+    :func:`tree_projection`, so each one-sided term is the largest of those
+    values over the other geodesic's points."""
+    return max(
+        max(tree_projection(space, p, eta)[1] for p in gamma.points),
+        max(tree_projection(space, q, gamma)[1] for q in eta.points),
+    )
+
+
 def fellow_traveling(space: MetricSpaceModel, gamma: Geodesic, eta: Geodesic, eps, strict: bool = True) -> bool:
     """Endpoint distances and Hausdorff distance below eps.
 
     ``strict=False`` turns the comparisons into <=, which is the useful
-    convention on trees where the relevant bounds degrade to zero.
+    convention on trees where the relevant bounds degrade to zero.  Two
+    geodesics of a tree take :func:`tree_hausdorff_distance`; other spaces
+    the exhaustive scan.
     """
+    if space.is_tree:
+        hausdorff = tree_hausdorff_distance(space, gamma, eta)
+    else:
+        hausdorff = hausdorff_distance(space, gamma.points, eta.points)
     vals = (
         space.distance(gamma.start, eta.start),
         space.distance(gamma.end, eta.end),
-        hausdorff_distance(space, gamma.points, eta.points),
+        hausdorff,
     )
     if strict:
         return all(v < eps for v in vals)

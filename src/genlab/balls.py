@@ -351,7 +351,9 @@ class BallIndex:
     and norm is the one of the full BFS.  ``spheres[r]`` lists the keys at
     distance r in sorted order, as ``enumerate_ball(..., keep_elements=True)``
     does.  Queries about keys outside the ball fall back to the searches
-    they replace.  ``node_budget`` bounds the nodes held at once and is
+    they replace; a complete index also answers the norm of a key outside it
+    by a search that stops at the ball (:meth:`norm_beyond`).
+    ``node_budget`` bounds the nodes held at once and is
     checked after each frontier key: once the ball outgrows it, the index
     drops the partial sphere, stops at the last complete radius and is
     ``truncated``; a fallback search may hold what the ball leaves of it
@@ -438,6 +440,42 @@ class BallIndex:
     def norm(self, key) -> Optional[int]:
         """d_S(id, h) for the key of an h in the ball; None outside it."""
         return len(self.walk(key)[1]) if key in self._last else None
+
+    def norm_beyond(self, key, cap, node_budget: Optional[int] = None) -> Optional[int]:
+        """d_S(id, x) for the key x of an element outside a complete ball
+        B(R) when it is at most ``cap``, else None, by a search that stops
+        at the ball.
+
+        Here |x|_S = R + d(x, B(R)): a geodesic from the identity to x
+        passes a point of norm R, which bounds |x|_S above, and the
+        triangle inequality bounds it below.  So a BFS from x by right
+        multiplication by the generators answers R + k at the first layer
+        k that meets the ball, and None once R + k passes ``cap``.  The
+        search may hold ``node_budget`` nodes of its own, next to the ball,
+        and raises :class:`BudgetExceeded` if it outgrows them.  A truncated
+        index raises ValueError: the equation holds there too, but from the
+        smaller ball the budget left, the one-way search runs deeper and may
+        outgrow a budget that a bidirectional search respects."""
+        if self.truncated:
+            raise ValueError("a truncated index is searched both ways, within the budget, by word_distance")
+        ball, mul = self._last, self.model.mul_keys
+        gen_keys = [gk for _, gk in self._follow[0]]  # the distinct generator keys
+        seen, frontier, n = {key}, [key], self.radius
+        while n < cap and frontier:
+            n += 1
+            nxt = []
+            for k in frontier:
+                for gk in gen_keys:
+                    nk = mul(k, gk)
+                    if nk in ball:
+                        return n
+                    if nk not in seen:
+                        seen.add(nk)
+                        nxt.append(nk)
+            frontier = nxt
+            if node_budget is not None and len(seen) > node_budget:
+                raise BudgetExceeded(f"a distance search outgrew the node budget {node_budget}")
+        return None
 
     def distance_from_identity(self, h: GroupElement, cap: int) -> Optional[int]:
         """``word_distance(model, gens, identity, h, cap)``: exact d_S(id, h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .alignment import gromov_product, project, set_diameter
+from .alignment import project, set_diameter
 from .balls import BallCensus, BallIndex, BudgetExceeded, enumerate_ball, word_distance
 from .groups import GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
@@ -236,17 +236,22 @@ def lipschitz_projection_bound(
     recovery: d_S(g, h) <= K1 d_S(g, gamma) + K1 diam(pi(g) u h x0) + K1
     over orbit points h of the segment; proj: diam(pi(g) u pi(h)) <=
     K0 d_S(g, h) + K0 over sample pairs.  d_S(g, h) = |g^-1 h|_S is read
-    from ``ball`` when g^-1 h lies in it; every other distance is a search
-    bounded by ``node_budget`` nodes (:class:`BudgetExceeded` beyond it).
+    from ``ball`` when g^-1 h lies in it, by a search that stops at the
+    ball when it is complete (:meth:`BallIndex.norm_beyond`), and by a
+    bidirectional search otherwise; each search is bounded by
+    ``node_budget`` nodes (:class:`BudgetExceeded` beyond it).
     """
     space = action.space
     elements = [GroupElement(model, k) for k in sample_keys]
 
     def word_dist(g: GroupElement, h: GroupElement) -> Optional[int]:
         if ball is not None:
-            d = ball.norm(model.mul_keys(model.inverse_key(g.key), h.key))
+            key = model.mul_keys(model.inverse_key(g.key), h.key)
+            d = ball.norm(key)
             if d is not None:
                 return d if d <= r_max else None
+            if not ball.truncated:
+                return ball.norm_beyond(key, r_max, node_budget)
         return word_distance(model, gens, g, h, r_max, node_budget)
 
     k1 = Fraction(0)
@@ -367,6 +372,14 @@ class LinkageChoice:
     achieved: Fraction  # max Gromov product over the scanned horizon
 
 
+def _twice_max_product(space: MetricSpaceModel, x0, axis: Sequence, pt) -> int:
+    """Twice the largest Gromov product (p, pt)_x0 over the points p of
+    ``axis``, given as (p, d(p, x0)) pairs: the largest integer
+    d(p, x0) + d(x0, pt) - d(p, pt)."""
+    d_pt = space.distance(x0, pt)
+    return max(d_p + d_pt - space.distance(p, pt) for p, d_p in axis)
+
+
 def select_linkage(
     model: GroupModel,
     gens: GeneratingSet,
@@ -390,20 +403,21 @@ def select_linkage(
     if horizon is None:
         horizon = 3 * max(4, word_distance(model, gens, model.identity(), phi, math.inf))
     candidates = [model.identity()] + list(gens.elements)
-    axis = {}  # sign -> the points phi^(sign i) x0 for i in [1, 2 horizon]
+    axis = {}  # sign -> (p, d(p, x0)) for the points p = phi^(sign i) x0, i in [1, 2 horizon]
     for sign, step in ((+1, phi), (-1, phi.inverse())):
         power, axis[sign] = step, []
         for _ in range(2 * horizon):
-            axis[sign].append(action.proj(power))
+            p = action.proj(power)
+            axis[sign].append((p, space.distance(p, x0)))
             power = power * step
 
-    def side_max(w: GroupElement, sign: int, hz: int) -> Fraction:
-        pt = action.proj(w * g)
-        return max(gromov_product(space, p, pt, x0) for p in axis[sign][:hz])
+    def side_max(w: GroupElement, sign: int, hz: int) -> int:
+        return _twice_max_product(space, x0, axis[sign][:hz], action.proj(w * g))
 
     best_s = min(candidates, key=lambda s: (side_max(s, +1, horizon), s.key))
     best_t = min(candidates, key=lambda t: (side_max(t, -1, horizon), t.key))
-    return LinkageChoice(best_s, best_t, max(side_max(best_s, +1, 2 * horizon), side_max(best_t, -1, 2 * horizon)))
+    achieved = max(side_max(best_s, +1, 2 * horizon), side_max(best_t, -1, 2 * horizon))
+    return LinkageChoice(best_s, best_t, Fraction(achieved, 2))
 
 
 def measure_scaled_ledger(
@@ -459,8 +473,10 @@ def measure_scaled_ledger(
     # to about 2 |B(sample_radius)| nodes.  Every sample pair lies in
     # B(2 sample_radius), since |g^-1 h|_S <= |g|_S + |h|_S, and that ball has
     # at most |B(sample_radius)|^2 elements: it is indexed once when that is
-    # no more than the searches it answers may hold.  An index the budget
-    # cuts short is no error; a query outside it is searched.
+    # no more than the searches it answers may hold.  A recovery distance
+    # d_S(g, h) to an orbit point h may fall outside it; on a complete index
+    # its search stops at the index.  An index the budget cuts short is no
+    # error; a query outside it is a bidirectional search.
     n = len(sample_keys)
     searched = not (gens.standard and model.exact_length(model.identity_key()) is not None)
     pairs = None

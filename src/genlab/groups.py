@@ -660,9 +660,19 @@ class FiniteSample(GroupModel):
 
 
 def make_model(model_id: str) -> GroupModel:
-    """Model factory used by configs: ``free:k``, ``zz23``, ``braid3``."""
-    if model_id.startswith("free:"):
-        return FreeGroup(int(model_id.split(":", 1)[1]))
+    """Model factory used by configs: ``free:k``, ``zz23``, ``braid3``.
+
+    A rank has one spelling, ASCII digits without a sign, space or leading
+    zero, and is at most the 26 letters a config word can name; anything
+    else raises ValueError.
+    """
+    rank = model_id[len("free:"):] if model_id.startswith("free:") else ""
+    if rank.isascii() and rank.isdigit() and rank[0] != "0":
+        group = FreeGroup(int(rank))  # beyond byte keys: ValueError
+        if group.rank > group.alphabet.size:
+            raise ValueError(f"rank must be <= {group.alphabet.size}, the letters a config word names, "
+                             f"got {group.rank}")
+        return group
     if model_id == "zz23":
         return FreeProductZ2Z3()
     if model_id == "braid3":

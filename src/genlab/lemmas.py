@@ -106,18 +106,14 @@ class ChainInstance:
         return check_alignment(self.space, seq, self.level)
 
     def word_geodesic_elements(self) -> list:
-        """The vertices of [g, h]_S; exact for standard free-group generators."""
-        rel = self.g.inverse() * self.h
-        word = self.group.key_word(rel.key)  # reduced word = geodesic spelling
-        out = [self.g]
-        cur = self.g
-        for a in word:
-            cur = cur * self.group.element((a,))
-            out.append(cur)
-        return out
+        """The vertices of [g, h]_S, which on the standard-basis Cayley tree
+        are the tree geodesic's between the two keys."""
+        return [GroupElement(self.group, k) for k in self.space.geodesic(self.g.key, self.h.key).points]
 
     def d(self, u: GroupElement, v: GroupElement) -> int:
-        return len((u.inverse() * v).key)
+        """d_S(u, v), which on the standard-basis Cayley tree is the tree
+        distance between the two keys."""
+        return self.space.distance(u.key, v.key)
 
 
 def random_reduced_word(rng: random.Random, letters, n: int, avoid_first=None) -> tuple:
@@ -189,10 +185,11 @@ def random_chain_instance(
 
 
 def _middle_third_ok(space, segment: OrbitSegment, p_point) -> bool:
+    """Every projection index i of the point onto the segment's length-n
+    geodesic has n/3 <= i <= 2n/3, decided as n <= 3i <= 2n."""
     proj = segment.projected
-    length = Fraction(len(proj))
-    idxs = project(space, p_point, proj).indices
-    return all(length / 3 <= i <= 2 * length / 3 for i in idxs)
+    n = len(proj)
+    return all(n <= 3 * i <= 2 * n for i in project(space, p_point, proj).indices)
 
 
 def verify_midpoint_capture(instance: ChainInstance):
@@ -605,7 +602,8 @@ def _perturbed_parallel(tree, gamma: Geodesic, e1: int, e2: int, rng) -> Optiona
         pts = [anchor]
         cur = anchor
         for _ in range(steps):
-            options = [v for v in tree.neighbors(cur) if v not in forbidden and tree.distance(v, anchor) > tree.distance(cur, anchor)]
+            d_cur = tree.distance(cur, anchor)
+            options = [v for v in tree.neighbors(cur) if v not in forbidden and tree.distance(v, anchor) > d_cur]
             if not options:
                 return None
             cur = rng.choice(options)

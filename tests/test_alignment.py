@@ -16,6 +16,7 @@ from genlab.alignment import (
     hausdorff_distance,
     project,
     set_diameter,
+    tree_hausdorff_distance,
 )
 from genlab.spaces import BassSerreTree, CayleyTree, Geodesic, cycle_graph
 
@@ -103,6 +104,43 @@ def _random_vertex(rng, tree, steps):
     for _ in range(steps):
         v = rng.choice(sorted(tree.neighbors(v)))
     return v
+
+
+@pytest.mark.parametrize("tree", [CayleyTree(2), BassSerreTree()], ids=["cayley2", "bass-serre"])
+def test_tree_fellow_traveling_matches_the_hausdorff_scan(tree):
+    # two tree geodesics, one-point ones among them, read d(p, eta) from
+    # the median of each point; the exhaustive scan of every point pair is
+    # the oracle
+    class Slow:
+        is_tree = False
+        distance = staticmethod(tree.distance)
+
+    rng = random.Random(5)
+
+    def near(v):
+        for _ in range(rng.randrange(0, 3)):
+            v = rng.choice(sorted(tree.neighbors(v)))
+        return v
+
+    pairs, hausdorff, travels = 0, set(), 0
+    while pairs < 400:
+        gamma = tree.geodesic(_random_vertex(rng, tree, rng.randrange(0, 8)),
+                              _random_vertex(rng, tree, rng.randrange(0, 8)))
+        if rng.random() < 0.5:  # a geodesic between points near gamma's ends
+            eta = tree.geodesic(near(gamma.start), near(gamma.end))
+        else:
+            eta = tree.geodesic(_random_vertex(rng, tree, rng.randrange(0, 8)),
+                                _random_vertex(rng, tree, rng.randrange(0, 8)))
+        pairs += 1
+        want = hausdorff_distance(tree, gamma.points, eta.points)
+        assert tree_hausdorff_distance(tree, gamma, eta) == want
+        hausdorff.add(want)
+        for eps in (want - 1, want, want + 1):
+            for strict in (True, False):
+                fast = fellow_traveling(tree, gamma, eta, eps, strict)
+                assert fast == fellow_traveling(Slow(), gamma, eta, eps, strict)
+                travels += fast
+    assert len(hausdorff) > 3 and travels
 
 
 @pytest.mark.parametrize("tree", [CayleyTree(2), BassSerreTree()], ids=["cayley2", "bass-serre"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from genlab.balls import (
     BallIndex,
+    BudgetExceeded,
     _closed_form_geodesic,
     _followers,
     center_coset_census,
@@ -346,9 +347,13 @@ def _unpruned_cases():
 
 
 _UNPRUNED_IDS = ["f2", "f2-ab", "zz23", "braid3", "braid3-aba", "cyclic3", "s3"]
+_RANDOM_SETS = random_generating_sets()
+_RANDOM_IDS = [f"random-{model_id}-{i}" for i, (model_id, _, _) in enumerate(_RANDOM_SETS)]
+# the fixed sets and random ones (repeated elements, shuffled letter order)
+_UNPRUNED_AND_RANDOM = _unpruned_cases() + [(gens.model, gens, radius) for _, gens, radius in _RANDOM_SETS]
 
 
-@pytest.mark.parametrize("model,gens,radius", _unpruned_cases(), ids=_UNPRUNED_IDS)
+@pytest.mark.parametrize("model,gens,radius", _UNPRUNED_AND_RANDOM, ids=_UNPRUNED_IDS + _RANDOM_IDS)
 def test_enumerate_ball_matches_unpruned_bfs(model, gens, radius):
     spheres, _ = unpruned_bfs(model, gens, radius)
     census = enumerate_ball(model, gens, radius, keep_elements=True)
@@ -384,15 +389,7 @@ def test_geodesic_representative_matches_unpruned_bfs(model, gens, radius):
             assert geo.word == gens.spell(paths[key])
 
 
-_RANDOM_SETS = random_generating_sets()
-_RANDOM_IDS = [f"random-{model_id}-{i}" for i, (model_id, _, _) in enumerate(_RANDOM_SETS)]
-
-
-@pytest.mark.parametrize(
-    "model,gens,radius",
-    _unpruned_cases() + [(gens.model, gens, radius) for _, gens, radius in _RANDOM_SETS],
-    ids=_UNPRUNED_IDS + _RANDOM_IDS,
-)
+@pytest.mark.parametrize("model,gens,radius", _UNPRUNED_AND_RANDOM, ids=_UNPRUNED_IDS + _RANDOM_IDS)
 def test_ball_index_walks_the_unpruned_bfs_tree(model, gens, radius):
     # each key's parent is its first-visit path one letter shorter, and a
     # walk back reads the keys of every prefix of that path, on the fixed
@@ -414,6 +411,44 @@ def test_ball_index_walks_the_unpruned_bfs_tree(model, gens, radius):
             if n < 3:  # the search grows the same tree up to its target
                 geo = geodesic_representative(model, gens, GroupElement(model, key), node_budget=budget)
                 assert geo.s_letters == path
+
+
+@pytest.mark.parametrize("model,gens,radius", _UNPRUNED_AND_RANDOM, ids=_UNPRUNED_IDS + _RANDOM_IDS)
+def test_norm_beyond_a_complete_index_matches_unpruned_bfs(model, gens, radius):
+    # outside a complete B(R), |x| = R + d(x, B(R)): the search beyond an
+    # index of radius R reads every reference norm of the spheres past R,
+    # and None under a cap one below it
+    spheres, _ = unpruned_bfs(model, gens, radius)
+    for inner in sorted({max(0, radius - 3), radius - 1}):
+        index = BallIndex(model, gens, inner)
+        assert not index.truncated
+        for r in range(inner + 1, radius + 1):
+            for key in spheres[r]:
+                assert key not in index
+                assert index.norm_beyond(key, radius) == r
+                assert index.norm_beyond(key, r - 1) is None
+
+
+def test_norm_beyond_a_truncated_index_is_refused(braid):
+    # from the small ball a budget leaves, the one-way search runs deep;
+    # such queries stay with the bidirectional word_distance
+    index = BallIndex(braid, braid.standard_gens(), 8, node_budget=100)
+    assert index.truncated
+    with pytest.raises(ValueError, match="truncated"):
+        index.norm_beyond(braid.element("aaaa").key, 8)
+
+
+def test_norm_beyond_keeps_its_own_node_budget(braid):
+    # the search may hold node_budget nodes next to the ball, not what the
+    # ball leaves of them
+    gens = braid.standard_gens()
+    index = BallIndex(braid, gens, 6)
+    far = braid.element("aaaaaaaa").key  # exponent sum 8, so norm 8: two layers past B(6)
+    held = sum(map(len, BallIndex(braid, gens, 1).spheres))  # the search holds B(far, 1) before it meets B(6)
+    assert held < len(index._last)
+    assert index.norm_beyond(far, 10, node_budget=held) == 8
+    with pytest.raises(BudgetExceeded, match="distance search"):
+        index.norm_beyond(far, 10, node_budget=held - 1)
 
 
 @pytest.mark.parametrize(

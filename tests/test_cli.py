@@ -212,6 +212,17 @@ def test_free_model_rank_beyond_byte_keys_is_a_config_error(tmp_path, capsys):
     assert "config error at $.experiments[0].model: rank must be <= 127" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model_id", ["free: 2", "free:+2", "free:02", "free:\u0662", "free:2 ", "free:2\n",
+                                      "Free:2", "free:0", "free:-2", "free:", "free:2.0", "free:27", "free:30",
+                                      "free:127", "zz23 ", "BRAID3"])
+def test_model_id_has_one_spelling(tmp_path, capsys, model_id):
+    # only free:[1-9][0-9]* (rank at most 26), zz23 and braid3 name a model
+    doc = {"experiments": [{"kind": "enumerate", "model": model_id, "radius": 1}]}
+    assert _main_with_config(tmp_path, doc) == 2
+    assert "config error at $.experiments[0].model: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_error_survives_pickling():
     err = pickle.loads(pickle.dumps(ConfigError("$.x", "m")))
     assert (type(err), str(err), err.path) == (ConfigError, "config error at $.x: m", "$.x")

@@ -12,6 +12,7 @@ from genlab.contraction import (
     LinkageChoice,
     NonLoxodromicError,
     _distance_to_segment,
+    _twice_max_product,
     lipschitz_projection_bound,
     measure_scaled_ledger,
     require_loxodromic,
@@ -191,6 +192,94 @@ def test_select_linkage_examples(tree3, f3):
     assert link3.achieved <= 1
 
 
+def _reference_linkage(model, gens, action, phi, g, horizon):
+    """select_linkage's choice from rational Gromov products, each read from
+    three distances: the oracle of its integer fast path."""
+    space, x0 = action.space, action.space.basepoint
+    candidates = [model.identity()] + list(gens.elements)
+
+    def side_max(w, step, hz):
+        pt = action.proj(w * g)
+        return max(gromov_product(space, action.proj(step**i), pt, x0) for i in range(1, hz + 1))
+
+    inv = phi.inverse()
+    best_s = min(candidates, key=lambda s: (side_max(s, phi, horizon), s.key))
+    best_t = min(candidates, key=lambda t: (side_max(t, inv, horizon), t.key))
+    return best_s, best_t, max(side_max(best_s, phi, 2 * horizon), side_max(best_t, inv, 2 * horizon))
+
+
+@pytest.mark.parametrize("model_id, phi_word, words", [
+    ("free:2", "a", None),
+    ("free:2", "a", ["a"]),  # too few letters to leave the axis: products above 0
+    ("free:2", "a", ["a", "b", "ab"]),
+    ("zz23", "xy", None),
+    ("braid3", "aB", None),
+    ("braid3", "aB", ["a", "b", "aba"]),
+], ids=["f2-a", "f2-only-a", "f2-ab-a", "zz23-xy", "braid3-aB", "braid3-aba-aB"])
+def test_select_linkage_matches_the_gromov_product_reference(model_id, phi_word, words):
+    # the integer maxima 2 (p, pt)_x0 choose the same letters, by the same
+    # key tie-break, and give the same achieved product as the rationals
+    model = make_model(model_id)
+    gens = model.standard_gens() if words is None else GeneratingSet(model, words)
+    action, phi = model.tree_action(), model.element(phi_word)
+    ball = enumerate_ball(model, model.standard_gens(), 4, keep_elements=True)
+    keys = [k for sphere in ball.elements for k in sphere]
+    rng = random.Random(21)
+    for horizon in (1, 3, 12):
+        for key in [keys[rng.randrange(len(keys))] for _ in range(15)]:
+            g = GroupElement(model, key)
+            link = select_linkage(model, gens, action, phi, g, horizon=horizon)
+            s, t, value = _reference_linkage(model, gens, action, phi, g, horizon)
+            assert (link.s.key, link.t.key, link.achieved) == (s.key, t.key, value)
+
+
+@pytest.mark.parametrize("model_id", ["free:2", "zz23", "braid3"])
+def test_twice_max_product_is_twice_the_largest_gromov_product(model_id):
+    # side_max's integer against the rational products it replaces, on
+    # random axis prefixes and points of each model's tree
+    model = make_model(model_id)
+    action = model.tree_action()
+    space, x0 = action.space, action.space.basepoint
+    keys = [k for sphere in enumerate_ball(model, model.standard_gens(), 5, keep_elements=True).elements
+            for k in sphere]
+    rng = random.Random(8)
+    values = set()
+    for _ in range(300):
+        points = [action.proj(GroupElement(model, keys[rng.randrange(len(keys))])) for _ in range(rng.randint(1, 6))]
+        pt = action.proj(GroupElement(model, keys[rng.randrange(len(keys))]))
+        axis = [(p, space.distance(p, x0)) for p in points]
+        want = max(gromov_product(space, p, pt, x0) for p in points)
+        assert _twice_max_product(space, x0, axis, pt) == 2 * want
+        values.add(want)
+    assert len(values) > 3
+
+
+def test_lipschitz_bound_searches_past_a_truncated_index(braid, bass_serre, monkeypatch):
+    # a truncated index bounds no norm beyond it: each query outside it is
+    # a word_distance search, and the constants are those of no index
+    gens, action = braid.standard_gens(), bass_serre[2]
+    segment = OrbitSegment(action, braid.identity(), braid.element("aB"), 4)
+    ball = enumerate_ball(braid, gens, 4, keep_elements=True)
+    keys = [k for sphere in ball.elements for k in sphere]
+    rng = random.Random(4)
+    sample = [keys[rng.randrange(len(keys))] for _ in range(10)]
+    index = BallIndex(braid, gens, 8, node_budget=150)
+    assert index.truncated
+    searched = []
+
+    def counted(model, gens, g, h, *rest):
+        searched.append(model.mul_keys(model.inverse_key(g.key), h.key))
+        return word_distance(model, gens, g, h, *rest)
+
+    monkeypatch.setattr(contraction, "word_distance", counted)
+    with_index = lipschitz_projection_bound(braid, gens, action, segment, sample, ball=index)
+    outside = list(searched)
+    searched.clear()
+    assert lipschitz_projection_bound(braid, gens, action, segment, sample) == with_index
+    assert outside and all(key not in index for key in outside)
+    assert len(outside) < len(searched)  # the queries inside the index were read from it
+
+
 def test_measure_scaled_ledger_records_profile(tree2, f2):
     _, action = tree2
     rng = random.Random(3)
@@ -219,12 +308,18 @@ def test_ledger_node_budget_binds_every_search(braid, bass_serre):
 def test_ledger_reads_the_same_distances_from_its_ball(braid, bass_serre, words, monkeypatch):
     # braid3 has no closed-form norm: the ledger reads its Lipschitz
     # distances from one ball of twice the sample radius, and must measure
-    # what a search per distance measures
+    # what a search per distance measures.  Both kinds of search count: the
+    # bidirectional word_distance and the search beyond a complete index.
     searches = []
+    norm_beyond = BallIndex.norm_beyond
 
     def counted(*args):
-        searches.append(args)
+        searches.append("word_distance")
         return word_distance(*args)
+
+    def counted_beyond(index, *args):
+        searches.append("norm_beyond")
+        return norm_beyond(index, *args)
 
     def ledger():
         searches.clear()
@@ -232,11 +327,17 @@ def test_ledger_reads_the_same_distances_from_its_ball(braid, bass_serre, words,
                                      random.Random(5), segment_length=2, sample_radius=4).to_json()
 
     monkeypatch.setattr(contraction, "word_distance", counted)
+    monkeypatch.setattr(BallIndex, "norm_beyond", counted_beyond)
     with_ball, searched_with_ball = ledger(), len(searches)
     # a radius-0 index holds the identity alone, so every other distance is a search
     monkeypatch.setattr(contraction, "BallIndex", lambda model, gens, radius, budget: BallIndex(model, gens, 0, budget))
     assert ledger() == with_ball
     assert len(searches) > searched_with_ball + 300
+    # with no index every distance is a bidirectional word_distance search,
+    # the oracle for both the index and the search beyond it
+    monkeypatch.setattr(contraction, "BallIndex", lambda model, gens, radius, budget: None)
+    assert ledger() == with_ball
+    assert len(searches) > searched_with_ball + 300 and set(searches) == {"word_distance"}
 
 
 @pytest.mark.parametrize("model_id, words, indexed", [

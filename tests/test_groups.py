@@ -186,6 +186,20 @@ def test_make_model():
     assert make_model("zz23").name == "zz23"
     with pytest.raises(ValueError):
         make_model("nope")
+    with pytest.raises(ValueError, match="rank must be <= 26"):
+        make_model("free:27")  # F_27 has a letter past z, which no config word names
+
+
+@pytest.mark.parametrize("model_id", [f"free:{k}" for k in range(1, 27)] + ["zz23", "braid3"])
+def test_radius_one_holds_the_generators_and_their_inverses(model_id):
+    # a model id counts what it names: its sphere of radius 1 is exactly
+    # the distinct non-identity keys of its letters and their inverses
+    model = make_model(model_id)
+    gens = model.standard_gens()
+    sphere = enumerate_ball(model, gens, 1, keep_elements=True).elements[1]
+    letters = set(model.letter_keys.values()) - {model.identity_key()}
+    assert sorted(sphere) == sorted(letters)
+    assert letters == {k for g in gens.elements for k in (g.key, model.inverse_key(g.key))} - {model.identity_key()}
 
 
 _PRODUCT_MODELS = (FreeGroup(2), FreeProductZ2Z3(), Braid3(), FiniteSample.cyclic(5))

@@ -9,6 +9,7 @@ from genlab.lemmas import (
     ChainInstance,
     InequalityVerdict,
     SkippedInstance,
+    _middle_third_ok,
     appendix_suite_graph,
     appendix_suite_tree,
     central_mix_norm,
@@ -21,6 +22,7 @@ from genlab.lemmas import (
     verify_midpoint_capture,
     verify_quadratic_length,
 )
+from genlab.alignment import project
 from genlab.spaces import OrbitSegment, build_cayley_tree, cycle_graph, measure_delta
 from genlab.groups import Braid3
 
@@ -216,3 +218,51 @@ def test_appendix_suite_six_cycle_exhaustive():
     assert rep.trials["projection-near-median"] == 6 * 6 * 5 + 6 * 6  # ordered pairs x geodesic choices
     assert "suite" in rep.to_json()
     assert "ok" in rep.summary()
+
+
+def _reference_middle_third(space, segment, p_point) -> bool:
+    proj = segment.projected
+    length = Fraction(len(proj))
+    return all(length / 3 <= i <= 2 * length / 3 for i in project(space, p_point, proj).indices)
+
+
+def test_middle_third_matches_the_fraction_reference(f2_ledger):
+    # the integer test n <= 3i <= 2n against the rational thirds, on the
+    # tree's median projection and on the generic scan, over segment lengths that
+    # put a third on a vertex and ones that do not
+    class Slow:
+        is_tree = False
+
+        def __init__(self, tree):
+            self.distance = tree.distance
+
+    rng = random.Random(13)
+    outcomes = []
+    for n in range(1, 13):
+        inst = random_chain_instance(rng, n_segments=rng.randrange(1, 4), ledger=f2_ledger, segment_length=n)
+        slow = Slow(inst.space)
+        for seg in inst.segments:
+            for p in inst.word_geodesic_elements():
+                pt = inst.action.proj(p)
+                want = _reference_middle_third(inst.space, seg, pt)
+                assert _middle_third_ok(inst.space, seg, pt) == want
+                assert _middle_third_ok(slow, seg, pt) == want
+                outcomes.append(want)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_chain_instance_reads_the_word_metric_from_the_tree(f2_ledger):
+    # on the standard-basis Cayley tree the tree distance of two keys is
+    # the reduced length of u^-1 v, and the tree geodesic from g to h is g
+    # times the prefixes of the reduced word of g^-1 h
+    rng = random.Random(17)
+    for _ in range(20):
+        inst = random_chain_instance(rng, n_segments=2, ledger=f2_ledger)
+        walk = [inst.g]
+        for a in inst.group.key_word((inst.g.inverse() * inst.h).key):
+            walk.append(walk[-1] * inst.group.element((a,)))
+        assert inst.word_geodesic_elements() == walk
+        pts = walk + inst.midpoints()
+        for u in pts:
+            v = pts[rng.randrange(len(pts))]
+            assert inst.d(u, v) == len((u.inverse() * v).key)
