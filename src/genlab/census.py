@@ -831,13 +831,13 @@ def genericity_experiment(
     if coset_mode:
         seen = set()
         running_special = 0
+        coset_verdict = model.coset_verdicts()
         for r in range(r_max + 1):
             for key in census.elements[r]:
                 q = model.quotient_key(key)
                 if q not in seen:
                     seen.add(q)
-                    # the verdict is constant on a coset
-                    running_special += model.verdict(key)[0] != "pseudoAnosov"
+                    running_special += coset_verdict(q) != "pseudoAnosov"
             special.append(running_special)
             totals.append(len(seen))
             ratios.append(Fraction(running_special, len(seen)))

@@ -13,6 +13,10 @@ never imported.  This process writes every output and the manifest in
 config order either way.  ``--budget-nodes`` bounds each experiment on
 its own, and only the scaled profile is accepted.
 
+The manifest hashes every output, and the config, with the interpreter's
+built-in SHA-256 (``_sha2``, or ``_sha256`` before Python 3.12): the same
+digests ``hashlib`` gives, without loading OpenSSL's libcrypto.
+
 Of genlab's modules, importing this one loads only ``balls`` and
 ``groups`` (and the ``words`` they read).  A run imports each kind's
 other modules while it validates an experiment of that kind, before any
@@ -25,7 +29,6 @@ outputs, 4 verification-suite failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import json
 import os
@@ -39,6 +42,16 @@ from pathlib import Path
 
 from . import balls
 from .groups import Braid3, FreeGroup, GeneratingSet, make_model
+
+# hashlib loads OpenSSL's libcrypto; the interpreter's own SHA-256 gives
+# the same digests, as random.py takes its sha512
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -234,7 +247,7 @@ def _write(out_dir: Path, rel: str, text: str, manifest: dict, flags: dict | Non
     path.parent.mkdir(parents=True, exist_ok=True)
     data = text.encode()
     path.write_bytes(data)
-    entry = {"path": rel, "sha256": hashlib.sha256(data).hexdigest()}
+    entry = {"path": rel, "sha256": sha256(data).hexdigest()}
     if flags:
         entry.update(flags)
     manifest["outputs"].append(entry)
@@ -525,7 +538,7 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
     # the worker count is deliberately absent: results are contracted to be
     # identical for every worker setting, manifests included
     manifest = {
-        "config_sha256": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+        "config_sha256": sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
         "seed": seed,
         "profile": profile,
         "outputs": [],

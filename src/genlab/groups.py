@@ -116,7 +116,8 @@ class GroupModel:
         return None
 
     def quotient_key(self, key):
-        """Key of the image modulo the center, for a central extension."""
+        """Key of the image modulo the center, for a central extension,
+        which then also has ``coset_verdicts``."""
         return None
 
     def tree_action(self):
@@ -473,6 +474,17 @@ _SL2_SYLLABLE = (
 )
 
 
+def _sl2_type(m) -> str:
+    """Nielsen-Thurston type of a 3-braid from its SL(2, Z) image m; the
+    same for -m, so for every element of a center coset."""
+    tr = abs(m[0] + m[3])
+    if tr > 2:
+        return "pseudoAnosov"
+    if tr == 2 and m not in _SL2_CENTER:
+        return "reducible"
+    return "periodic"
+
+
 def _projective_order(m) -> Optional[int]:
     """The least n with m^n = +-I, or None when m has infinite order in
     PSL(2, Z); the trace decides it (its torsion has order 2 or 3)."""
@@ -576,18 +588,30 @@ class Braid3(GroupModel):
             m = _sl2_mul(m, _SL2_SYLLABLE[s])
         if z % 2:  # the center's generator c maps to -I
             m = tuple(-e for e in m)
-        tr = m[0] + m[3]
-        if abs(tr) > 2:
-            verdict = "pseudoAnosov"
-        elif abs(tr) == 2 and m not in _SL2_CENTER:
-            verdict = "reducible"
-        else:
-            verdict = "periodic"
-        return verdict, {
-            "trace": tr,
+        return _sl2_type(m), {
+            "trace": m[0] + m[3],
             "projective_order": _projective_order(m),
             "central_exponent": z,
         }
+
+    def coset_verdicts(self):
+        """A function from a center coset's ``quotient_key`` to the verdict
+        (``verdict(key)[0]``) of every key in it.  It keeps the SL(2, Z)
+        image of each syllable prefix it meets, so a coset extending a known
+        prefix costs one product per further syllable; the memo lives in
+        the function, so each experiment makes its own."""
+        images = {b"": (1, 0, 0, 1)}
+
+        def verdict(sylls: bytes) -> str:
+            n = len(sylls)
+            while sylls[:n] not in images:
+                n -= 1
+            m = images[sylls[:n]]
+            for i in range(n, len(sylls)):
+                m = images[sylls[: i + 1]] = _sl2_mul(m, _SL2_SYLLABLE[sylls[i]])
+            return _sl2_type(m)
+
+        return verdict
 
     @staticmethod
     def exponent_sum(word: Sequence[int]) -> int:

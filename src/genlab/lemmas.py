@@ -80,7 +80,11 @@ class SkippedInstance:
 
 @dataclass
 class ChainInstance:
-    """An aligned configuration (g, segments..., h) over a free group."""
+    """An aligned configuration (g, segments..., h) over a free group.
+
+    Its hypothesis report and the vertices of [g, h]_S are built on first
+    use and kept, so the lemmas verified on one instance share them.
+    """
 
     instance_id: str
     group: FreeGroup
@@ -91,6 +95,8 @@ class ChainInstance:
     g: GroupElement
     h: GroupElement
     segments: list  # OrbitSegments, each of even length M
+    _report: Optional[AlignmentReport] = field(default=None, init=False, repr=False, compare=False)
+    _path: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def space(self):
@@ -100,15 +106,20 @@ class ChainInstance:
         return [seg.midpoint_element() for seg in self.segments]
 
     def hypothesis_report(self) -> AlignmentReport:
-        seq = [self.action.proj(self.g)]
-        seq.extend(seg.projected for seg in self.segments)
-        seq.append(self.action.proj(self.h))
-        return check_alignment(self.space, seq, self.level)
+        if self._report is None:
+            seq = [self.action.proj(self.g)]
+            seq.extend(seg.projected for seg in self.segments)
+            seq.append(self.action.proj(self.h))
+            self._report = check_alignment(self.space, seq, self.level)
+        return self._report
 
     def word_geodesic_elements(self) -> list:
         """The vertices of [g, h]_S, which on the standard-basis Cayley tree
-        are the tree geodesic's between the two keys."""
-        return [GroupElement(self.group, k) for k in self.space.geodesic(self.g.key, self.h.key).points]
+        are the tree geodesic's between the two keys (one list, shared by
+        every call)."""
+        if self._path is None:
+            self._path = [GroupElement(self.group, k) for k in self.space.geodesic(self.g.key, self.h.key).points]
+        return self._path
 
     def d(self, u: GroupElement, v: GroupElement) -> int:
         """d_S(u, v), which on the standard-basis Cayley tree is the tree
@@ -124,6 +135,13 @@ def random_reduced_word(rng: random.Random, letters, n: int, avoid_first=None) -
         banned = -out[-1] if out else avoid_first
         out.append(rng.choice([c for c in letters if c != banned]))
     return tuple(out)
+
+
+def _tree_letters(tree) -> tuple:
+    """The signed letters 1..k, then -1..-k, of a rank-k Cayley tree: every
+    generator, also past z, where the group's alphabet of names stops."""
+    k = tree.rank
+    return (*range(1, k + 1), *range(-1, -k - 1, -1))
 
 
 def random_chain_instance(
@@ -153,7 +171,7 @@ def random_chain_instance(
     if segment_length is None:
         m = int(ledger.chain_threshold(level)) + 1
         segment_length = m + (m % 2)  # even, above the chain threshold
-    letters = group.alphabet.signed_letters()
+    letters = _tree_letters(tree)
     first, last = phi_letters[0], phi_letters[-1]
 
     base = group.element(random_reduced_word(rng, letters, rng.randrange(0, 5)))
@@ -544,7 +562,7 @@ def appendix_suite_tree(rank: int, trials: int, rng: random.Random, max_len: int
     tree, _ = build_cayley_tree(rank)
     group = tree.group
     report = SuiteReport(f"appendix-tree-f{rank}")
-    letters = group.alphabet.signed_letters()
+    letters = _tree_letters(tree)
 
     def rand_point():
         return group.normalize(random_reduced_word(rng, letters, rng.randrange(0, max_len)))
@@ -626,7 +644,7 @@ def _aligned_tree_pair(tree, rng, max_word: int = 10):
     """Two segments in order along a common geodesic; returns the least
     integer level making the pair aligned (strictly)."""
     group = tree.group
-    word = random_reduced_word(rng, group.alphabet.signed_letters(), max_word + 14)
+    word = random_reduced_word(rng, _tree_letters(tree), max_word + 14)
     line = tree.geodesic(tree.basepoint, group.normalize(word))
     L = len(line)
     a = rng.randrange(0, L - 8)

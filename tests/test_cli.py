@@ -67,6 +67,14 @@ def test_enumerate_and_manifest(tmp_path):
     assert [v["verdict"] for v in verdicts] == ["reducible", "pseudoAnosov", "periodic"]
 
 
+@pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 65, 1 << 20])
+def test_manifest_digests_are_hashlib_sha256(size):
+    # the built-in SHA-256 around SHA-256's 64-byte block and its padding
+    # boundary (55/56 bytes), and on a megabyte
+    data = bytes((i * 131 + size) % 256 for i in range(size))
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
 def test_budget_truncation_exit_code(tmp_path):
     doc = {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 9}]}
     assert run(doc, tmp_path, 0, "scaled", 64) == 3

@@ -301,6 +301,21 @@ def test_braid_verdict_is_the_letter_word_computation(w, dz):
     assert b.verdict(key) == (expected, evidence)
 
 
+@pytest.mark.parametrize("gens_words", [None, ["a", "b", "aba"]], ids=["standard", "ab-aba"])
+def test_braid_coset_verdicts_match_verdict(gens_words):
+    # every key of B(10), in BFS order and then longest first (so a memo
+    # made fresh must fill each prefix from the identity), has the verdict
+    # of its center coset, odd and even central exponents alike
+    b = Braid3()
+    gens = b.standard_gens() if gens_words is None else GeneratingSet(b, gens_words)
+    keys = [key for sphere in enumerate_ball(b, gens, 10, keep_elements=True).elements for key in sphere]
+    assert len({b.quotient_key(key) for key in keys}) > 5000
+    for order in (keys, keys[::-1]):
+        coset_verdict = b.coset_verdicts()
+        for key in order:
+            assert coset_verdict(b.quotient_key(key)) == b.verdict(key)[0], key
+
+
 # -- free-group keys: reduced words stored as the bytes 128 + x ------------
 
 _FREE_GROUPS = tuple(FreeGroup(k) for k in range(1, 5))

@@ -140,3 +140,33 @@ def test_a_run_in_workers_imports_no_process_pool(tmp_path):
     """, json.dumps(doc), str(tmp_path / "out"))
     assert (sizes, code) == ([2], 0)
     assert pools == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_a_run_never_loads_hashlib(kind, workers, tmp_path):
+    # hashlib loads OpenSSL's libcrypto; the manifest's digests come from
+    # the interpreter's built-in SHA-256.  Two experiments, so that two
+    # workers fork; each worker checks its own modules too.
+    doc = {"experiments": [{"kind": kind, "name": f"x{i}", **SMALL[kind]} for i in range(2)]}
+    before, sizes, code, after = _fresh("""
+        from pathlib import Path
+        HASHLIB = ("hashlib", "_hashlib")
+        before = [m for m in HASHLIB if m in sys.modules]
+        from genlab import cli
+        run_one, fork_map, sizes = cli._run_one, cli._fork_map, []
+
+        def checked(exp, seed, budget):
+            outcome = run_one(exp, seed, budget)
+            loaded = [m for m in HASHLIB if m in sys.modules and m not in before]
+            assert not loaded, f"{exp.name} loaded {loaded}"
+            return outcome
+
+        cli._run_one = checked
+        cli._fork_map = lambda size, fn, items: sizes.append(size) or fork_map(size, fn, items)
+        cli._usable_cores = lambda: 2  # workers even on one core
+        code = cli.run(json.loads(sys.argv[1]), Path(sys.argv[2]), 0, "scaled", None, workers=int(sys.argv[3]))
+        print(json.dumps([before, sizes, code, [m for m in HASHLIB if m in sys.modules]]))
+    """, json.dumps(doc), str(tmp_path / "out"), str(workers))
+    assert (sizes, code) == ([2] if workers == 2 else [], 0)
+    assert set(after) <= set(before)

@@ -1,10 +1,13 @@
 """Concatenation inequalities and the hyperbolic-space fact suite."""
 
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from genlab import cli, lemmas
 from genlab.lemmas import (
     ChainInstance,
     InequalityVerdict,
@@ -23,7 +26,7 @@ from genlab.lemmas import (
     verify_quadratic_length,
 )
 from genlab.alignment import project
-from genlab.spaces import OrbitSegment, build_cayley_tree, cycle_graph, measure_delta
+from genlab.spaces import CayleyTree, OrbitSegment, build_cayley_tree, cycle_graph, measure_delta
 from genlab.groups import Braid3
 
 
@@ -207,6 +210,66 @@ def test_appendix_suite_tree_green():
     assert rep.trials["projection-near-median"] >= 1400
     rep3 = appendix_suite_tree(3, 500, random.Random(14))
     assert rep3.all_green(), rep3.summary()
+
+
+def test_appendix_suite_draws_every_letter_of_its_rank(monkeypatch):
+    # every draw offers the letters 1..k, then -1..-k, of the rank-k tree,
+    # also past z (26)
+    offered, drawn = set(), set()
+    draw = lemmas.random_reduced_word
+
+    def spy(rng, letters, n, avoid_first=None):
+        offered.add(tuple(letters))
+        word = draw(rng, letters, n, avoid_first)
+        drawn.update(word)
+        return word
+
+    monkeypatch.setattr(lemmas, "random_reduced_word", spy)
+    rep = appendix_suite_tree(30, 40, random.Random(7))
+    assert rep.all_green(), rep.summary()
+    assert offered == {(*range(1, 31), *range(-1, -31, -1))}
+    assert any(abs(a) > 26 for a in drawn)
+
+
+@pytest.mark.parametrize("rank, trials, captures, state",
+                         [(2, 200, 175, 12825139603781594175), (26, 60, 53, 17252295924521427908)],
+                         ids=["f2", "f26"])
+def test_appendix_suite_draws_of_ranks_to_26_are_unchanged(rank, trials, captures, state):
+    # the JSON, and the generator's next 64 bits after the suite (which
+    # fix every draw's count and range), as they were when the suite drew
+    # from the alphabet's signed letters
+    rng = random.Random(7)
+    doc = appendix_suite_tree(rank, trials, rng).to_json()
+    assert rng.getrandbits(64) == state
+    counts = {"projection-near-median": trials - 1, "synchronized-projections": trials - 1,
+              "projection-diameter": trials - 1, "subsegment-capture": captures, "projection-dichotomy": trials - 1}
+    assert doc == {"suite": f"appendix-tree-f{rank}", "trials": counts, "passes": counts, "failures": {}}
+
+
+def test_a_chain_instance_builds_its_report_and_geodesic_once(monkeypatch):
+    # the survey's lemma experiment at seed 7: 40 midpoint and 40 chain
+    # instances, each chain instance verified by two lemmas
+    builds = {"report": 0, "path": 0}
+    check, geodesic = lemmas.check_alignment, CayleyTree.geodesic
+    report_code = ChainInstance.hypothesis_report.__code__
+    path_code = ChainInstance.word_geodesic_elements.__code__
+
+    def count_check(*args):
+        builds["report"] += sys._getframe(1).f_code is report_code
+        return check(*args)
+
+    def count_geodesic(*args):
+        builds["path"] += sys._getframe(1).f_code is path_code
+        return geodesic(*args)
+
+    monkeypatch.setattr(lemmas, "check_alignment", count_check)
+    monkeypatch.setattr(CayleyTree, "geodesic", count_geodesic)
+    exp = cli.validate_config({"experiments": [{"kind": "verify-lemmas", "name": "lemmas", "trials": 400}]})[0]
+    outcome = cli._run_one(exp, 7, None)
+    assert builds == {"report": 80, "path": 80}
+    digests = {rel: hashlib.sha256(text.encode()).hexdigest() for rel, text, _ in outcome.outputs}
+    assert digests == {"lemmas.json": "2071c4739d7ecbd4c9fc4ebd99d4975f0754c0b0a5e8374b6d7918e4f6469824",
+                       "lemmas.txt": "4b7a4e3df8cb7d1194b41dfc7a5d21befe5eb1e82737021a59f14f294d346b15"}
 
 
 def test_appendix_suite_six_cycle_exhaustive():
