@@ -530,7 +530,7 @@ def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
     lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
-    for i in range(lo, hi + 1):
+    for i in range(lo, min(hi, n) + 1):  # a window may end beyond the geodesic
         passing = table.thick_heads(prefix[i], lo, hi) & table.thick_tails(suffix[i])
         if passing:
             first = (passing & -passing).bit_length() - 1  # the first candidate that passes

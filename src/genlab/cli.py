@@ -4,13 +4,18 @@ Reads a JSON config describing experiments, runs them with explicit seeds
 and budgets, and emits CSV/JSON/plot-data reports plus a manifest with
 content hashes, so identical config and seed reproduce identical bytes.
 
-Each experiment kind has one runner, which returns its output texts and
-writes nothing.  With ``--workers N`` above 1, up to N experiments run at
-once in worker processes forked with ``os.fork`` (never more than there
-are experiments or usable cores): each takes the next experiment's index
-from a pipe and sends its outcome back pickled, and ``multiprocessing`` is
-never imported.  This process writes every output and the manifest in
-config order either way.  ``--budget-nodes`` bounds each experiment on
+``validate_config`` parses a config once, into one spec per experiment:
+its kind, its name, and every input its kind's runner reads.  A name is
+the stem of the experiment's output files, so it is one path component
+of at most 250 bytes (no ``/`` or NUL; not ``.``, ``..`` or
+``manifest``), unique in the config.  Each kind has one runner, which reads only its spec, returns its
+output texts and writes nothing; ledgers and tree actions are built
+there, one experiment at a time.  With ``--workers N`` above 1, up to N
+experiments run at once in worker processes forked with ``os.fork``
+(never more than there are experiments or usable cores): each takes the
+next experiment's index from a pipe and sends its outcome back pickled,
+and ``multiprocessing`` is never imported.  This process writes every
+output and the manifest in config order either way.  ``--budget-nodes`` bounds each experiment on
 its own, and only the scaled profile is accepted.
 
 The manifest hashes every output, and the config, with the interpreter's
@@ -39,9 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import balls
-from .groups import Braid3, FreeGroup, GeneratingSet, make_model
+from .groups import FreeGroup, GeneratingSet, make_model
 
 # hashlib loads OpenSSL's libcrypto; the interpreter's own SHA-256 gives
 # the same digests, as random.py takes its sha512
@@ -63,27 +69,58 @@ class ConfigError(ValueError):
         return ConfigError, (self.path, self.message)
 
 
-@dataclass
-class ExperimentConfig:
-    """One validated experiment: a kind plus its resolved inputs."""
-
-    kind: str
-    name: str
-    raw: dict
-
-    @property
-    def path(self) -> str:
-        return f"$.experiments[{self.name}]"
-
-
 def _require(raw: dict, key: str, path: str):
     if key not in raw:
         raise ConfigError(f"{path}.{key}", "missing required field")
     return raw[key]
 
 
-def _build_model_gens(raw: dict, path: str):
+def _int(value, path: str, minimum: int | None = 0, maximum: int | None = None) -> int:
+    """An integer field (an int, or a string of one) of at least ``minimum``
+    and at most ``maximum`` (unbounded on a side given None)."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError
+        n = int(value)
+    except ValueError:
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if minimum is not None and n < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ConfigError(path, f"must be <= {maximum}, got {n}")
+    return n
+
+
+def _fraction(value, path: str) -> Fraction:
+    """A rational field: a number, or a string such as ``"35/100"``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError(path, f"must be a rational number, got {value!r}")
+
+
+def _ints(raw: dict, key: str, path: str) -> list[int]:
+    values = _require(raw, key, path)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{path}.{key}", "must be a non-empty list of integers")
+    return [_int(n, f"{path}.{key}[{j}]") for j, n in enumerate(values)]
+
+
+def _element(model, word, path: str):
+    try:
+        return model.element(word)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(path, str(e))
+
+
+def _model_spec(raw: dict, path: str) -> dict:
+    """The ``model``, its generating set ``gens`` (the standard one unless
+    listed) and ``phi`` (the model's default unless given)."""
     model_id = _require(raw, "model", path)
+    if not isinstance(model_id, str):
+        raise ConfigError(f"{path}.model", "must be a string")
     try:
         model = make_model(model_id)
     except ValueError as e:
@@ -98,135 +135,99 @@ def _build_model_gens(raw: dict, path: str):
             gens = GeneratingSet(model, gens_words, standard=is_std)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{path}.gens", str(e))
-    return model, gens
+    return {"model": model, "gens": gens, "phi": _element(model, raw.get("phi", model.default_phi), f"{path}.phi")}
 
 
-def _build_ledger(model, gens, action, raw: dict, path: str, seed: int, node_budget: int | None):
-    from .contraction import measure_scaled_ledger
+# One builder per kind: the inputs its runner reads, parsed from the raw
+# experiment at ``path``.  A field left out takes the default of the
+# function that reads it, unless the builder states one.
 
-    lraw = raw.get("ledger", {})
-    phi_word = raw.get("phi", model.default_phi)
+def _spec_enumerate(raw: dict, path: str) -> dict:
+    spec = _model_spec(raw, path)
+    spec["radius"] = _int(_require(raw, "radius", path), f"{path}.radius")
+    keep = spec["keep_elements"] = raw.get("keep_elements", False)
+    if not isinstance(keep, bool):
+        raise ConfigError(f"{path}.keep_elements", f"must be true or false, got {keep!r}")
+    return spec
+
+
+def _spec_classify(raw: dict, path: str) -> dict:
+    spec = _model_spec(raw, path)
+    words = _require(raw, "words", path)
+    if not isinstance(words, list) or not words:
+        raise ConfigError(f"{path}.words", "must be a non-empty list of words")
+    spec["words"] = [(w, _element(spec["model"], w, f"{path}.words[{j}]")) for j, w in enumerate(words)]
+    return spec
+
+
+def _spec_genericity(raw: dict, path: str) -> dict:
+    spec = _model_spec(raw, path)
+    spec["radius"] = _int(_require(raw, "radius", path), f"{path}.radius")
+    spec["thresholds"] = thresholds = {}  # census.genericity_experiment's keywords
+    if "tree_threshold" in raw:
+        thresholds["tree_threshold"] = _int(raw["tree_threshold"], f"{path}.tree_threshold")
+    if "word_threshold" in raw:
+        thresholds["word_threshold"] = _fraction(raw["word_threshold"], f"{path}.word_threshold")
+    return spec
+
+
+def _spec_fibers(raw: dict, path: str) -> dict:
+    from .contraction import NonLoxodromicError, require_loxodromic
+
+    spec = _model_spec(raw, path)
+    action = spec["model"].tree_action()  # checked here, built again by the runner
+    if action is None:
+        raise ConfigError(f"{path}.model", f"no tree action for {spec['model'].name}")
     try:
-        phi = model.element(phi_word)
-    except (TypeError, ValueError) as e:
+        require_loxodromic(action, spec["phi"])
+    except NonLoxodromicError as e:
         raise ConfigError(f"{path}.phi", str(e))
-    kwargs = {}
-    for key in ("dominating", "coeff"):
-        if key in lraw:
-            kwargs[key] = Fraction(lraw[key])
-    if "segment_length" in lraw:
-        kwargs["segment_length"] = int(lraw["segment_length"])
-    if "power" in lraw:
-        kwargs["power"] = int(lraw["power"])
-    for key in ("window", "cut_window"):
-        if key in lraw:
-            kwargs[key] = tuple(Fraction(x) for x in lraw[key])
-    ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(seed), node_budget=node_budget, **kwargs)
-    return phi, ledger
-
-
-def _check_int(value, path: str, minimum: int | None = 0, maximum: int | None = None) -> None:
-    """An integer field (an int, or a string of one) of at least ``minimum``
-    and at most ``maximum`` (unbounded on a side given None)."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise ValueError
-        n = int(value)
-    except ValueError:
-        raise ConfigError(path, f"must be an integer, got {value!r}")
-    if minimum is not None and n < minimum:
-        raise ConfigError(path, f"must be >= {minimum}, got {n}")
-    if maximum is not None and n > maximum:
-        raise ConfigError(path, f"must be <= {maximum}, got {n}")
-
-
-def _check_fraction(value, path: str) -> None:
-    """A rational field: a number, or a string such as ``"35/100"``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(path, f"must be a rational number, got {value!r}")
-
-
-def _check_ledger(lraw, path: str) -> None:
+    # a finite subgroup of these models has at most 3 elements, and cannot
+    # hold phi, which has infinite order
+    if not balls.enumerate_ball(spec["model"], spec["gens"], 3, node_budget=3).truncated:
+        raise ConfigError(f"{path}.gens", "generates a finite subgroup, which does not contain phi")
+    spec["n_values"] = _ints(raw, "n_values", path)
+    lraw, path = raw.get("ledger", {}), f"{path}.ledger"
     if not isinstance(lraw, dict):
         raise ConfigError(path, "must be an object")
+    spec["ledger"] = ledger = {}  # contraction.measure_scaled_ledger's keywords
     for key in ("dominating", "coeff"):
         if key in lraw:
-            _check_fraction(lraw[key], f"{path}.{key}")
+            ledger[key] = _fraction(lraw[key], f"{path}.{key}")
     for key in ("segment_length", "power"):
         if key in lraw:
-            _check_int(lraw[key], f"{path}.{key}", 1)
+            ledger[key] = _int(lraw[key], f"{path}.{key}", 1)
     for key in ("window", "cut_window"):
         if key in lraw:
             if not isinstance(lraw[key], list) or len(lraw[key]) != 2:
                 raise ConfigError(f"{path}.{key}", "must be a list of two rationals")
-            for j, x in enumerate(lraw[key]):
-                _check_fraction(x, f"{path}.{key}[{j}]")
+            ledger[key] = tuple(_fraction(x, f"{path}.{key}[{j}]") for j, x in enumerate(lraw[key]))
+    return spec
 
 
-# integer fields of each kind: (field, required, minimum, maximum)
-_INT_FIELDS = {
-    "enumerate": (("radius", True, 0, None),),
-    "genericity": (("radius", True, 0, None), ("tree_threshold", False, 0, None)),
-    "verify-lemmas": (("trials", False, 0, None), ("rank", False, 2, FreeGroup.max_rank)),
-}
+def _spec_verify_lemmas(raw: dict, path: str) -> dict:
+    return {"trials": _int(raw.get("trials", 200), f"{path}.trials"),
+            "rank": _int(raw.get("rank", 2), f"{path}.rank", 2, FreeGroup.max_rank)}
 
 
-def _check_experiment(kind: str, raw: dict, path: str) -> None:
-    """Type-check the fields ``run`` reads, so that a malformed value is a
-    config error before any experiment starts."""
-    if kind != "verify-lemmas":
-        if not isinstance(_require(raw, "model", path), str):
-            raise ConfigError(f"{path}.model", "must be a string")
-        model, _ = _build_model_gens(raw, path)
-        words = [("phi", raw["phi"])] if "phi" in raw else []
-        if kind == "classify":
-            listed = _require(raw, "words", path)
-            if not isinstance(listed, list) or not listed:
-                raise ConfigError(f"{path}.words", "must be a non-empty list of words")
-            words += [(f"words[{j}]", w) for j, w in enumerate(listed)]
-        for key, w in words:
-            try:
-                model.element(w)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"{path}.{key}", str(e))
-        if kind == "fibers":
-            from .contraction import NonLoxodromicError, require_loxodromic
-
-            action = model.tree_action()
-            if action is None:
-                raise ConfigError(f"{path}.model", f"no tree action for {model.name}")
-            try:
-                require_loxodromic(action, model.element(raw.get("phi", model.default_phi)))
-            except NonLoxodromicError as e:
-                raise ConfigError(f"{path}.phi", str(e))
-    for key, required, minimum, maximum in _INT_FIELDS.get(kind, ()):
-        if required or key in raw:
-            _check_int(_require(raw, key, path), f"{path}.{key}", minimum, maximum)
-    if kind in ("fibers", "probe-negligibility"):
-        n_values = _require(raw, "n_values", path)
-        if not isinstance(n_values, list) or not n_values:
-            raise ConfigError(f"{path}.n_values", "must be a non-empty list of integers")
-        for j, n in enumerate(n_values):
-            _check_int(n, f"{path}.n_values[{j}]")
-    if kind == "fibers":
-        _check_ledger(raw.get("ledger", {}), f"{path}.ledger")
-    if kind == "genericity" and "word_threshold" in raw:
-        _check_fraction(raw["word_threshold"], f"{path}.word_threshold")
+def _spec_probe(raw: dict, path: str) -> dict:
+    spec = _model_spec(raw, path)
+    spec["n_values"] = _ints(raw, "n_values", path)
+    return spec
 
 
-def validate_config(doc: dict) -> list[ExperimentConfig]:
+def validate_config(doc: dict) -> list[SimpleNamespace]:
+    """One spec per experiment, in config order: its ``kind``, its ``name``
+    and every input its kind's runner reads, each parsed once.  The first
+    malformed field raises ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "top level must be an object")
     if "seed" in doc:
-        _check_int(doc["seed"], "$.seed", None)
+        _int(doc["seed"], "$.seed", None)
     experiments = doc.get("experiments", [])
     if not isinstance(experiments, list):
         raise ConfigError("$.experiments", "must be a list")
-    out = []
+    specs = []
     for idx, raw in enumerate(experiments):
         path = f"$.experiments[{idx}]"
         if not isinstance(raw, dict):
@@ -234,12 +235,23 @@ def validate_config(doc: dict) -> list[ExperimentConfig]:
         kind = _require(raw, "kind", path)
         if kind not in _KINDS:
             raise ConfigError(f"{path}.kind", f"unknown kind {kind!r} (choose from {_KINDS})")
-        for module in _KIND_MODULES[kind]:
-            importlib.import_module(f".{module}", __package__)
-        _check_experiment(kind, raw, path)
+        # every output is the name and a suffix of at most 5 bytes, written
+        # next to manifest.json, and a file name holds at most 255 bytes
         name = raw.get("name", f"{kind}-{idx}")
-        out.append(ExperimentConfig(kind, name, raw))
-    return out
+        try:
+            stem = os.fsencode(name)
+        except (TypeError, UnicodeEncodeError):  # not a string, or not a file name's
+            stem = b""
+        if stem in (b"", b".", b"..", b"manifest") or b"/" in stem or b"\0" in stem or len(stem) > 250:
+            raise ConfigError(f"{path}.name", "must be one file name of at most 250 bytes, other than '.', '..' "
+                                              f"and 'manifest', got {name!r}")
+        if any(spec.name == name for spec in specs):
+            raise ConfigError(f"{path}.name", f"{name!r} names an earlier experiment")
+        build, modules = _SPECS[kind]
+        for module in modules:
+            importlib.import_module(f".{module}", __package__)
+        specs.append(SimpleNamespace(kind=kind, name=name, **build(raw, path)))
+    return specs
 
 
 def _write(out_dir: Path, rel: str, text: str, manifest: dict, flags: dict | None = None):
@@ -270,60 +282,50 @@ class Outcome:
     suite_failed: bool = False
 
 
-def _run_enumerate(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
-    raw, name, path = exp.raw, exp.name, exp.path
-    model, gens = _build_model_gens(raw, path)
-    radius = int(_require(raw, "radius", path))
-    cen = balls.enumerate_ball(model, gens, radius, keep_elements=bool(raw.get("keep_elements", False)),
+def _run_enumerate(spec, seed: int, budget: int | None) -> Outcome:
+    cen = balls.enumerate_ball(spec.model, spec.gens, spec.radius, keep_elements=spec.keep_elements,
                                node_budget=budget)
     flags = {"truncated": cen.truncated}
-    return Outcome([(f"{name}.csv", cen.to_csv(), flags), (f"{name}.json", _json_text(cen.to_json()), flags)],
+    return Outcome([(f"{spec.name}.csv", cen.to_csv(), flags), (f"{spec.name}.json", _json_text(cen.to_json()), flags)],
                    partial=cen.truncated)
 
 
-def _run_classify(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+def _run_classify(spec, seed: int, budget: int | None) -> Outcome:
     from . import census
 
-    raw, name, path = exp.raw, exp.name, exp.path
-    model, _ = _build_model_gens(raw, path)
     verdicts = []
-    for w in _require(raw, "words", path):  # each word parsed in validation
-        c = census.classify(model, None, model.element(w))
+    for w, g in spec.words:
+        c = census.classify(spec.model, None, g)
         verdicts.append({"word": w, "verdict": c.verdict, "evidence": {k: str(v) for k, v in c.evidence.items()}})
-    return Outcome([(f"{name}.json", _json_text(verdicts), None)])
+    return Outcome([(f"{spec.name}.json", _json_text(verdicts), None)])
 
 
-def _run_genericity(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+def _run_genericity(spec, seed: int, budget: int | None) -> Outcome:
     from . import census
 
-    raw, name, path = exp.raw, exp.name, exp.path
-    model, gens = _build_model_gens(raw, path)
-    radius = int(_require(raw, "radius", path))
-    curve = census.genericity_experiment(
-        model, None, gens, radius,
-        tree_threshold=int(raw.get("tree_threshold", 0)),
-        word_threshold=Fraction(raw.get("word_threshold", "35/100")),
-        node_budget=budget,
-    )
+    curve = census.genericity_experiment(spec.model, None, spec.gens, spec.radius, node_budget=budget,
+                                         **spec.thresholds)
+    name = spec.name
     return Outcome([(f"{name}.csv", curve.to_csv(), None), (f"{name}.json", _json_text(curve.to_json()), None),
                     (f"{name}.dat", curve.plot_data(), None)], partial=curve.truncated)
 
 
-def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+def _run_fibers(spec, seed: int, budget: int | None) -> Outcome:
     from . import census
+    from .contraction import measure_scaled_ledger
 
-    raw, name, path = exp.raw, exp.name, exp.path
-    model, gens = _build_model_gens(raw, path)
+    model, gens, phi = spec.model, spec.gens, spec.phi
     action = model.tree_action()
     reports = []
     try:
-        phi, ledger = _build_ledger(model, gens, action, raw, path, seed, budget)
+        ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(seed), node_budget=budget,
+                                       **spec.ledger)
     except balls.BudgetExceeded:
         ledger, over_budget = None, True  # no ledger, so no census
     else:
         over_budget = False
         too_big = None  # the least n whose ball outgrew the node budget
-        for n in (int(n) for n in _require(raw, "n_values", path)):
+        for n in spec.n_values:
             if too_big is not None and n >= too_big:
                 continue
             try:
@@ -334,37 +336,32 @@ def _run_fibers(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome
     doc = {"ledger": None if ledger is None else ledger.to_json(), "reports": reports}
     rows = ["n,domain,image,max_fiber,sqrt_ratio"]
     rows += [f"{r['n']},{r['domain']},{r['image']},{r['max_fiber']},{r['sqrt_ratio']!r}" for r in reports]
-    return Outcome([(f"{name}.json", _json_text(doc), None), (f"{name}.csv", "\n".join(rows) + "\n", None)],
+    return Outcome([(f"{spec.name}.json", _json_text(doc), None), (f"{spec.name}.csv", "\n".join(rows) + "\n", None)],
                    partial=over_budget)
 
 
-def _run_verify_lemmas(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+def _run_verify_lemmas(spec, seed: int, budget: int | None) -> Outcome:
     from . import lemmas
 
-    raw, name = exp.raw, exp.name
-    trials = int(raw.get("trials", 200))
     rng = random.Random(seed)
-    suite = lemmas.appendix_suite_tree(int(raw.get("rank", 2)), trials, rng)
+    suite = lemmas.appendix_suite_tree(spec.rank, spec.trials, rng)
     try:
-        concat = _run_concat_suite(rng, trials=max(20, trials // 10), node_budget=budget)
+        concat = lemmas.concatenation_suite(rng, trials=max(20, spec.trials // 10), node_budget=budget)
     except balls.BudgetExceeded:
         concat = None  # a ledger outgrew the budget, so no concatenation suite
     doc_out = {"appendix": suite.to_json(), "concatenation": concat, "profile": "scaled"}
-    return Outcome([(f"{name}.json", _json_text(doc_out), None),
-                    (f"{name}.txt", suite.summary() + "\n" + _concat_summary(concat) + "\n", None)],
+    return Outcome([(f"{spec.name}.json", _json_text(doc_out), None),
+                    (f"{spec.name}.txt", suite.summary() + "\n" + lemmas.concatenation_summary(concat) + "\n", None)],
                    partial=concat is None,
                    suite_failed=not (suite.all_green() and (concat is None or concat["failures"] == 0)))
 
 
-def _run_probe(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+def _run_probe(spec, seed: int, budget: int | None) -> Outcome:
     from . import census
 
-    raw, name, path = exp.raw, exp.name, exp.path
-    model, gens = _build_model_gens(raw, path)
-    n_values = [int(n) for n in _require(raw, "n_values", path)]
-    probe = census.exponential_negligibility_probe(model, gens, n_values, node_budget=budget)
-    return Outcome([(f"{name}.json", _json_text(probe.to_json()), None),
-                    (f"{name}.dat", "".join(f"{p.n} {float(p.ratio)!r}\n" for p in probe.points), None)],
+    probe = census.exponential_negligibility_probe(spec.model, spec.gens, spec.n_values, node_budget=budget)
+    return Outcome([(f"{spec.name}.json", _json_text(probe.to_json()), None),
+                    (f"{spec.name}.dat", "".join(f"{p.n} {float(p.ratio)!r}\n" for p in probe.points), None)],
                    partial=probe.truncated)
 
 
@@ -377,22 +374,22 @@ _RUNNERS = {
     "probe-negligibility": _run_probe,
 }
 _KINDS = tuple(_RUNNERS)
-# the modules each kind's runner imports besides balls and groups;
-# validate_config imports them, so a runner's own import statements only
-# look them up
-_KIND_MODULES = {
-    "enumerate": (),
-    "classify": ("census",),
-    "genericity": ("census",),
-    "fibers": ("census", "contraction"),
-    "verify-lemmas": ("contraction", "lemmas", "spaces"),
-    "probe-negligibility": ("census",),
+# each kind's spec builder, and the modules its runner imports besides
+# balls and groups: validate_config imports them, so a runner's own import
+# statements only look them up
+_SPECS = {
+    "enumerate": (_spec_enumerate, ()),
+    "classify": (_spec_classify, ("census",)),
+    "genericity": (_spec_genericity, ("census",)),
+    "fibers": (_spec_fibers, ("census", "contraction")),
+    "verify-lemmas": (_spec_verify_lemmas, ("lemmas",)),
+    "probe-negligibility": (_spec_probe, ("census",)),
 }
 
 
-def _run_one(exp: ExperimentConfig, seed: int, budget: int | None) -> Outcome:
+def _run_one(spec, seed: int, budget: int | None) -> Outcome:
     # the runner is looked up where the experiment runs, in a worker too
-    return _RUNNERS[exp.kind](exp, seed, budget)
+    return _RUNNERS[spec.kind](spec, seed, budget)
 
 
 def _usable_cores() -> int:
@@ -560,66 +557,6 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
     return status
 
 
-def _run_concat_suite(rng: random.Random, trials: int, node_budget: int | None) -> dict:
-    """The concatenation lemmas on random instances over measured F2 and B3
-    ledgers; raises :class:`~genlab.balls.BudgetExceeded` if a ledger's
-    ball or distance search outgrows ``node_budget``."""
-    from . import lemmas
-    from .contraction import measure_scaled_ledger
-    from .spaces import build_cayley_tree
-
-    counts = {"midpoint": 0, "chain": 0, "distance-sum": 0, "quadratic": 0}
-    failures = skipped = 0
-    tree, action = build_cayley_tree(2)
-    free = tree.group
-    chain_ledger = measure_scaled_ledger(free, free.standard_gens(), action, free.element("a"), random.Random(0),
-                                         segment_length=4, node_budget=node_budget)
-    for _ in range(trials):
-        inst = lemmas.random_chain_instance(rng, n_segments=1, level=2, ledger=chain_ledger)
-        v = lemmas.verify_midpoint_capture(inst)
-        if isinstance(v, lemmas.SkippedInstance):
-            skipped += 1
-        else:
-            counts["midpoint"] += 1
-            failures += 0 if v.passed else 1
-        inst = lemmas.random_chain_instance(rng, n_segments=rng.randrange(2, 5), level=2, ledger=chain_ledger)
-        vs = lemmas.verify_chain_capture(inst)
-        if isinstance(vs, lemmas.SkippedInstance):
-            skipped += 1
-        else:
-            counts["chain"] += 1
-            failures += sum(0 if v.passed else 1 for v in vs)
-        vd = lemmas.verify_distance_sum(inst)
-        if isinstance(vd, lemmas.SkippedInstance):
-            skipped += 1
-        else:
-            counts["distance-sum"] += 1
-            failures += 0 if vd.passed else 1
-    braid = Braid3()
-    gens = braid.standard_gens()
-    ledger = measure_scaled_ledger(braid, gens, braid.tree_action(), braid.element("aB"),
-                                   random.Random(rng.randrange(10**9)), segment_length=4, sample_radius=4,
-                                   node_budget=node_budget)
-    m = int(ledger.chain_threshold(2)) + 1
-    for _ in range(max(5, trials // 4)):
-        qi = lemmas.random_quadratic_instance(rng, n_segments=m + rng.randrange(3, 6),
-                                              segment_length=m, ledger=ledger, level=2)
-        vq = lemmas.verify_quadratic_length(qi)
-        if isinstance(vq, lemmas.SkippedInstance):
-            skipped += 1
-        else:
-            counts["quadratic"] += 1
-            failures += 0 if vq.passed else 1
-    return {"trials": counts, "failures": failures, "skipped": skipped}
-
-
-def _concat_summary(concat: dict | None) -> str:
-    if concat is None:
-        return "concatenation suite: not run, a ledger outgrew the node budget"
-    parts = [f"{k}: {v}" for k, v in sorted(concat["trials"].items())]
-    return f"concatenation suite: {', '.join(parts)}; failures {concat['failures']}, skipped {concat['skipped']}"
-
-
 def _single_experiment_doc(args) -> dict:
     raw = {"kind": args.command, "name": args.name}
     if getattr(args, "model", None):
@@ -664,7 +601,7 @@ def main(argv=None) -> int:
         if kind in ("fibers", "probe-negligibility"):
             p.add_argument("--n-values", dest="n_values", type=int, nargs="+")
         if kind == "verify-lemmas":
-            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--trials", type=int)
 
     args = parser.parse_args(argv)
     try:

@@ -31,6 +31,7 @@ from .alignment import (
     project,
     set_diameter,
 )
+from .contraction import measure_scaled_ledger
 from .groups import Braid3, FreeGroup, GeneratingSet, GroupElement
 from .ledger import ConstantLedger
 from .spaces import (
@@ -455,6 +456,54 @@ def verify_quadratic_length(instance: QuadraticInstance):
     lhs = led.dominating * (n - m - 1) ** 2 if n - m - 1 > 0 else Fraction(0)
     return InequalityVerdict.decide(instance.instance_id, "quadratic-length",
                                     lhs, Fraction(instance.d_h1_h2))
+
+
+# ---------------------------------------------------------------------------
+# Concatenation suite: every lemma above on random instances
+
+
+def concatenation_suite(rng: random.Random, trials: int, node_budget: Optional[int]) -> dict:
+    """The concatenation lemmas on random instances over measured F2 and B3
+    ledgers; raises :class:`~genlab.balls.BudgetExceeded` if a ledger's
+    ball or distance search outgrows ``node_budget``."""
+    counts = {"midpoint": 0, "chain": 0, "distance-sum": 0, "quadratic": 0}
+    failures = skipped = 0
+
+    def tally(lemma: str, verdict) -> None:  # a verdict, a list of them, or a skip
+        nonlocal failures, skipped
+        if isinstance(verdict, SkippedInstance):
+            skipped += 1
+        else:
+            counts[lemma] += 1
+            failures += sum(not v.passed for v in (verdict if isinstance(verdict, list) else [verdict]))
+
+    tree, action = build_cayley_tree(2)
+    free = tree.group
+    chain_ledger = measure_scaled_ledger(free, free.standard_gens(), action, free.element("a"), random.Random(0),
+                                         segment_length=4, node_budget=node_budget)
+    for _ in range(trials):
+        inst = random_chain_instance(rng, n_segments=1, level=2, ledger=chain_ledger)
+        tally("midpoint", verify_midpoint_capture(inst))
+        inst = random_chain_instance(rng, n_segments=rng.randrange(2, 5), level=2, ledger=chain_ledger)
+        tally("chain", verify_chain_capture(inst))
+        tally("distance-sum", verify_distance_sum(inst))
+    braid = Braid3()
+    ledger = measure_scaled_ledger(braid, braid.standard_gens(), braid.tree_action(), braid.element("aB"),
+                                   random.Random(rng.randrange(10**9)), segment_length=4, sample_radius=4,
+                                   node_budget=node_budget)
+    m = int(ledger.chain_threshold(2)) + 1
+    for _ in range(max(5, trials // 4)):
+        qi = random_quadratic_instance(rng, n_segments=m + rng.randrange(3, 6), segment_length=m, ledger=ledger,
+                                       level=2)
+        tally("quadratic", verify_quadratic_length(qi))
+    return {"trials": counts, "failures": failures, "skipped": skipped}
+
+
+def concatenation_summary(concat: Optional[dict]) -> str:
+    if concat is None:
+        return "concatenation suite: not run, a ledger outgrew the node budget"
+    parts = [f"{k}: {v}" for k, v in sorted(concat["trials"].items())]
+    return f"concatenation suite: {', '.join(parts)}; failures {concat['failures']}, skipped {concat['skipped']}"
 
 
 # ---------------------------------------------------------------------------

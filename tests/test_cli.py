@@ -520,3 +520,98 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         digests.append(_hashes(out))
     assert len(digests[0]) == 10  # nine outputs and the manifest
     assert digests[0] == digests[1]
+
+
+def _ball_experiment(name=None) -> dict:
+    exp = {"kind": "enumerate", "model": "free:2", "radius": 1}
+    return exp if name is None else {**exp, "name": name}
+
+
+@pytest.mark.parametrize("experiments", [
+    [_ball_experiment("dup"), _ball_experiment("dup")],
+    [_ball_experiment("../escaped")],
+    [_ball_experiment(["x"])],
+    [_ball_experiment("manifest")],
+    [_ball_experiment("a\0b")],
+    [_ball_experiment("")],
+    [_ball_experiment(".")],
+    [_ball_experiment("..")],
+    [_ball_experiment("a/b")],
+    [_ball_experiment("enumerate-1"), _ball_experiment()],  # the default name of the second
+    [_ball_experiment("a" * 251)],
+    [_ball_experiment("x\ud800")],  # a lone surrogate, which no file name encodes
+], ids=["duplicate", "parent-dir", "list", "manifest", "nul", "empty", "dot", "dot-dot", "slash", "default-taken",
+        "too-long", "surrogate"])
+def test_a_name_that_is_not_one_unique_file_name_exits_2(tmp_path, capsys, experiments):
+    # every kind writes {name}.json next to manifest.json in --out-dir
+    out = tmp_path / "sub" / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": experiments}))
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"config error at $.experiments[{len(experiments) - 1}].name: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+    validate_config({"experiments": [_ball_experiment("a" * 250), _ball_experiment(".a"), _ball_experiment("manifest.x")]})
+
+
+def test_keep_elements_is_a_json_boolean(tmp_path, capsys):
+    doc = {"experiments": [{**_ball_experiment("e"), "keep_elements": "false"}]}
+    assert _main_with_config(tmp_path, doc) == 2
+    assert "config error at $.experiments[0].keep_elements: must be true or false" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    for keep in (True, False):
+        doc["experiments"][0]["keep_elements"] = keep
+        assert validate_config(doc)[0].keep_elements is keep
+
+
+@pytest.mark.parametrize("workload, models", [("ball", 4), ("fibers", 3), ("survey", 5)])
+def test_a_run_builds_each_model_once(tmp_path, monkeypatch, workload, models):
+    # validation parses each experiment once and the runners read its spec;
+    # a zero budget cuts every run short without changing what is parsed
+    calls = []
+    make_model = cli.make_model
+    monkeypatch.setattr(cli, "make_model", lambda model_id: calls.append(model_id) or make_model(model_id))
+    doc = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / f"{workload}.json")
+                     .read_text())
+    assert run(doc, tmp_path, 7, "scaled", 0, workers=1) == 3
+    assert calls == [exp["model"] for exp in doc["experiments"] if exp["kind"] != "verify-lemmas"]
+    assert len(calls) == models
+
+
+@pytest.mark.parametrize("trials", [20, None])
+def test_the_lemma_subcommand_and_its_config_write_the_same_bytes(tmp_path, trials):
+    # each default is stated once, in the spec builder: the subcommand
+    # leaves an unset --trials out of its config, as a config file does
+    args = [] if trials is None else ["--trials", str(trials)]
+    exp = {"kind": "verify-lemmas", "name": "verify-lemmas"}
+    if trials is not None:
+        exp["trials"] = trials
+    assert main(["--out-dir", str(tmp_path / "sub"), "verify-lemmas"] + args) == 0
+    assert _main_with_config(tmp_path, {"experiments": [exp]}) == 0
+    assert _hashes(tmp_path / "sub") == _hashes(tmp_path / "o")
+
+
+def test_the_readme_config_example_validates():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("A config is a JSON object", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    specs = validate_config(json.loads(example))
+    assert [(s.kind, s.name) for s in specs] == [("enumerate", "f3ball"), ("genericity", "braid"), ("fibers", "fib")]
+
+
+def test_fibers_gens_of_a_finite_subgroup_exit_2(tmp_path, capsys):
+    # zz23's x and y generate subgroups of order 2 and 3 without phi = xy,
+    # where the ledger's search for phi would run dry
+    for gens in (["x"], ["y"], ["Y", "y"]):
+        doc = {"experiments": [{"kind": "fibers", "model": "zz23", "gens": gens, "n_values": [4]}]}
+        assert _main_with_config(tmp_path, doc) == 2
+        assert "config error at $.experiments[0].gens: generates a finite subgroup" in capsys.readouterr().err
+    for gens in (["x", "y"], ["x", "yxY"], ["xy"]):  # infinite: validation lets them through
+        validate_config({"experiments": [{"kind": "fibers", "model": "zz23", "gens": gens, "n_values": [4]}]})
+
+
+def test_a_thick_window_ending_beyond_the_geodesic_runs(tmp_path):
+    doc = {"experiments": [{
+        "kind": "fibers", "name": "fib", "model": "zz23", "phi": "xy", "n_values": [8],
+        "ledger": {"dominating": "1", "segment_length": 2, "window": ["1/4", "3"], "cut_window": ["1/4", "2/5"]},
+    }]}
+    assert run(doc, tmp_path, 0, "scaled", None) == 0
+    assert [r["n"] for r in json.loads((tmp_path / "fib.json").read_text())["reports"]] == [8]
