@@ -26,7 +26,7 @@ _EXPORTS = {
     "contraction": "ContractionProfile WpdCensus lipschitz_projection_bound measure_scaled_ledger select_linkage "
                    "strong_contraction_check weak_contraction_profile wpd_census",
     "census": "Classification FiberReport GenericityCurve SegmentTable a_thick_certify a_thick_search classify "
-              "double_replacement exponential_negligibility_probe fiber_census free_group_threshold_count "
+              "exponential_negligibility_probe fiber_census free_group_threshold_count "
               "genericity_experiment replacement_map single_replacement_fibers",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -1,9 +1,7 @@
 """Word-metric balls: enumeration, distances, geodesics, translation lengths.
 
 All computations run over canonical keys, so deduplication and equality are
-exact.  Ball enumeration is a single-threaded breadth-first search; its
-``workers`` argument is accepted and ignored (a GIL-bound thread pool gave
-no speedup), so outputs are the same for every worker setting.
+exact.  Ball enumeration is a single-threaded breadth-first search.
 
 The BFS loops that know each node's last letter multiply it only by that
 letter's followers (:func:`_followers`, the first step of Cannon's cone
@@ -31,7 +29,6 @@ target, and :func:`word_distance` runs a new search per query.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,7 +100,6 @@ def enumerate_ball(
     gens: GeneratingSet,
     radius: int,
     keep_elements: bool = False,
-    workers: int = 1,
     node_budget: Optional[int] = None,
 ) -> BallCensus:
     """BFS the ball of the given radius, deduplicating by canonical key.
@@ -113,11 +109,10 @@ def enumerate_ball(
     :func:`_followers`); the identity is multiplied by every generator.
     Spheres are sorted.  The table costs |S|² products; where the follower
     rule leaves no redundant product (free groups, zz23 and free:2 over
-    {a, b, ab}) the BFS then forms exactly |B(R)| - 1 more.  ``workers`` is
-    a no-op kept for callers that pass it.  ``node_budget`` is checked
-    after each bucket × letter pass: once the visited nodes outgrow it the
-    census is returned truncated (sphere counts up to the last complete
-    radius are kept).
+    {a, b, ab}) the BFS then forms exactly |B(R)| - 1 more.
+    ``node_budget`` is checked after each bucket × letter pass: once the
+    visited nodes outgrow it the census is returned truncated (sphere
+    counts up to the last complete radius are kept).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -583,10 +578,3 @@ def center_coset_census(model: GroupModel, gens: GeneratingSet, radius: int) -> 
     max_coset = max(coset_sizes.values()) if coset_sizes else 1
     return CenterCosetCensus(census.radius, center_counts, slope, max_coset, witnesses)
 
-
-def census_to_files(census: BallCensus, csv_path, json_path) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(census.to_csv())
-    with open(json_path, "w") as fh:
-        json.dump(census.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -585,64 +585,6 @@ def replacement_map(table: SegmentTable, g: GroupElement, i: int) -> Replacement
     return Replacement(GroupElement(table.model, out), i, s, t, report)
 
 
-@dataclass
-class DoubleReplacement:
-    first: GroupElement  # w s phi^L t w'
-    second: GroupElement  # w s phi^L t w' s' phi^(2L) t' v
-    cuts: tuple
-    linkages: tuple  # (s, t, s2, t2)
-    report: AlignmentReport
-
-
-def double_replacement(table: SegmentTable, g: GroupElement, i: int, j: int) -> DoubleReplacement:
-    """Two-cut version: splice linked powers at both cut indices.
-
-    Requires j - i > 2 * ceil(dominating * segment_length) + 3, mirroring
-    the two-index set of the superpolynomial argument.  Each linkage is
-    decided on the integer diameters of (basepoint, w s phi^L, the
-    doubled segment, output); one report is built, for the result or the
-    failure.
-    """
-    prefix, suffix = table.cuts(g)
-    n = len(prefix) - 1
-    block = table.block
-    gap = 2 * (block - 2) + 3
-    if not i < j - gap:
-        raise ValueError(f"cut indices ({i}, {j}) violate the gap {gap}")
-    lo, hi = table.cut_window(n)
-    if not (lo <= i <= hi and lo <= j <= hi):
-        raise ValueError(f"cut indices ({i}, {j}) outside window [{lo}, {hi}]")
-    if j + block > n:
-        raise ValueError("second excised block does not fit")
-    model = table.model
-    w = GroupElement(model, prefix[i])
-    # w' spells the letters between the blocks: prefix[i + block] w' = prefix[j]
-    w2 = GroupElement(model, model.mul_keys(model.inverse_key(prefix[i + block]), prefix[j]))
-    v = GroupElement(model, suffix[j + block])
-    action, length = table.action, 2 * table.ledger.segment_length
-    space, bound = action.space, table.level_bound
-    power2 = table.power * table.power
-    best = None  # (worst, pairs) of the first least-worst linkage
-    for s in table.candidates:
-        entry = table.entry(w * s)
-        for t in table.candidates:
-            head = w * s * table.power * t * w2
-            for s2 in table.candidates:
-                seg2 = OrbitSegment(action, head * s2, table.phi, length).projected
-                middle = pair_diameters(space, entry.segment.projected, seg2)
-                for t2 in table.candidates:
-                    out = head * s2 * power2 * t2 * v
-                    pairs = [entry.head, middle, pair_diameters(space, seg2, as_geodesic(action.proj(out)))]
-                    worst = max(max(p) for p in pairs)
-                    if worst < bound:
-                        report = assemble_report(table.level, bound, pairs)
-                        return DoubleReplacement(head, out, (i, j), (s, t, s2, t2), report)
-                    if best is None or worst < best[0]:
-                        best = (worst, pairs)
-    raise LinkageFailure(f"no double linkage certified at level {table.level}",
-                         assemble_report(table.level, bound, best[1]))
-
-
 # ---------------------------------------------------------------------------
 # Fiber census
 

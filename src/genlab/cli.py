@@ -186,6 +186,9 @@ def _spec_fibers(raw: dict, path: str) -> dict:
     # hold phi, which has infinite order
     if not balls.enumerate_ball(spec["model"], spec["gens"], 3, node_budget=3).truncated:
         raise ConfigError(f"{path}.gens", "generates a finite subgroup, which does not contain phi")
+    # otherwise the ledger's search for |phi|_S would never end
+    if spec["model"].subgroup_contains([g.key for g in spec["gens"]], spec["phi"].key) is False:
+        raise ConfigError(f"{path}.gens", "generates a subgroup that does not contain phi")
     spec["n_values"] = _ints(raw, "n_values", path)
     lraw, path = raw.get("ledger", {}), f"{path}.ledger"
     if not isinstance(lraw, dict):

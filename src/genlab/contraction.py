@@ -129,14 +129,17 @@ def weak_contraction_profile(
 
     For each sampled g, the ball of radius floor(factor * d_S(g, gamma)) is
     read from one exact ball enumeration and the projection diameter of its
-    g-translate onto the segment's geodesic recorded.  The profile bound is
-    the max observed diameter.  ``ball`` is a kept ball to read from when it
-    reaches the radius needed; otherwise one is enumerated.  Raises
+    g-translate onto the segment's geodesic recorded: the span of the
+    projected indices, since points of one geodesic are |i - j| apart.  The
+    profile bound is the max observed diameter.  ``ball`` is a kept ball to
+    read from when it reaches the radius needed; otherwise one is
+    enumerated.  Raises
     :class:`BudgetExceeded` if the ball or a distance search outgrows
     ``node_budget`` nodes.
     """
     require_loxodromic(action, phi)
     segment = OrbitSegment(action, model.identity(), phi, segment_length)
+    geo = segment.projected
     profile = ContractionProfile(
         phi_word=model.alphabet.format(phi.word),
         segment_length=segment_length,
@@ -161,13 +164,12 @@ def weak_contraction_profile(
                 profile.truncated = True
                 continue
             radius = int(factor * dist)
-            pts = set()
+            lo, hi = len(geo), 0
             for shell in ball.elements[: radius + 1]:
                 for uk in shell:
-                    u = GroupElement(model, uk)
-                    pts.update(segment_projection(action, segment, g * u))
-            diam = set_diameter(action.space, list(pts))
-            profile.record(ContractionSample(key, dist, radius, diam))
+                    idx = project(action.space, action.proj(g * GroupElement(model, uk)), geo).indices
+                    lo, hi = min(lo, idx[0]), max(hi, idx[-1])
+            profile.record(ContractionSample(key, dist, radius, hi - lo))
     return profile
 
 
@@ -189,8 +191,10 @@ def strong_contraction_check(
     """Full-radius ball projections for every supplied off-geodesic point.
 
     For each x with d(x, geo) > K the ball of radius d(x, geo) around x is
-    enumerated and projected.  Returns the verdict at the requested level
-    and the least level that would pass for the same point family.
+    enumerated and projected; ``geo`` is a geodesic of ``space``, so its
+    points are |i - j| apart and a projection's diameter is the span of
+    its indices.  Returns the verdict at the requested level and the least
+    level that would pass for the same point family.
     """
     observations = []  # (d(x, geo), projection diameter)
     worst = 0
@@ -199,10 +203,11 @@ def strong_contraction_check(
         if x in geo_pts:
             continue
         dist = min(space.distance(x, p) for p in geo.points)
-        pts = set()
+        lo, hi = len(geo), 0
         for y in space.ball(x, dist):
-            pts.update(project(space, y, geo).points)
-        diam = set_diameter(space, list(pts))
+            idx = project(space, y, geo).indices
+            lo, hi = min(lo, idx[0]), max(hi, idx[-1])
+        diam = hi - lo
         observations.append((dist, diam))
         worst = max(worst, diam)
     passes = all(diam <= level for dist, diam in observations if dist > level)

@@ -115,6 +115,10 @@ class GroupModel:
         norm under the standard generators, when closed-form."""
         return None
 
+    def subgroup_contains(self, gen_keys, key) -> Optional[bool]:
+        """Whether ``key`` lies in the subgroup that ``gen_keys`` generate."""
+        return None
+
     def quotient_key(self, key):
         """Key of the image modulo the center, for a central extension,
         which then also has ``coset_verdicts``."""
@@ -327,6 +331,47 @@ class FreeGroup(GroupModel):
             lo += 1
             hi -= 1
         return hi - lo
+
+    def subgroup_contains(self, gen_keys, key) -> bool:
+        """Membership by Stallings folding (J. R. Stallings, "Topology of
+        finite graphs", Invent. Math. 71 (1983); Kapovich and Myasnikov,
+        "Stallings foldings and subgroups of free groups", J. Algebra 248
+        (2002)).  Each generator's reduced word is a loop at a base vertex;
+        while two edges with one label leave one vertex, their ends are
+        identified.  The folded graph reads a reduced word as a closed path
+        at the base exactly when the word lies in the subgroup."""
+        parent = [0]  # union-find over the vertices
+        out = [{}]  # vertex -> {letter byte: neighbour}; an edge is stored both ways
+        pending = []  # directed edges still to add
+        for g in gen_keys:
+            u = 0
+            for i, c in enumerate(g, 1):
+                v = 0 if i == len(g) else len(parent)
+                if v:
+                    parent.append(v)
+                    out.append({})
+                pending += [(u, c, v), (v, 256 - c, u)]
+                u = v
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        while pending:
+            u, c, v = pending.pop()
+            u, v = find(u), find(v)
+            t = find(out[u].setdefault(c, v))
+            if t != v:  # fold: v absorbs t, whose edges are added again from v
+                parent[t] = v
+                pending += [(v, x, y) for x, y in out[t].items()]
+        v = base = find(0)
+        for c in key:
+            v = out[v].get(c)
+            if v is None:
+                return False
+            v = find(v)
+        return v == base
 
     def tree_action(self):
         """Left multiplication on the Cayley tree; None for rank 1."""

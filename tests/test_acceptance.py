@@ -42,7 +42,7 @@ def test_criterion_1_ball_counts():
     f3 = FreeGroup(3)
     gens = f3.standard_gens()
     start = time.monotonic()
-    census = enumerate_ball(f3, gens, 8, workers=1)
+    census = enumerate_ball(f3, gens, 8)
     elapsed = time.monotonic() - start
     counts_ok = all(census.ball_count(r) == free_ball_count(3, r) for r in range(9))
     spheres_ok = all(census.sphere_counts[r] == free_sphere_count(3, r) for r in range(9))

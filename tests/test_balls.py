@@ -78,14 +78,6 @@ def test_radius_zero_ball(braid):
     assert census.ball_count(0) == 1
 
 
-def test_worker_count_does_not_change_output(f2):
-    gens = f2.standard_gens()
-    one = enumerate_ball(f2, gens, 6, keep_elements=True, workers=1)
-    four = enumerate_ball(f2, gens, 6, keep_elements=True, workers=4)
-    assert one.sphere_counts == four.sphere_counts
-    assert one.elements == four.elements
-
-
 def test_budget_truncation(f2):
     census = enumerate_ball(f2, f2.standard_gens(), 8, node_budget=100)
     assert census.truncated
@@ -251,20 +243,12 @@ def test_shell_ratio_decays_exponentially():
         assert Fraction(inner, outer) ** 200 <= Fraction(1, 3**n)
 
 
-def test_census_export_shapes(f2, tmp_path):
-    from genlab.balls import census_to_files
-
+def test_census_export_shapes(f2):
     census = enumerate_ball(f2, f2.standard_gens(), 3)
-    csv_path = tmp_path / "ball.csv"
-    json_path = tmp_path / "ball.json"
-    census_to_files(census, csv_path, json_path)
-    lines = csv_path.read_text().strip().split("\n")
+    lines = census.to_csv().strip().split("\n")
     assert lines[0] == "radius,sphere_count,ball_count,ln_ball_over_n"
     assert len(lines) == 5
-    import json
-
-    doc = json.loads(json_path.read_text())
-    assert doc["ball_counts"][3] == free_ball_count(2, 3)
+    assert census.to_json()["ball_counts"][3] == free_ball_count(2, 3)
 
 
 def _index_cases():
@@ -479,6 +463,75 @@ def test_follower_table():
         assert [len(row) for row in _followers(fk, keys)] == [2 * k - 1] * (2 * k)
     c3 = FiniteSample.cyclic(3)
     assert _followers(c3, [g.key for g in c3.standard_gens().elements]) == [[], []]
+
+
+_STANDARD_SETS = [(m, m.standard_gens()) for m in (FreeGroup(2), FreeProductZ2Z3(), Braid3())]
+
+
+@pytest.mark.parametrize("model,gens", _STANDARD_SETS + [(gens.model, gens) for _, gens, _ in _RANDOM_SETS],
+                         ids=["f2", "zz23", "braid3"] + _RANDOM_IDS)
+def test_followers_are_the_products_outside_the_set(model, gens):
+    # t follows s exactly when the word s t spells an element outside S ∪ {1}
+    words = gens.element_words
+    near = {g.key for g in gens.elements} | {model.identity_key()}
+    expected = [[j for j, wt in enumerate(words) if model.element(ws + wt).key not in near] for ws in words]
+    assert _followers(model, [g.key for g in gens.elements]) == expected
+
+
+class ClosedFormSpy(CountingModel):
+    """A model that also counts its ``exact_length`` and
+    ``translation_length_exact`` calls."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.oracle_calls = 0
+
+    def exact_length(self, key):
+        self.oracle_calls += 1
+        return self.inner.exact_length(key)
+
+    def translation_length_exact(self, key):
+        self.oracle_calls += 1
+        return self.inner.translation_length_exact(key)
+
+
+def _metric_answers(model, gens, radius):
+    """What each guarded path answers about a few keys of each sphere of
+    B(radius), from an index of B(radius - 1), so that the outer sphere
+    takes the search fallbacks: norms, geodesic lengths and distances, then
+    the translation-length bounds of three of the keys."""
+    index = BallIndex(model, gens, radius - 1)
+    keys = [k for sphere in BallIndex(model, gens, radius).spheres for k in sphere[:: max(1, len(sphere) // 3)]]
+    elements = [GroupElement(model, k) for k in keys]
+    norms = []
+    for g in elements:
+        geo = index.geodesic(g)
+        assert model.normalize(geo.word) == g.key
+        norms.append((index.distance_from_identity(g, radius), len(geo),
+                      word_distance(model, gens, elements[-1], g, 2 * radius)))
+    return norms, [translation_length(model, gens, g, 3) for g in elements[-3:]]
+
+
+@pytest.mark.parametrize("model_id,gens,radius", _RANDOM_SETS, ids=_RANDOM_IDS)
+def test_no_closed_form_is_asked_under_a_random_set(model_id, gens, radius):
+    spy = ClosedFormSpy(gens.model)
+    _metric_answers(spy, GeneratingSet(spy, gens.element_words), min(radius, 6))
+    assert spy.oracle_calls == 0
+
+
+@pytest.mark.parametrize("model", [FreeGroup(2), FreeProductZ2Z3(), Braid3()], ids=["f2", "zz23", "braid3"])
+def test_closed_forms_under_reordered_standard_letters_equal_the_searches(model):
+    words = [(a,) for a in range(model.alphabet.size, 0, -1)]
+    spy = ClosedFormSpy(model)
+    norms, bounds = _metric_answers(spy, GeneratingSet(spy, words, standard=True), 5)
+    assert spy.oracle_calls > 0
+    searched_norms, searched_bounds = _metric_answers(model, GeneratingSet(model, words), 5)
+    assert norms == searched_norms
+    for fast, searched in zip(bounds, searched_bounds):
+        assert fast.samples == searched.samples
+        # the exact stable norm lies below every sampled d(id, g^n)/n
+        assert fast.exact == (model.translation_length_exact(model.identity_key()) is not None)
+        assert fast.upper <= searched.upper and (fast.exact or fast == searched)
 
 
 @pytest.mark.parametrize(

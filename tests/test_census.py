@@ -21,7 +21,6 @@ from genlab.census import (
     classify,
     count_cyclically_reduced,
     count_translation_below,
-    double_replacement,
     exponential_negligibility_probe,
     fiber_census,
     free_group_threshold_count,
@@ -215,60 +214,6 @@ def test_fiber_census_empty_domain(zz23, bass_serre, zz23_ledger):
     assert report.histogram == {}
 
 
-def test_double_replacement(zz23, bass_serre, zz23_ledger):
-    from genlab.ledger import ConstantLedger
-
-    _, action, _ = bass_serre
-    gens = zz23.standard_gens()
-    phi = zz23.element("xy")
-    led = ConstantLedger.scaled(
-        0, zz23_ledger.gen_displacement, zz23_ledger.axis_step, zz23_ledger.axis_word_norm,
-        zz23_ledger.linkage_bound, zz23_ledger.contraction_bound,
-        zz23_ledger.proj_lipschitz, zz23_ledger.recovery_lipschitz,
-        dominating=Fraction(1), segment_length=1,
-        cut_window=(Fraction(1, 10), Fraction(7, 10)),
-    )
-    g = zz23.element("xy" * 10 + "yx" * 2)
-    n = zz23.exact_length(g.key)
-    block = led.block_length()
-    gap = 2 * (block - 2) + 3
-    i = math.ceil(led.cut_window[0] * n)
-    j = i + gap + 1
-    table = _search_table(zz23, gens, action, phi, led)
-    dr = double_replacement(table, g, i, j)
-    # the first map is a literal prefix factor of the second
-    s, t, s2, t2 = dr.linkages
-    tail = s2 * phi ** (2 * led.segment_length) * t2 * _suffix(zz23, gens, g, j + block)
-    assert (dr.first * tail).key == dr.second.key
-    with pytest.raises(ValueError):
-        double_replacement(table, g, i, i + gap)
-
-
-def test_double_replacement_free_group_length_12(f2, tree2):
-    from genlab.ledger import ConstantLedger
-
-    _, action = tree2
-    gens = f2.standard_gens()
-    phi = f2.element("a")
-    led = ConstantLedger.scaled(
-        0, 1, 1, 1, 0, 0, 1, 1, dominating=Fraction(1), segment_length=1,
-        cut_window=(Fraction(1, 10), Fraction(7, 10)),
-    )
-    g = f2.element("babbababbbab")
-    assert len(g.key) == 12
-    block = led.block_length()
-    gap = 2 * (block - 2) + 3
-    i = 2
-    j = i + gap + 1
-    dr = double_replacement(_search_table(f2, gens, action, phi, led), g, i, j)
-    assert dr.report.aligned
-    # both excised blocks replaced by linked powers of the axis element
-    assert dr.second.key[:i] == g.key[:i]
-    s_el, t_el, s2, t2 = dr.linkages
-    tail = s2 * phi ** (2 * led.segment_length) * t2 * _suffix(f2, gens, g, j + block)
-    assert (dr.first * tail).key == dr.second.key
-
-
 def _failing_linkages(zz23, bass_serre, segment_length):
     """(table, model, action, phi) at alignment level 0, which no linkage
     meets: zz23 on its tree."""
@@ -296,31 +241,6 @@ def test_linkage_failure_reports_the_first_least_worst_pair(which, word, i, zz23
                                 action.proj(w * s * phi**length * t * v)], level)
         for s in table.candidates for t in table.candidates
     ]
-    best = _first_least_worst(reports)
-    assert failure.value.best_report == best and not best.aligned
-    assert reports[0].worst() > best.worst()
-
-
-@pytest.mark.parametrize("which, word, i, j", [("bass-serre", "xy" * 10 + "yx" * 2, 3, 9)], ids=["bass-serre"])
-def test_double_linkage_failure_reports_the_first_least_worst_linkage(which, word, i, j, zz23, bass_serre):
-    table, model, action, phi = _failing_linkages(zz23, bass_serre, 1)
-    space, gens, level, block = action.space, table.gens, table.level, table.block
-    g = model.element(word)
-    with pytest.raises(LinkageFailure) as failure:
-        double_replacement(table, g, i, j)
-    w, v = _prefix(model, gens, g, i), _suffix(model, gens, g, j + block)
-    w2 = _prefix(model, gens, g, i + block).inverse() * _prefix(model, gens, g, j)
-    reports = []
-    for s in table.candidates:
-        seg1 = OrbitSegment(action, w * s, phi, 1)
-        for t in table.candidates:
-            head = w * s * phi * t * w2
-            for s2 in table.candidates:
-                seg2 = OrbitSegment(action, head * s2, phi, 2)
-                for t2 in table.candidates:
-                    out = head * s2 * phi**2 * t2 * v
-                    seq = [space.basepoint, seg1.projected, seg2.projected, action.proj(out)]
-                    reports.append(check_alignment(space, seq, level))
     best = _first_least_worst(reports)
     assert failure.value.best_report == best and not best.aligned
     assert reports[0].worst() > best.worst()

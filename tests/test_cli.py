@@ -608,6 +608,19 @@ def test_fibers_gens_of_a_finite_subgroup_exit_2(tmp_path, capsys):
         validate_config({"experiments": [{"kind": "fibers", "model": "zz23", "gens": gens, "n_values": [4]}]})
 
 
+def test_fibers_gens_without_phi_exit_2(tmp_path, capsys):
+    # free:2's ab generates an infinite cyclic subgroup without phi = a, so
+    # the ledger's search for |phi|_S would never end
+    for gens in (["ab"], [[1, 2]]):
+        doc = {"experiments": [{"kind": "fibers", "model": "free:2", "gens": gens, "phi": "a", "n_values": [4]}]}
+        assert _main_with_config(tmp_path, doc) == 2
+        assert "config error at $.experiments[0].gens: generates a subgroup that does not contain phi" in (
+            capsys.readouterr().err)
+    doc = {"experiments": [{"kind": "fibers", "name": "fib", "model": "free:2", "gens": ["ab", "b"], "phi": "a",
+                            "n_values": [4]}]}
+    assert run(doc, tmp_path / "out", 0, "scaled", None) == 0
+
+
 def test_a_thick_window_ending_beyond_the_geodesic_runs(tmp_path):
     doc = {"experiments": [{
         "kind": "fibers", "name": "fib", "model": "zz23", "phi": "xy", "n_values": [8],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genlab import contraction
-from genlab.alignment import gromov_product, set_diameter
+from genlab.alignment import gromov_product, project, set_diameter
 from genlab.balls import BallIndex, BudgetExceeded, enumerate_ball, word_distance
 from genlab.contraction import (
     LinkageChoice,
@@ -23,7 +23,7 @@ from genlab.contraction import (
     wpd_census,
 )
 from genlab.groups import GeneratingSet, GroupElement, make_model
-from genlab.spaces import Geodesic, OrbitSegment, build_cayley_tree, grid_graph
+from genlab.spaces import Geodesic, OrbitSegment, build_cayley_tree, cycle_graph, grid_graph
 
 from conftest import random_reduced_word
 
@@ -52,6 +52,30 @@ def test_grid_diagonal_fails_small_levels():
     res = strong_contraction_check(grid, diag, 1, xs)
     assert not res.passes
     assert res.worst >= 4
+
+
+@pytest.mark.parametrize("which", ["cayley2", "bass-serre", "cycle9", "grid4x5"])
+def test_strong_contraction_spans_match_the_point_sets(which, tree2, bass_serre):
+    # per off-geodesic x, the projected ball's index span against the
+    # diameter of its projected point set, by pairwise distances
+    space = {"cayley2": tree2[0], "bass-serre": bass_serre[0], "cycle9": cycle_graph(9),
+             "grid4x5": grid_graph(4, 5)}[which]
+    points = space.ball(space.basepoint, 3) if space.is_tree else list(space.vertices())
+    rng = random.Random(5)
+    pairs = rng.sample([(u, v) for u in points for v in points if u != v], 40)
+    diameters = []
+    for u, v in pairs:
+        geo = space.geodesic(u, v)
+        for x in space.ball(u, 2):
+            if x in geo.points:
+                continue
+            dist = min(space.distance(x, p) for p in geo.points)
+            pts = {p for y in space.ball(x, dist) for p in project(space, y, geo).points}
+            diameters.append(set_diameter(space, list(pts)))
+            res = strong_contraction_check(space, geo, 1, [x])
+            assert (res.tested, res.worst) == (1, diameters[-1]), (u, v, x)
+    assert len(diameters) > 40
+    assert space.is_tree == (max(diameters) == 0)  # the graphs' spans are not all 0
 
 
 def test_weak_contraction_profile_constant_on_tree(tree2, f2):

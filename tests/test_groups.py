@@ -22,7 +22,7 @@ from genlab.groups import (
 )
 from genlab.words import cyclic_reduce, free_reduce, invert, parse_word
 
-from conftest import random_word
+from conftest import random_reduced_word, random_word
 
 letters2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30).map(tuple)
 letters_braid = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20).map(tuple)
@@ -402,3 +402,45 @@ def test_syllable_byte_keys_sort_as_tuple_keys(model_id, gens_words, radius):
         assert old == sorted(old)
         assert [model.key_repr(k) for k in sphere] == [repr(k) for k in old]
     assert len({_tuple_key(k) for sphere in census.elements for k in sphere}) == census.ball_count()
+
+
+_HAND_CHECKED = [
+    (["aa", "b"], "a", False), (["aa", "b"], "aabA", False), (["aa", "b"], "Baab", True),
+    (["ab"], "a", False), (["ab"], "BABA", True),
+    (["ab", "b"], "a", True), (["aba", "ab"], "a", True), (["aab", "ab"], "a", True),
+    (["abA", "b"], "a", False), (["abA", "b"], "abAb", True), (["ab", "ba"], "b", False),
+]
+
+
+@pytest.mark.parametrize("gens_words, word, member", _HAND_CHECKED,
+                         ids=[f"{word}-in-{'-'.join(gens)}" for gens, word, _ in _HAND_CHECKED])
+def test_free_subgroup_membership_hand_checked(f2, gens_words, word, member):
+    # each non-member fails an exponent-sum count that every generator passes
+    gen_keys = [g.key for g in GeneratingSet(f2, gens_words)]
+    assert f2.subgroup_contains(gen_keys, f2.element(word).key) is member
+
+
+def test_free_subgroup_membership_matches_the_ball(f2):
+    """On seeded random subgroups of F2 whose generators have an even
+    exponent sum in a, every key of a ball of the subgroup is a member, and
+    a, and a times each generator, which have an odd sum, are not."""
+    rng = random.Random(24)
+    for _ in range(12):
+        words, count = [], rng.randint(2, 3)
+        while len(words) < count:
+            w = random_reduced_word(rng, 2, rng.randint(1, 5))
+            if sum(abs(x) == 1 for x in w) % 2 == 0:
+                words.append(w)
+        gens = GeneratingSet(f2, words)
+        gen_keys = [g.key for g in gens]
+        for sphere in enumerate_ball(f2, gens, 4, keep_elements=True).elements:
+            assert all(f2.subgroup_contains(gen_keys, key) for key in sphere), words
+        a = f2.element("a")
+        for x in (a, *(a * g for g in gens)):
+            assert f2.subgroup_contains(gen_keys, x.key) is False, (words, x)
+
+
+def test_subgroup_membership_is_unknown_off_the_free_groups(zz23, braid):
+    for model in (zz23, braid):
+        gen_keys = [g.key for g in model.standard_gens()]
+        assert model.subgroup_contains(gen_keys, model.identity_key()) is None
