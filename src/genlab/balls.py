@@ -504,7 +504,6 @@ def translation_length(
     gens: GeneratingSet,
     g: GroupElement,
     n_max: int,
-    r_budget: Optional[int] = None,
 ) -> TranslationBounds:
     """Bounds on the stable word norm lim d_S(id, g^n)/n.
 
@@ -519,11 +518,10 @@ def translation_length(
     samples = []
     upper = None
     power = model.identity()
-    # without r_budget the search runs until it meets g^n, which it does
-    cap = r_budget if r_budget is not None else math.inf
     for n in range(1, n_max + 1):
         power = power * g
-        d = word_distance(model, gens, model.identity(), power, cap)
+        # uncapped: the search ends at g^n, or with None in a finite subgroup that lacks g^n
+        d = word_distance(model, gens, model.identity(), power, math.inf)
         if d is None:
             break
         samples.append((n, d))

@@ -849,34 +849,28 @@ def exponential_negligibility_probe(
     model: GroupModel,
     gens: GeneratingSet,
     n_values: Sequence[int],
-    conj_window: Fraction = Fraction(31, 100),
-    core_window: Fraction = Fraction(57, 100),
-    shell: Fraction = Fraction(99, 100),
     node_budget: Optional[int] = None,
 ) -> NegligibilityProbe:
-    """Fraction of the outer shell admitting a conjugation decomposition
-    g = h^-1 g' h with the stated norm windows: |h|_S <= conj_window * n and
-    |g'|_S <= core_window * n.
+    """Fraction of the outer shell, norms above 0.99 n, admitting a
+    conjugation decomposition g = h^-1 g' h with |h|_S <= 0.31 n and
+    |g'|_S <= 0.57 n.
 
     One enumerated ball supplies the shell, the conjugators h and the
-    cores: d_S(core) <= core_window * n is decided exactly, for every
-    generating set, by membership in its spheres up to radius
-    floor(core_window * n).  Such a g lies in the union of h^-1 C h over
-    the short h, for C the short cores, so each n builds that conjugate
-    set once, with two key products per (h, core) pair, and counts the
-    shell elements in it.  It holds at most |B(floor(0.31 n))| *
-    |B(floor(0.57 n))| keys at the default windows, fewer than the ball
+    cores: d_S(core) <= 0.57 n is decided exactly, for every generating
+    set, by membership in its spheres up to radius floor(0.57 n).  Such a
+    g lies in the union of h^-1 C h over the short h, for C the short
+    cores, so each n builds that conjugate set once, with two key products
+    per (h, core) pair, and counts the shell elements in it.  It holds at
+    most |B(floor(0.31 n))| * |B(floor(0.57 n))| keys, fewer than the ball
     B(n) at every n the workloads run.  If the ball outgrows
     ``node_budget``, every n it does not reach is left out and the probe
     is ``truncated``."""
-    def reach(n: int) -> int:  # the radius the shell, the cores and the conjugators of n need
-        return max(n, math.floor(core_window * n), math.floor(conj_window * n))
-
+    conj_window, core_window, shell = Fraction(31, 100), Fraction(57, 100), Fraction(99, 100)
     points = []
     mul = model.mul_keys
-    census = enumerate_ball(model, gens, reach(max(n_values)), keep_elements=True, node_budget=node_budget)
+    census = enumerate_ball(model, gens, max(n_values), keep_elements=True, node_budget=node_budget)
     for n in n_values:
-        if reach(n) > census.radius:
+        if n > census.radius:
             continue
         cores = list(itertools.chain.from_iterable(census.elements[: math.floor(core_window * n) + 1]))
         conjugates = set()

@@ -91,12 +91,20 @@ def _int(value, path: str, minimum: int | None = 0, maximum: int | None = None) 
     return n
 
 
+_MAX_EXPONENT = 1000  # Fraction builds 10**exponent: "1e7" takes seconds
+
+
 def _fraction(value, path: str) -> Fraction:
-    """A rational field: a number, or a string such as ``"35/100"``."""
+    """A rational field: a number, or a string such as ``"35/100"`` or
+    ``"1e-3"`` whose exponent is at most ``_MAX_EXPONENT`` in size."""
     try:
         if isinstance(value, bool):
             raise TypeError
+        if isinstance(value, str) and abs(int(value.lower().partition("e")[2] or 0)) > _MAX_EXPONENT:
+            raise ConfigError(path, f"must have an exponent within +-{_MAX_EXPONENT}, got {value!r}")
         return Fraction(value)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(path, f"must be a rational number, got {value!r}")
 
@@ -611,7 +619,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             try:
                 doc = json.loads(args.config.read_text())
-            except (OSError, json.JSONDecodeError) as e:
+            except (OSError, ValueError) as e:  # ValueError: bad JSON, bad UTF-8, or an int past 4300 digits
                 raise ConfigError("$", f"cannot read {args.config}: {e}")
         elif args.command and args.command != "run":
             doc = _single_experiment_doc(args)

@@ -22,37 +22,25 @@ from .ledger import ConstantLedger
 from .spaces import Geodesic, GroupAction, MetricSpaceModel, OrbitSegment
 
 
+_R_MAX = 64  # the word-distance search cap of the contraction, Lipschitz and WPD measurements
+
+
 class NonLoxodromicError(ValueError):
     """The distinguished element does not translate along the space."""
 
 
-def require_loxodromic(action: GroupAction, phi: GroupElement, n: int = 4) -> None:
-    d1 = action.space.distance(action.space.basepoint, action.proj(phi**n))
-    d2 = action.space.distance(action.space.basepoint, action.proj(phi ** (2 * n)))
+def require_loxodromic(action: GroupAction, phi: GroupElement) -> None:
+    d1 = action.space.distance(action.space.basepoint, action.proj(phi**4))
+    d2 = action.space.distance(action.space.basepoint, action.proj(phi**8))
     if d1 == 0 or d2 < 2 * d1:
         raise NonLoxodromicError(
             f"element does not act loxodromically through the basepoint (d_n={d1}, d_2n={d2})"
         )
 
 
-def segment_projection(action: GroupAction, segment: OrbitSegment, g: GroupElement, snap: bool = False):
-    """Projection of g's orbit point onto the segment's projected geodesic.
-
-    With ``snap=True`` the projection is pushed to the nearest orbit points
-    of the segment (within one axis step), ties toward the segment start.
-    """
-    pset = project(action.space, action.proj(g), segment.projected)
-    if not snap:
-        return pset.points
-    space = action.space
-    snapped = []
-    for p in pset.points:
-        best = min(
-            range(len(segment.orbit_points)),
-            key=lambda i: (space.distance(p, segment.orbit_points[i]), i),
-        )
-        snapped.append(segment.orbit_points[best])
-    return tuple(snapped)
+def segment_projection(action: GroupAction, segment: OrbitSegment, g: GroupElement):
+    """Projection of g's orbit point onto the segment's projected geodesic."""
+    return project(action.space, action.proj(g), segment.projected).points
 
 
 def _sample_ball(model, gens, radius: int, node_budget: Optional[int]):
@@ -120,7 +108,7 @@ def weak_contraction_profile(
     rng: random.Random,
     samples_per_norm: int = 8,
     factor: Fraction = Fraction(1, 2),
-    r_max: int = 64,
+    r_max: int = _R_MAX,
     seed: Optional[int] = None,
     node_budget: Optional[int] = None,
     ball: Optional[BallCensus] = None,
@@ -232,7 +220,6 @@ def lipschitz_projection_bound(
     action: GroupAction,
     segment: OrbitSegment,
     sample_keys: Sequence,
-    r_max: int = 64,
     node_budget: Optional[int] = None,
     ball: Optional[BallIndex] = None,
 ) -> LipschitzReport:
@@ -254,10 +241,10 @@ def lipschitz_projection_bound(
             key = model.mul_keys(model.inverse_key(g.key), h.key)
             d = ball.norm(key)
             if d is not None:
-                return d if d <= r_max else None
+                return d if d <= _R_MAX else None
             if not ball.truncated:
-                return ball.norm_beyond(key, r_max, node_budget)
-        return word_distance(model, gens, g, h, r_max, node_budget)
+                return ball.norm_beyond(key, _R_MAX, node_budget)
+        return word_distance(model, gens, g, h, _R_MAX, node_budget)
 
     k1 = Fraction(0)
     for g in elements:
@@ -316,7 +303,6 @@ def wpd_census(
     closeness: int,
     search_radius: int,
     linkage_bound: Optional[int] = None,
-    r_max: int = 64,
 ) -> WpdCensus:
     """Count h in B_S(search_radius) coarsely stabilizing a long axis segment.
 
@@ -350,7 +336,7 @@ def wpd_census(
             near = False
             for i, pi in enumerate(powers):
                 for j, pj in enumerate(powers):
-                    d = word_distance(model, gens, pi, h * pj, min(linkage_bound, r_max))
+                    d = word_distance(model, gens, pi, h * pj, min(linkage_bound, _R_MAX))
                     if d is not None and d < linkage_bound:
                         near = True
                         break

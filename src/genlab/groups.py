@@ -28,6 +28,7 @@ classifies its elements with ``verdict``.  Supported models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional, Sequence, Tuple
@@ -400,6 +401,12 @@ def _is_y(s: int) -> bool:
     return s in (1, 2)
 
 
+def _syllable_exponent(sylls: bytes) -> int:
+    """x -> 3, y^e -> 2e: modulo 6 the abelianization Z/2 x Z/3 = Z/6 of
+    Z/2 * Z/3, and the braid exponent sum of a syllable word's lift."""
+    return sum(3 if s == X_SYL else 2 * s for s in sylls)
+
+
 class FreeProductZ2Z3(GroupModel):
     """Z/2 * Z/3 = <x, y | x^2, y^3>, keys are alternating syllable bytes.
 
@@ -486,6 +493,12 @@ class FreeProductZ2Z3(GroupModel):
         """Translation length on the Bass-Serre tree (0 iff elliptic)."""
         core = self.cyclic_syllable_reduction(key)
         return len(core) if len(core) >= 2 else 0
+
+    def subgroup_contains(self, gen_keys, key) -> Optional[bool]:
+        """False when the image of ``key`` in the abelianization Z/6 lies
+        outside the subgroup that those of ``gen_keys`` generate, which holds
+        the image of every member (an image inside proves nothing: None)."""
+        return False if _syllable_exponent(key) % math.gcd(6, *map(_syllable_exponent, gen_keys)) else None
 
     def tree_action(self):
         from .spaces import build_bass_serre_tree  # spaces imports groups
@@ -666,10 +679,13 @@ class Braid3(GroupModel):
     def exponent_sum_key(self, key) -> int:
         # rho(c) = 6, rho(x) = 3, rho(y) = 2, rho(y^2) = 4
         z, sylls = key
-        total = 6 * z
-        for s in sylls:
-            total += 3 if s == X_SYL else 2 * s
-        return total
+        return 6 * z + _syllable_exponent(sylls)
+
+    def subgroup_contains(self, gen_keys, key) -> Optional[bool]:
+        """As for Z/2 * Z/3, in the abelianization B_3 -> Z, the exponent
+        sum (the quotient's image in Z/6 is that sum modulo 6)."""
+        e, d = self.exponent_sum_key(key), math.gcd(*map(self.exponent_sum_key, gen_keys))
+        return False if (e % d if d else e) else None
 
     def sl2_image(self, word: Sequence[int]) -> Tuple[int, int, int, int]:
         m = (1, 0, 0, 1)

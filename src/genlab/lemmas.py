@@ -148,15 +148,13 @@ def _tree_letters(tree) -> tuple:
 def random_chain_instance(
     rng: random.Random,
     n_segments: int,
-    rank: int = 2,
     phi_word: str = "a",
     level: int = 2,
     *,
     ledger: ConstantLedger,
     segment_length: Optional[int] = None,
-    instance_id: str = "",
 ) -> ChainInstance:
-    """Segments marching along a line in the Cayley tree, with bounded
+    """Segments marching along a line in the rank-2 Cayley tree, with bounded
     perturbations between consecutive segments and free tails at both ends.
 
     The construction keeps every adjacent projection diameter below the
@@ -164,7 +162,7 @@ def random_chain_instance(
     ``ledger`` is measured once by the caller and shared by its instances
     (its chain threshold sets the default ``segment_length``).
     """
-    tree, action = build_cayley_tree(rank)
+    tree, action = build_cayley_tree(2)
     group = tree.group
     gens = group.standard_gens()
     phi_letters = group.alphabet.parse(phi_word)
@@ -191,7 +189,7 @@ def random_chain_instance(
     tail_h = group.element(random_reduced_word(rng, letters, rng.randrange(0, 3), avoid_first=-last))
     h = tip * phi ** rng.randrange(1, 4) * tail_h
     return ChainInstance(
-        instance_id=instance_id or f"chain-{rng.randrange(10**9)}",
+        instance_id=f"chain-{rng.randrange(10**9)}",
         group=group,
         gens=gens,
         action=action,
@@ -377,7 +375,6 @@ def random_quadratic_instance(
     segment_length: int,
     ledger: ConstantLedger,
     level: int = 2,
-    instance_id: str = "",
 ) -> QuadraticInstance:
     """Chain along the axis of s1 s2^-1; endpoints differ from g by central
     twists conjugated across the chain, so g separates them in the word
@@ -413,7 +410,7 @@ def random_quadratic_instance(
 
     segments = [OrbitSegment(action, phi**s, phi, segment_length) for s in starts]
     return QuadraticInstance(
-        instance_id=instance_id or f"quad-{rng.randrange(10**9)}",
+        instance_id=f"quad-{rng.randrange(10**9)}",
         group=group,
         gens=gens,
         action=action,
@@ -606,7 +603,7 @@ def check_subsegment_capture(space, x, y, geo: Geodesic, delta) -> Optional[bool
     return False
 
 
-def appendix_suite_tree(rank: int, trials: int, rng: random.Random, max_len: int = 12) -> SuiteReport:
+def appendix_suite_tree(rank: int, trials: int, rng: random.Random) -> SuiteReport:
     """Randomized appendix checks on a free-group Cayley tree (delta = 0)."""
     tree, _ = build_cayley_tree(rank)
     group = tree.group
@@ -614,7 +611,7 @@ def appendix_suite_tree(rank: int, trials: int, rng: random.Random, max_len: int
     letters = _tree_letters(tree)
 
     def rand_point():
-        return group.normalize(random_reduced_word(rng, letters, rng.randrange(0, max_len)))
+        return group.normalize(random_reduced_word(rng, letters, rng.randrange(0, 12)))
 
     def rand_geodesic(min_len=1):
         while True:
@@ -689,11 +686,11 @@ def _perturbed_parallel(tree, gamma: Geodesic, e1: int, e2: int, rng) -> Optiona
     return eta
 
 
-def _aligned_tree_pair(tree, rng, max_word: int = 10):
-    """Two segments in order along a common geodesic; returns the least
-    integer level making the pair aligned (strictly)."""
+def _aligned_tree_pair(tree, rng):
+    """Two segments in order along a common geodesic of length 24; returns
+    the least integer level making the pair aligned (strictly)."""
     group = tree.group
-    word = random_reduced_word(rng, _tree_letters(tree), max_word + 14)
+    word = random_reduced_word(rng, _tree_letters(tree), 24)
     line = tree.geodesic(tree.basepoint, group.normalize(word))
     L = len(line)
     a = rng.randrange(0, L - 8)

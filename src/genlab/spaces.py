@@ -155,11 +155,11 @@ class BassSerreTree(MetricSpaceModel):
 
     is_tree = True
 
-    def __init__(self, basepoint=(KIND_X, b"")):
+    def __init__(self):
         self.group = FreeProductZ2Z3()
         self.name = "bass-serre:zz23"
         self.delta = Fraction(0)
-        self.basepoint = basepoint
+        self.basepoint = (KIND_X, b"")
         self._chain_cache = {}
 
     @staticmethod
@@ -247,7 +247,7 @@ class BassSerreTree(MetricSpaceModel):
 class FiniteGraph(MetricSpaceModel):
     """A finite connected graph with exact BFS metric."""
 
-    def __init__(self, n: int, edges: Sequence[Tuple[int, int]], name: str = "graph", basepoint: int = 0):
+    def __init__(self, n: int, edges: Sequence[Tuple[int, int]], name: str = "graph"):
         self.name = name
         self.n = n
         self.adj = [set() for _ in range(n)]
@@ -257,7 +257,7 @@ class FiniteGraph(MetricSpaceModel):
             self.adj[u].add(v)
             self.adj[v].add(u)
         self.adj = [tuple(sorted(s)) for s in self.adj]
-        self.basepoint = basepoint
+        self.basepoint = 0
         self._dist = [self._bfs(u) for u in range(n)]
         comp = [u for u in range(n) if self._dist[0][u] is None]
         if comp:
@@ -355,11 +355,10 @@ def grid_graph(w: int, h: int) -> FiniteGraph:
 class GroupAction:
     """An isometric action of a group model on a space, with orbit map."""
 
-    def __init__(self, group: GroupModel, space: MetricSpaceModel, act_fn, name: str = ""):
+    def __init__(self, group: GroupModel, space: MetricSpaceModel, act_fn):
         self.group = group
         self.space = space
         self._act = act_fn
-        self.name = name or f"{group.name} on {space.name}"
 
     def act(self, g: GroupElement, p):
         return self._act(g, p)
@@ -382,10 +381,10 @@ def build_cayley_tree(rank: int) -> tuple[CayleyTree, GroupAction]:
     return tree, GroupAction(grp, tree, act)
 
 
-def build_bass_serre_tree(basepoint=(KIND_X, b"")) -> tuple[BassSerreTree, GroupAction, GroupAction]:
+def build_bass_serre_tree() -> tuple[BassSerreTree, GroupAction, GroupAction]:
     """The (2,3)-biregular tree with its Z/2 * Z/3 action and the induced
     Braid3 action through the central quotient."""
-    tree = BassSerreTree(basepoint)
+    tree = BassSerreTree()
     quot = tree.group
     braid = Braid3()
 
@@ -398,15 +397,15 @@ def build_bass_serre_tree(basepoint=(KIND_X, b"")) -> tuple[BassSerreTree, Group
     return tree, GroupAction(quot, tree, act_q), GroupAction(braid, tree, act_b)
 
 
-def axis_basepoint(tree: BassSerreTree, phi_sylls, search_depth: int = 6):
+def axis_basepoint(tree: BassSerreTree, phi_sylls):
     """A vertex on the translation axis of a hyperbolic syllable word.
 
-    Scans vertices near the roots and returns the first (deterministic
-    order) vertex v with d(v, phi^2 v) = 2 d(v, phi v) > 0.
+    Scans the vertices within distance 6 of the roots and returns the first
+    (deterministic order) vertex v with d(v, phi^2 v) = 2 d(v, phi v) > 0.
     """
     phi_sylls = bytes(phi_sylls)
     phi2 = tree.group.mul_keys(phi_sylls, phi_sylls)
-    candidates = sorted(tree.ball((KIND_X, b""), search_depth)) + sorted(tree.ball((KIND_Y, b""), search_depth))
+    candidates = sorted(tree.ball((KIND_X, b""), 6)) + sorted(tree.ball((KIND_Y, b""), 6))
     best = None
     for v in candidates:
         d1 = tree.distance(v, tree.act_syllables(phi_sylls, v))

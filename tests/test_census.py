@@ -543,13 +543,18 @@ _ORACLE_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def _oracle_table(which, linkage_bound=1):
-    """A table over a ball of the case's model on its tree, with a ledger
+    """A table over a ball of the case's model on its tree (or of a random
+    generating set's, for an index, with its model's phi), with a ledger
     of dominating constant 1 and alignment level linkage_bound + 1 (2 by
     default), and the ball's shell; one per case and level, shared by the
     tests."""
-    model_id, words, phi, radius = _ORACLE_CASES[which]
-    model = make_model(model_id)
-    gens = model.standard_gens() if words is None else GeneratingSet(model, words)
+    if which in _ORACLE_CASES:
+        model_id, words, phi, radius = _ORACLE_CASES[which]
+        model = make_model(model_id)
+        gens = model.standard_gens() if words is None else GeneratingSet(model, words)
+    else:  # an index into the random generating sets
+        model_id, gens, radius = _RANDOM_SETS[which]
+        model, phi = gens.model, _RANDOM_PHI[model_id]
     ledger = ConstantLedger.scaled(0, 1, 1, 1, linkage_bound, 0, 1, 1, dominating=Fraction(1), segment_length=1,
                                    window=(Fraction(1, 4), Fraction(1, 2)), cut_window=(Fraction(1, 4), Fraction(1, 2)))
     ball = BallIndex(model, gens, radius)
@@ -753,8 +758,12 @@ def _running_cuts(model, gens, path) -> tuple:
     return prefix, suffix[::-1]
 
 
-@pytest.mark.parametrize("which", list(_ORACLE_CASES) + list(range(len(_RANDOM_SETS))),
-                         ids=list(_ORACLE_CASES) + [f"random-{m}-{i}" for i, (m, _, _) in enumerate(_RANDOM_SETS)])
+# the oracle cases, then the indices of the random generating sets
+_ALL_CASES = list(_ORACLE_CASES) + list(range(len(_RANDOM_SETS)))
+_ALL_IDS = list(_ORACLE_CASES) + [f"random-{m}-{i}" for i, (m, _, _) in enumerate(_RANDOM_SETS)]
+
+
+@pytest.mark.parametrize("which", _ALL_CASES, ids=_ALL_IDS)
 def test_cuts_read_from_parents_equal_the_running_products(which, zz23_ledger):
     # every shell element of the oracle balls and of balls over random
     # generating sets: the cuts walked back through the ball's parents, and
@@ -803,11 +812,12 @@ def _reference_census(table, shell):
             "thick_skipped": skipped["thick"], "degenerate_skipped": skipped["degenerate"]}
 
 
-@pytest.mark.parametrize("which", list(_ORACLE_CASES))
+@pytest.mark.parametrize("which", _ALL_CASES, ids=_ALL_IDS)
 def test_half_shell_census_matches_the_distance_reference(which):
     # with shell 1/2 one table serves the radii above n/2, each with its own
     # thick and cut windows, so a verdict memoized under the wrong window or
-    # key would change a count
+    # key would change a count; under the random generating sets too, whose
+    # words of two and three letters make other cut keys meet
     table, _ = _oracle_table(which)
     shell, n = Fraction(1, 2), table.ball.radius
     radii = range(math.floor(shell * n) + 1, n + 1)

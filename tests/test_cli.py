@@ -7,6 +7,7 @@ import pickle
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -414,6 +415,40 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("config error at $") == 2
 
 
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError on an integer of more than 4300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiments": [{"kind": "enumerate", "model": "free:2", "radius": ' + "9" * 5000 + "}]}")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at $: cannot read {cfg}: ")
+
+
+_FIBERS = {"kind": "fibers", "model": "zz23", "n_values": [8]}
+
+
+@pytest.mark.parametrize("exponent", ["1e999999999", "1e-999999999", "1E+1001"])
+@pytest.mark.parametrize("field, exp", [
+    ("word_threshold", {"kind": "genericity", "model": "free:2", "radius": 4, "word_threshold": "E"}),
+    ("ledger.dominating", {**_FIBERS, "ledger": {"dominating": "E"}}),
+    ("ledger.coeff", {**_FIBERS, "ledger": {"coeff": "E"}}),
+    ("ledger.window[1]", {**_FIBERS, "ledger": {"window": ["1/4", "E"]}}),
+    ("ledger.cut_window[0]", {**_FIBERS, "ledger": {"cut_window": ["E", "2/5"]}}),
+], ids=["word-threshold", "dominating", "coeff", "window", "cut-window"])
+def test_a_rational_with_a_long_exponent_exits_2(tmp_path, capsys, exponent, field, exp):
+    # Fraction would build 10**exponent, so validation rejects the exponent
+    # first; "E" marks the field that gets it
+    doc = json.loads(json.dumps({"experiments": [exp]}).replace('"E"', json.dumps(exponent)))
+    assert _main_with_config(tmp_path, doc) == 2
+    assert capsys.readouterr().err.startswith(f"config error at $.experiments[0].{field}: must have an exponent ")
+
+
+def test_a_rational_with_a_short_exponent_is_its_value():
+    exp = {"kind": "genericity", "model": "free:2", "radius": 4}
+    for text, value in (("1e1000", 10**1000), ("25e-2", Fraction(1, 4)), ("1E-1000", Fraction(1, 10**1000))):
+        spec = validate_config({"experiments": [{**exp, "word_threshold": text}]})[0]
+        assert spec.thresholds["word_threshold"] == value
+
+
 def test_fibers_budget_is_partial(tmp_path):
     out = tmp_path / "o"
     code = main(["--out-dir", str(out), "--budget-nodes", "10", "fibers", "--model", "free:2", "--n-values", "6"])
@@ -604,7 +639,7 @@ def test_fibers_gens_of_a_finite_subgroup_exit_2(tmp_path, capsys):
         doc = {"experiments": [{"kind": "fibers", "model": "zz23", "gens": gens, "n_values": [4]}]}
         assert _main_with_config(tmp_path, doc) == 2
         assert "config error at $.experiments[0].gens: generates a finite subgroup" in capsys.readouterr().err
-    for gens in (["x", "y"], ["x", "yxY"], ["xy"]):  # infinite: validation lets them through
+    for gens in (["x", "y"], ["xy"]):  # infinite: validation lets them through
         validate_config({"experiments": [{"kind": "fibers", "model": "zz23", "gens": gens, "n_values": [4]}]})
 
 
@@ -619,6 +654,29 @@ def test_fibers_gens_without_phi_exit_2(tmp_path, capsys):
     doc = {"experiments": [{"kind": "fibers", "name": "fib", "model": "free:2", "gens": ["ab", "b"], "phi": "a",
                             "n_values": [4]}]}
     assert run(doc, tmp_path / "out", 0, "scaled", None) == 0
+
+
+@pytest.mark.parametrize("model_id, gens, phi", [
+    ("zz23", ["xyxy"], "xy"), ("zz23", ["x", "yxY"], "xy"), ("braid3", ["aa", "bb"], "a"),
+])
+def test_fibers_gens_whose_abelian_image_lacks_phi_exit_2(tmp_path, capsys, model_id, gens, phi):
+    # phi's image in the abelianization (Z/6 for zz23: xy -> 5, xyxy -> 4,
+    # yxY -> 3; the exponent sum for braid3) is not generated by the gens'
+    # images, so the gens cannot generate phi and the ledger's search for
+    # |phi|_S would never end; validation says so first, with no budget
+    doc = {"experiments": [{"kind": "fibers", "model": model_id, "gens": gens, "phi": phi, "n_values": [4]}]}
+    with pytest.raises(ConfigError) as raised:
+        validate_config(doc)
+    assert raised.value.path == "$.experiments[0].gens"
+    assert _main_with_config(tmp_path, doc) == 2
+    assert "config error at $.experiments[0].gens: generates a subgroup that does not contain phi" in (
+        capsys.readouterr().err)
+
+
+def test_fibers_gens_whose_abelian_image_holds_phi_validate():
+    for model_id, gens, phi in (("zz23", ["xyxy", "xy"], "xy"), ("braid3", ["a", "bb"], "a"), ("braid3", ["ab"], "aB")):
+        validate_config({"experiments": [{"kind": "fibers", "model": model_id, "gens": gens, "phi": phi,
+                                          "n_values": [4]}]})
 
 
 def test_a_thick_window_ending_beyond_the_geodesic_runs(tmp_path):

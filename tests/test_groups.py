@@ -1,7 +1,9 @@
 """Normal forms and the word machinery behind them."""
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -438,6 +440,60 @@ def test_free_subgroup_membership_matches_the_ball(f2):
         a = f2.element("a")
         for x in (a, *(a * g for g in gens)):
             assert f2.subgroup_contains(gen_keys, x.key) is False, (words, x)
+
+
+_ABELIAN_CHECKED = [
+    ("zz23", ["xyxy"], "xy", False), ("zz23", ["x", "yxY"], "xy", False), ("zz23", ["xyxy"], "xyxyxyxy", None),
+    ("zz23", ["x", "y"], "xy", None), ("zz23", ["xyxy", "xy"], "xy", None),
+    ("braid3", ["aa", "bb"], "a", False), ("braid3", ["aa"], "aaa", False), ("braid3", ["a", "bb"], "a", None),
+    # s1 is not in <s1^2, s2>, whose image in S_3 lacks s1's transposition,
+    # but the exponent sums cannot tell
+    ("braid3", ["aa", "b"], "a", None),
+]
+
+
+@pytest.mark.parametrize("model_id, gens_words, word, answer", _ABELIAN_CHECKED,
+                         ids=[f"{m}-{word}-in-{'-'.join(gens)}" for m, gens, word, _ in _ABELIAN_CHECKED])
+def test_abelian_image_subgroup_membership_hand_checked(model_id, gens_words, word, answer):
+    # zz23 maps x -> 3, y -> 2 in Z/6 (xy -> 5, xyxy -> 4, yxY -> 3);
+    # braid3 maps each letter to its sign in Z
+    model = make_model(model_id)
+    gen_keys = [g.key for g in GeneratingSet(model, gens_words)]
+    assert model.subgroup_contains(gen_keys, model.element(word).key) is answer
+
+
+def _abelian_image(model, key) -> int:
+    """From the key's word: zz23 x -> 3, y -> 2 (so Y -> -2) in Z/6;
+    braid3 the exponent sum in Z."""
+    word = model.key_word(key)
+    if isinstance(model, Braid3):
+        return Braid3.exponent_sum(word)
+    return sum(3 if abs(a) == 1 else a for a in word) % 6
+
+
+def test_abelian_image_never_rules_out_a_member(zz23, braid):
+    """On seeded random subgroups of zz23 and braid3, every key of a ball
+    of the subgroup answers None, and each letter answers False exactly
+    when no small combination of the generators' images reaches its image
+    (generators of length at most 4 need coefficients of at most 4)."""
+    rng = random.Random(25)
+    ruled_out = Counter()
+    for model in (zz23, braid) * 6:
+        words = [random_word(rng, 2, rng.randint(1, 4)) for _ in range(rng.randint(1, 2))]
+        gens = GeneratingSet(model, [w for w in words if not model.element(w).is_identity()] or [(1,)])
+        gen_keys = [g.key for g in gens]
+        for sphere in enumerate_ball(model, gens, 4, keep_elements=True).elements:
+            assert all(model.subgroup_contains(gen_keys, key) is None for key in sphere), words
+        generated = {sum(c * _abelian_image(model, k) for c, k in zip(cs, gen_keys))
+                     for cs in itertools.product(range(-6, 7), repeat=len(gen_keys))}
+        if model is zz23:
+            generated = {v % 6 for v in generated}
+        for letter in (1, -1, 2, -2):
+            key = model.element((letter,)).key
+            outside = _abelian_image(model, key) not in generated
+            assert model.subgroup_contains(gen_keys, key) is (False if outside else None), (words, letter)
+            ruled_out[model.name] += outside
+    assert ruled_out["zz23"] and ruled_out["braid3"]
 
 
 def test_subgroup_membership_is_unknown_off_the_free_groups(zz23, braid):
