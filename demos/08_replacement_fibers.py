@@ -51,8 +51,9 @@ print("axis-heavy element certified thick:", found.found)
 
 print("\nfiber census over the outer shell, n = 8..14:")
 print("  n   domain  image  max-fiber  max-fiber/sqrt(n)")
+shared = SegmentTable(BallIndex(q23, gens, 0), action, phi, ledger)  # one table: each census grows its ball
 for n in range(8, 15):
-    r = fiber_census(q23, gens, action, phi, ledger, n)
+    r = fiber_census(shared, n)
     print(f"  {n:>2}  {r.domain_size:>5}  {r.image_size:>5}  {r.max_fiber:>8}  {r.sqrt_ratio:>10.3f}")
 
 f2 = FreeGroup(2)

@@ -345,14 +345,15 @@ class BallIndex:
     skipped is already in the ball, so each first visit, sphere, geodesic
     and norm is the one of the full BFS.  ``spheres[r]`` lists the keys at
     distance r in sorted order, as ``enumerate_ball(..., keep_elements=True)``
-    does.  Queries about keys outside the ball fall back to the searches
-    they replace; a complete index also answers the norm of a key outside it
-    by a search that stops at the ball (:meth:`norm_beyond`).
+    does; :meth:`grow` continues the BFS and :meth:`trim` drops spheres.
+    Queries about keys outside the ball fall back to the searches they
+    replace; a complete index also answers the norm of a key outside it by
+    a search that stops at the ball (:meth:`norm_beyond`).
     ``node_budget`` bounds the nodes held at once and is
     checked after each frontier key: once the ball outgrows it, the index
     drops the partial sphere, stops at the last complete radius and is
-    ``truncated``; a fallback search may hold what the ball leaves of it
-    and raises :class:`BudgetExceeded` if it outgrows that.
+    ``truncated`` until trimmed; a fallback search may hold what the ball
+    leaves of it and raises :class:`BudgetExceeded` if it outgrows that.
     """
 
     def __init__(
@@ -369,18 +370,32 @@ class BallIndex:
         self._follow = _shortlex_steps(model, gens)
         self._last = {ident: 0}  # key -> last S-letter of its geodesic; 0 at the identity
         self._parent = {}  # key -> the key one letter back; none at the identity
-        self.spheres = [[ident]]
-        self.truncated = False
-        limit = math.inf if node_budget is None else node_budget
-        frontier = self.spheres[0]
-        for _r in range(radius):
-            frontier, self.truncated = self._grow(frontier, limit)
+        self.spheres, self._order = [[ident]], [[ident]]  # _order: the spheres in discovery (shortlex) order
+        self.radius, self.truncated = 0, False
+        self.grow(radius)
+
+    def grow(self, radius: int) -> bool:
+        """Continue the BFS to ``radius``, and say whether it gets there: a
+        truncated index (see above) does not grow."""
+        limit = math.inf if self.node_budget is None else self.node_budget
+        while self.radius < radius and not self.truncated:
+            frontier, self.truncated = self._grow(self._order[-1], limit)
             if self.truncated:
                 for k in frontier:
                     del self._last[k], self._parent[k]
-                break
-            self.spheres.append(sorted(frontier))
-        self.radius = len(self.spheres) - 1
+            else:
+                self._order.append(frontier)
+                self.spheres.append(sorted(frontier))
+                self.radius += 1
+        return self.radius >= radius
+
+    def trim(self, radius: int) -> None:
+        """Drop the spheres past ``radius``; a trimmed index is the one built there."""
+        while self.radius > radius:
+            for k in self.spheres.pop():
+                del self._last[k], self._parent[k]
+            self._order.pop()
+            self.radius, self.truncated = self.radius - 1, False
 
     def _grow(self, frontier: list, limit=math.inf, target=None) -> tuple:
         """The keys one letter past ``frontier``, stored with their last letter

@@ -24,9 +24,9 @@ key, is decided once per (prefix key, suffix key) pair, from segments read
 per prefix key and spliced keys with their tails per suffix key.  A fiber
 census reads only those output keys; an
 :class:`~genlab.alignment.AlignmentReport` is built only for a
-certificate, a replacement or a failure that is returned.  A census builds
-one index and one table per radius, so the memos go with it; with a thick
-window below 1 it asks for no norm outside its ball.
+certificate, a replacement or a failure that is returned.  The censuses of
+an experiment share one table, its index trimmed or grown to each n; with
+a thick window below 1 a census asks for no norm outside B(n).
 The negligibility probe decides core norms by membership in the spheres
 of its enumerated ball, and builds the set of conjugates h^-1 C h of the
 short cores C by the short h once per n, so it tests each shell element
@@ -229,7 +229,7 @@ class SegmentTable:
     """The query context of the thick search and the replacement maps: a
     :class:`~genlab.balls.BallIndex` for every geodesic and norm, the cut
     keys of the element last asked about, and the orbit segments
-    g * (id, phi, ..., phi^L) of one census by the key of their base g,
+    g * (id, phi, ..., phi^L) of its censuses by the key of their base g,
     each built and measured once (L is the ledger's segment length).
     ``model`` and ``gens`` are the ball's; ``action`` must be on a tree.
 
@@ -617,30 +617,23 @@ class FiberReport:
         }
 
 
-def fiber_census(
-    model: GroupModel,
-    gens: GeneratingSet,
-    action: GroupAction,
-    phi: GroupElement,
-    ledger: ConstantLedger,
-    n: int,
-    shell: Fraction = Fraction(99, 100),
-    node_budget: Optional[int] = None,
-) -> FiberReport:
+def fiber_census(table: SegmentTable, n: int, shell: Fraction = Fraction(99, 100)) -> FiberReport:
     """Exact fibers of the replacement map over its domain: the outer shell
     of the radius-n ball, minus certified thick elements, crossed with the
     cut window.
 
-    One :class:`BallIndex` of radius n supplies the shell and answers every
-    geodesic and norm query of the thick search and the replacement map.
-    The image of each cut is the output key of the table's ``linkage`` at
-    the cut keys, the one value of the map this census reads.
-    Raises :class:`BudgetExceeded` if that ball outgrows ``node_budget``.
+    The table's index, trimmed or grown to radius n, supplies the shell and
+    answers every query of the maps as an index built at n would, its
+    searches held to what B(n) leaves of the budget.  A cut's image is the
+    output key of the table's ``linkage`` at its cut keys, the one value of
+    the map read here; the memos are keyed by keys and windows, not by n,
+    so one table serves every n.  Raises :class:`BudgetExceeded` if the
+    index cannot grow to n.
     """
-    ball = BallIndex(model, gens, n, node_budget=node_budget)
-    if ball.truncated:
-        raise BudgetExceeded(f"the radius-{n} ball outgrew the node budget {node_budget}")
-    table = SegmentTable(ball, action, phi, ledger)
+    ball, model, ledger = table.ball, table.model, table.ledger
+    ball.trim(n)
+    if not ball.grow(n):
+        raise BudgetExceeded(f"the radius-{n} ball outgrew the node budget {ball.node_budget}")
     inner = math.floor(shell * n)
     fibers: dict = {}
     domain = 0

@@ -327,22 +327,18 @@ def _run_fibers(spec, seed: int, budget: int | None) -> Outcome:
 
     model, gens, phi = spec.model, spec.gens, spec.phi
     action = model.tree_action()
-    reports = []
+    ball = balls.BallIndex(model, gens, 0, budget)  # the one ball: the ledger grows it, each census sets it to n
+    reports, over_budget = [], False
     try:
-        ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(seed), node_budget=budget,
-                                       **spec.ledger)
+        ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(seed), ball=ball, **spec.ledger)
     except balls.BudgetExceeded:
         ledger, over_budget = None, True  # no ledger, so no census
     else:
-        over_budget = False
-        too_big = None  # the least n whose ball outgrew the node budget
+        table = census.SegmentTable(ball, action, phi, ledger)
         for n in spec.n_values:
-            if too_big is not None and n >= too_big:
-                continue
             try:
-                reports.append(census.fiber_census(model, gens, action, phi, ledger, n, node_budget=budget).to_json())
+                reports.append(census.fiber_census(table, n).to_json())
             except balls.BudgetExceeded:
-                too_big = n
                 over_budget = True
     doc = {"ledger": None if ledger is None else ledger.to_json(), "reports": reports}
     rows = ["n,domain,image,max_fiber,sqrt_ratio"]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alignment import project, set_diameter
-from .balls import BallCensus, BallIndex, BudgetExceeded, enumerate_ball, word_distance
+from .balls import BallIndex, BudgetExceeded, enumerate_ball, word_distance
 from .groups import GeneratingSet, GroupElement, GroupModel
 from .ledger import ConstantLedger
 from .spaces import Geodesic, GroupAction, MetricSpaceModel, OrbitSegment
@@ -41,14 +41,6 @@ def require_loxodromic(action: GroupAction, phi: GroupElement) -> None:
 def segment_projection(action: GroupAction, segment: OrbitSegment, g: GroupElement):
     """Projection of g's orbit point onto the segment's projected geodesic."""
     return project(action.space, action.proj(g), segment.projected).points
-
-
-def _sample_ball(model, gens, radius: int, node_budget: Optional[int]):
-    """The kept ball a measurement samples from; a truncated one is a budget overrun."""
-    ball = enumerate_ball(model, gens, radius, keep_elements=True, node_budget=node_budget)
-    if ball.truncated:
-        raise BudgetExceeded(f"a sample ball of radius {radius} outgrew the node budget {node_budget}")
-    return ball
 
 
 @dataclass
@@ -110,20 +102,17 @@ def weak_contraction_profile(
     factor: Fraction = Fraction(1, 2),
     r_max: int = _R_MAX,
     seed: Optional[int] = None,
-    node_budget: Optional[int] = None,
-    ball: Optional[BallCensus] = None,
+    ball: Optional[BallIndex] = None,
 ) -> ContractionProfile:
     """Half-radius ball projections around random elements of given norms.
 
     For each sampled g, the ball of radius floor(factor * d_S(g, gamma)) is
-    read from one exact ball enumeration and the projection diameter of its
+    read from one shortlex ball index and the projection diameter of its
     g-translate onto the segment's geodesic recorded: the span of the
     projected indices, since points of one geodesic are |i - j| apart.  The
-    profile bound is the max observed diameter.  ``ball`` is a kept ball to
-    read from when it reaches the radius needed; otherwise one is
-    enumerated.  Raises
-    :class:`BudgetExceeded` if the ball or a distance search outgrows
-    ``node_budget`` nodes.
+    profile bound is the max observed diameter.  ``ball`` is an index grown
+    as needed (a new one when None).  Raises :class:`BudgetExceeded` if it
+    or a distance search outgrows its node budget.
     """
     require_loxodromic(action, phi)
     segment = OrbitSegment(action, model.identity(), phi, segment_length)
@@ -137,23 +126,24 @@ def weak_contraction_profile(
     # the segment starts at the identity, so d_S(g, gamma) <= |g|_S <= top:
     # every projection ball is a prefix of this one
     top = max(sample_norms)
+    ball = ball or BallIndex(model, gens, 0)
     needed = max(top, int(factor * top))
-    if ball is None or ball.radius < needed:
-        ball = _sample_ball(model, gens, needed, node_budget)
+    if not ball.grow(needed):
+        raise BudgetExceeded(f"a sample ball of radius {needed} outgrew the node budget {ball.node_budget}")
     for norm in sample_norms:
-        sphere = ball.elements[norm]
+        sphere = ball.spheres[norm]
         if not sphere:
             continue
         for _ in range(samples_per_norm):
             key = sphere[rng.randrange(len(sphere))]
             g = GroupElement(model, key)
-            dist = _distance_to_segment(model, gens, g, segment, r_max, node_budget)
+            dist = _distance_to_segment(model, gens, g, segment, r_max, ball.node_budget)
             if dist is None:
                 profile.truncated = True
                 continue
             radius = int(factor * dist)
             lo, hi = len(geo), 0
-            for shell in ball.elements[: radius + 1]:
+            for shell in ball.spheres[: radius + 1]:
                 for uk in shell:
                     idx = project(action.space, action.proj(g * GroupElement(model, uk)), geo).indices
                     lo, hi = min(lo, idx[0]), max(hi, idx[-1])
@@ -422,6 +412,7 @@ def measure_scaled_ledger(
     coeff: Fraction = Fraction(1),
     power: int = 1,
     node_budget: Optional[int] = None,
+    ball: Optional[BallIndex] = None,
     **overrides,
 ) -> ConstantLedger:
     """Build a scaled ledger from constants measured on the model itself.
@@ -429,23 +420,27 @@ def measure_scaled_ledger(
     The linkage bound is measured from the worst linkage choice over a
     sample; the contraction bound from half-radius ball projections; the
     Lipschitz pair from projection statistics.  The dominating constant is
-    their max (scale factor one); callers may override any entry.
-    ``node_budget`` bounds every ball and distance search of the
-    measurement, and the points of its orbit segment; one that outgrows it
-    raises :class:`BudgetExceeded`.
+    their max (scale factor one); callers may override any entry.  The
+    samples and the weak contraction profile read ``ball``, an index grown
+    as needed (when None, a new one under ``node_budget``), whose budget
+    bounds every ball and distance search of the measurement and the
+    points of its orbit segment; one that outgrows it raises
+    :class:`BudgetExceeded`.
     """
+    ball = ball or BallIndex(model, gens, 0, node_budget)
     meas_len = segment_length if segment_length is not None else 4
-    if node_budget is not None and meas_len + 1 > node_budget:
-        raise BudgetExceeded(f"an orbit segment of {meas_len + 1} points outgrows the node budget {node_budget}")
+    if ball.node_budget is not None and meas_len + 1 > ball.node_budget:
+        raise BudgetExceeded(f"an orbit segment of {meas_len + 1} points outgrows the node budget {ball.node_budget}")
     require_loxodromic(action, phi)
     space = action.space
     x0 = space.basepoint
     c0 = max(space.distance(x0, action.proj(s)) for s in gens.elements)
     d_c = space.distance(x0, action.proj(phi))
-    d_s = word_distance(model, gens, model.identity(), phi, math.inf, node_budget)  # |phi|_S; the search meets phi
+    d_s = word_distance(model, gens, model.identity(), phi, math.inf, ball.node_budget)  # |phi|_S; the search meets phi
 
-    ball = _sample_ball(model, gens, sample_radius, node_budget)
-    all_keys = [k for sphere in ball.elements for k in sphere]
+    if not ball.grow(sample_radius):
+        raise BudgetExceeded(f"a sample ball of radius {sample_radius} outgrew the node budget {ball.node_budget}")
+    all_keys = [k for sphere in ball.spheres[: sample_radius + 1] for k in sphere]
     sample_keys = [all_keys[rng.randrange(len(all_keys))] for _ in range(24)]
 
     e0 = Fraction(0)
@@ -455,7 +450,7 @@ def measure_scaled_ledger(
 
     profile = weak_contraction_profile(
         model, gens, action, phi, meas_len, sample_norms=[sample_radius - 1, sample_radius], rng=rng,
-        samples_per_norm=6, node_budget=node_budget, ball=ball,
+        samples_per_norm=6, ball=ball,
     )
     f0 = Fraction(profile.bound)
 
@@ -463,17 +458,17 @@ def measure_scaled_ledger(
     # Without a closed-form norm each d_S(g, h) is a search, which holds up
     # to about 2 |B(sample_radius)| nodes.  Every sample pair lies in
     # B(2 sample_radius), since |g^-1 h|_S <= |g|_S + |h|_S, and that ball has
-    # at most |B(sample_radius)|^2 elements: it is indexed once when that is
-    # no more than the searches it answers may hold.  A recovery distance
+    # at most |B(sample_radius)|^2 elements: the index grows to it when that
+    # is no more than the searches it answers may hold.  A recovery distance
     # d_S(g, h) to an orbit point h may fall outside it; on a complete index
     # its search stops at the index.  An index the budget cuts short is no
     # error; a query outside it is a bidirectional search.
     n = len(sample_keys)
     searched = not (gens.standard and model.exact_length(model.identity_key()) is not None)
-    pairs = None
-    if searched and len(all_keys) <= 2 * (n * len(seg.points) + n * (n - 1) // 2):
-        pairs = BallIndex(model, gens, 2 * sample_radius, node_budget)
-    lip = lipschitz_projection_bound(model, gens, action, seg, sample_keys, node_budget=node_budget, ball=pairs)
+    pairs = ball if searched and len(all_keys) <= 2 * (n * len(seg.points) + n * (n - 1) // 2) else None
+    if pairs is not None:
+        pairs.grow(2 * sample_radius)
+    lip = lipschitz_projection_bound(model, gens, action, seg, sample_keys, node_budget=ball.node_budget, ball=pairs)
 
     values = dict(
         delta=space.delta if space.delta is not None else Fraction(0),

@@ -10,8 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from genlab.balls import enumerate_ball, free_ball_count, free_sphere_count
+from genlab.balls import BallIndex, enumerate_ball, free_ball_count, free_sphere_count
 from genlab.census import (
+    SegmentTable,
     fiber_census,
     free_group_threshold_count,
     genericity_experiment,
@@ -251,8 +252,9 @@ def test_criterion_8_fiber_census():
     }
     ok = True
     ratios = []
+    table = SegmentTable(BallIndex(q23, gens, 0), action, phi, ledger)  # one table, grown by each census
     for n, expected in frozen.items():
-        rep = fiber_census(q23, gens, action, phi, ledger, n)
+        rep = fiber_census(table, n)
         ok = ok and (rep.domain_size, rep.image_size, rep.max_fiber) == expected
         ratios.append(rep.sqrt_ratio)
     ok = ok and max(ratios) <= 2.2 and ratios[-1] <= ratios[0]
@@ -266,8 +268,9 @@ def test_criterion_8_fiber_census():
     )
     f_ratios = []
     max_fibers = []
+    ftable = SegmentTable(BallIndex(f2, f2.standard_gens(), 0), taction, f2.element("a"), fledger)
     for n in (8, 10):
-        rep = fiber_census(f2, f2.standard_gens(), taction, f2.element("a"), fledger, n)
+        rep = fiber_census(ftable, n)
         f_ratios.append(rep.sqrt_ratio)
         max_fibers.append(rep.max_fiber)
     ok = ok and max_fibers == [114, 114]  # frozen: block-determined, flat in n

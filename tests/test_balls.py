@@ -307,6 +307,71 @@ def test_ball_index_budget_matches_enumeration(braid):
     assert index.distance_from_identity(beyond, 8) == 4
 
 
+@pytest.mark.parametrize("model,gens,radius", _index_cases(), ids=["zz23", "braid3", "braid3-aba", "f2-ab", "f2"])
+def test_grown_or_trimmed_index_equals_one_built_at_the_radius(model, gens, radius):
+    # grown in uneven steps, a request below the radius reached included,
+    # then trimmed and grown back, it keeps the same shortlex BFS: the same
+    # spheres, parents and members as an index built at its radius
+    def same(index, r):
+        built = BallIndex(model, gens, r + 1)
+        assert index.radius == r and not index.truncated and index.spheres == built.spheres[: r + 1]
+        assert all(index.walk(k) == built.walk(k) for sphere in index.spheres for k in sphere)
+        assert not any(k in index for k in built.spheres[r + 1])
+
+    index = BallIndex(model, gens, 0)
+    assert index.grow(2) and index.grow(1)
+    same(index, 2)
+    assert index.grow(radius)
+    same(index, radius)
+    index.trim(1)
+    same(index, 1)
+    assert index.grow(radius - 1) and index.grow(radius)
+    same(index, radius)
+
+
+def test_truncated_index_grows_only_once_trimmed(braid):
+    # grown past its budget, an index stops where one built under the same
+    # budget stops, and stays there; trimmed below that radius it is
+    # complete, and grows back to it and stops there again
+    gens = braid.standard_gens()
+    index = BallIndex(braid, gens, 3, node_budget=100)
+    assert not index.truncated and index.radius == 3
+    assert not index.grow(8) and index.truncated
+    built = BallIndex(braid, gens, 8, node_budget=100)
+    cut = index.radius
+    assert cut == built.radius < 8 and index.spheres == built.spheres
+    assert not index.grow(cut + 1) and index.grow(cut)
+    index.trim(cut - 1)
+    assert not index.truncated and index.spheres == built.spheres[:cut]
+    assert not index.grow(cut + 1) and index.truncated and index.spheres == built.spheres
+
+
+def _zz23_growth_series(radius: int) -> list:
+    """The sphere counts of Z/2 * Z/3 under {x, y, Y}, to ``radius``, from
+    the free-product formula 1/f = 1/f1 + 1/f2 - 1 (de la Harpe, *Topics in
+    Geometric Group Theory*, 2000, VI.A) with f1 = 1 + z and f2 = 1 + 2z:
+    f = (1 + z)(1 + 2z) / (1 - 2z^2), expanded in exact integers."""
+    numerator = [1, 3, 2]  # (1 + z)(1 + 2z)
+    out = []
+    for r in range(radius + 1):
+        out.append((numerator[r] if r < len(numerator) else 0) + (2 * out[r - 2] if r >= 2 else 0))
+    return out
+
+
+def test_zz23_spheres_follow_the_free_product_growth_series(zz23):
+    # an oracle that shares no code with the program: 1, 3, 4, 6, 8, 12, ...
+    # with s_r = 2 s_(r-2) for r >= 3
+    series = _zz23_growth_series(24)
+    assert series[:8] == [1, 3, 4, 6, 8, 12, 16, 24]
+    assert all(series[r] == 2 * series[r - 2] for r in range(3, 25))
+    gens = zz23.standard_gens()
+    assert enumerate_ball(zz23, gens, 24).sphere_counts == series
+    assert [len(sphere) for sphere in BallIndex(zz23, gens, 24).spheres] == series
+    grown = BallIndex(zz23, gens, 0)
+    for r in range(1, 25):  # one sphere at a time
+        assert grown.grow(r) and len(grown.spheres[r]) == series[r]
+
+
 def symmetric3() -> FiniteSample:
     """S_3 generated by the transpositions (0 1) and (1 2); its ball
     saturates at radius 3."""

@@ -196,7 +196,7 @@ def test_fiber_census_consistency(zz23, bass_serre, zz23_ledger):
     _, action, _ = bass_serre
     gens = zz23.standard_gens()
     phi = zz23.element("xy")
-    report = fiber_census(zz23, gens, action, phi, zz23_ledger, 10)
+    report = fiber_census(_search_table(zz23, gens, action, phi, zz23_ledger), 10)
     assert report.domain_size == sum(
         size * mult for size, mult in report.histogram.items()
     )
@@ -209,7 +209,7 @@ def test_fiber_census_empty_domain(zz23, bass_serre, zz23_ledger):
     _, action, _ = bass_serre
     gens = zz23.standard_gens()
     # at n = 4 the excised block does not fit: the report is trivial
-    report = fiber_census(zz23, gens, action, zz23.element("xy"), zz23_ledger, 4)
+    report = fiber_census(_search_table(zz23, gens, action, zz23.element("xy"), zz23_ledger), 4)
     assert report.domain_size == 0 and report.max_fiber == 0
     assert report.histogram == {}
 
@@ -277,8 +277,14 @@ def test_cut_keys_are_the_spelled_prefixes_and_suffixes(which, zz23, bass_serre,
 
 
 def _search_table(model, gens, action, phi, ledger):
-    # a radius-0 ball: every geodesic and norm query is a new search
+    # a radius-0 ball: every geodesic and norm query is a new search, until
+    # a census grows the ball, as it does a fibers experiment's
     return SegmentTable(BallIndex(model, gens, 0), action, phi, ledger)
+
+
+def _fresh_table(table):
+    # a table with empty memos over another table's ball and constants
+    return SegmentTable(table.ball, table.action, table.phi, table.ledger)
 
 
 def _suffix(model, gens, g, start):
@@ -474,7 +480,8 @@ def test_closed_form_census_matches_search_on_reordered_generators(which, f2, tr
                                        window=(Fraction(1, 4), Fraction(2, 5)), cut_window=(Fraction(1, 4), Fraction(2, 5)))
     else:
         model, words, action, phi, n, ledger = zz23, ["y", "x"], bass_serre[1], zz23.element("xy"), 10, zz23_ledger
-    closed, searched = (fiber_census(model, GeneratingSet(model, words, standard=flag), action, phi, ledger, n)
+    closed, searched = (fiber_census(_search_table(model, GeneratingSet(model, words, standard=flag), action, phi,
+                                                   ledger), n)
                         for flag in (True, False))
     assert closed.to_json() == searched.to_json()
     assert closed.thick_skipped > 0
@@ -726,7 +733,7 @@ def test_fiber_census_decides_each_cut_key_pair_once(monkeypatch):
     monkeypatch.setattr(SegmentTable, "linkage", lambda self, w, v: asked.append((w, v)) or linkage(self, w, v))
     monkeypatch.setattr(SegmentTable, "_first_linkage",
                         lambda self, w, v: computed.append((w, v)) or first_linkage(self, w, v))
-    report = fiber_census(model, gens, action, phi, _fibers_f2_ledger(), 8)
+    report = fiber_census(_search_table(model, gens, action, phi, _fibers_f2_ledger()), 8)
     assert report.domain_size == len(asked) == 15066
     assert len(computed) == len(set(computed)) == len(set(asked)) == 288
 
@@ -736,8 +743,8 @@ def test_fiber_census_products_are_pinned():
     # element's cuts are read from the ball's parents, so only the suffixes
     # are running products (160,385 when the prefixes were formed too)
     counting = CountingModel(make_model("free:2"))
-    report = fiber_census(counting, counting.standard_gens(), counting.tree_action(), counting.element("a"),
-                          _fibers_f2_ledger(), 8)
+    report = fiber_census(_search_table(counting, counting.standard_gens(), counting.tree_action(),
+                                        counting.element("a"), _fibers_f2_ledger()), 8)
     assert report.domain_size == 15066
     assert counting.calls == 90401
 
@@ -824,8 +831,60 @@ def test_half_shell_census_matches_the_distance_reference(which):
     assert len({table.thick_window(r) for r in radii}) > 1
     want = _reference_census(table, shell)
     assert want is not None and want["domain_size"] and want["thick_skipped"]
-    report = fiber_census(table.model, table.gens, table.action, table.phi, table.ledger, n, shell=shell)
+    report = fiber_census(_fresh_table(table), n, shell=shell)
     assert {field: getattr(report, field) for field in want} == want
+
+
+_WINDOWS = {"window": (Fraction(1, 4), Fraction(2, 5)), "cut_window": (Fraction(1, 4), Fraction(2, 5))}
+# the fibers workload's experiments: model, phi, ledger keywords, and its n
+# values unsorted and repeated
+_FIBERS_WORKLOAD = {
+    "zz23-xy": ("zz23", "xy", dict(dominating=Fraction(1), segment_length=2, **_WINDOWS), [14, 8, 11, 8]),
+    "free2-a": ("free:2", "a", dict(segment_length=2, **_WINDOWS), [8, 6, 8]),
+    "braid3-aB": ("braid3", "aB", dict(dominating=Fraction(1), segment_length=2, **_WINDOWS), [7, 6]),
+}
+
+
+def _shared_and_fresh(table, n_values):
+    """The census reports of each n from ``table``, then from a new table
+    and a new index per n."""
+    shared = [fiber_census(table, n).to_json() for n in n_values]
+    fresh = [fiber_census(_search_table(table.model, table.gens, table.action, table.phi, table.ledger), n).to_json()
+             for n in n_values]
+    return shared, fresh
+
+
+@pytest.mark.parametrize("which", list(_FIBERS_WORKLOAD))
+def test_one_table_serves_every_n_of_a_workload_experiment(which):
+    # as a fibers run does: the ledger grows the experiment's index (braid3
+    # to its B(10) pairs index), and one table over it serves every n, each
+    # census trimming or growing the index to its n; a memo keyed without
+    # its window, or a census reading spheres past its n, would change a
+    # report
+    model_id, phi, keywords, n_values = _FIBERS_WORKLOAD[which]
+    model = make_model(model_id)
+    gens, action, phi = model.standard_gens(), model.tree_action(), model.element(phi)
+    ball = BallIndex(model, gens, 0)
+    ledger = measure_scaled_ledger(model, gens, action, phi, random.Random(7), ball=ball, **keywords)
+    shared, fresh = _shared_and_fresh(SegmentTable(ball, action, phi, ledger), n_values)
+    assert shared == fresh
+    assert ball.radius == n_values[-1]
+    assert all(report["domain"] for report in shared)
+
+
+@pytest.mark.parametrize("which", range(len(_RANDOM_SETS)), ids=[f"random-{m}-{i}" for i, (m, _, _) in
+                                                                  enumerate(_RANDOM_SETS)])
+def test_one_table_serves_every_n_on_random_generating_sets(which):
+    # the same on the random generating sets, at their oracle ledger's
+    # windows, with the largest n first
+    model_id, gens, radius = _RANDOM_SETS[which]
+    model = gens.model
+    ledger = _oracle_table(which)[0].ledger
+    table = _search_table(model, gens, model.tree_action(), model.element(_RANDOM_PHI[model_id]), ledger)
+    n_values = [radius, radius - 2, radius - 1, radius - 2]
+    shared, fresh = _shared_and_fresh(table, n_values)
+    assert shared == fresh
+    assert any(report["domain"] for report in shared)
 
 
 @pytest.mark.parametrize("which", ["zz23", "f2", "braid3"])
@@ -843,38 +902,37 @@ def test_tail_guard_never_fires_on_the_censuses(which, monkeypatch):
 
     monkeypatch.setattr(SegmentTable, "tail", recording_tail)
     table, _ = _oracle_table(which)
-    model, n = table.model, table.ball.radius
-    report = fiber_census(model, table.gens, table.action, table.phi, table.ledger, n)
+    report = fiber_census(_fresh_table(table), table.ball.radius)
     assert report.domain_size > 0 and len(seen) > 50
     assert all(two_i % 2 == 0 and 0 <= two_i <= 2 * length for two_i, length in seen)
 
 
 @pytest.mark.parametrize("which", ["zz23", "f2", "braid3", "appendix-tree"])
 def test_project_tree_guard_never_fires(which, monkeypatch):
-    # alignment.project falls back to a scan when 2i = d(x, start) + n -
-    # d(x, end) is odd or outside [0, 2n]; on a tree it never is.  Record 2i
-    # on every project call of a model's ledger measurement and census, and
-    # of the appendix suite on the free-group Cayley tree
-    from genlab import alignment, contraction, lemmas
+    # alignment.tree_projection raises ValueError when 2i = d(x, start) + n -
+    # d(x, end) is odd or outside [0, 2n]; between tree vertices it never is.
+    # Record 2i on every tree projection (through project, pair_diameters or
+    # a census tail) of a model's ledger measurement and census, and of the
+    # appendix suite on the free-group Cayley tree
+    from genlab import alignment, census, lemmas
 
     seen = []
-    project = alignment.project
+    tree_projection = alignment.tree_projection
 
-    def recording_project(space, x, geo):
+    def recording_tree_projection(space, x, geo):
         n = len(geo)
-        if space.is_tree and n > 0:
-            seen.append((space.distance(x, geo.start) + n - space.distance(x, geo.end), n))
-        return project(space, x, geo)
+        seen.append((space.distance(x, geo.start) + n - space.distance(x, geo.end), n))
+        return tree_projection(space, x, geo)
 
-    for module in (alignment, contraction, lemmas):
-        monkeypatch.setattr(module, "project", recording_project)
+    for module in (alignment, census):
+        monkeypatch.setattr(module, "tree_projection", recording_tree_projection)
     if which == "appendix-tree":
         assert lemmas.appendix_suite_tree(2, 200, random.Random(13)).all_green()
     else:
         table, _ = _oracle_table(which)
         model, gens, action, phi = table.model, table.gens, table.action, table.phi
         measure_scaled_ledger(model, gens, action, phi, random.Random(7), segment_length=2, sample_radius=4)
-        report = fiber_census(model, gens, action, phi, table.ledger, table.ball.radius)
+        report = fiber_census(_fresh_table(table), table.ball.radius)
         assert report.domain_size > 0
     assert len(seen) > 50
     assert all(two_i % 2 == 0 and 0 <= two_i <= 2 * n for two_i, n in seen)

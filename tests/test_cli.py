@@ -520,6 +520,33 @@ def test_fibers_budget_binds_fallback_searches(tmp_path):
     assert _hashes(tmp_path / "a") == _hashes(tmp_path / "b")
 
 
+_WIDE = {"dominating": "1", "segment_length": 2, "window": ["1/2", "3/2"], "cut_window": ["1/4", "2/5"]}
+
+
+@pytest.mark.parametrize("model,gens,n_values,budget,code,domains", [
+    ("braid3", None, [7, 6], 2600, 0, {7: 656, 6: 314}),
+    ("braid3", None, [6, 7], 3000, 0, {6: 314, 7: 656}),
+    ("zz23", ["x", "y", "xy"], [8, 6], 1100, 0, {8: 312, 6: 61}),
+    ("zz23", ["x", "y", "xy"], [7, 5, 8], 700, 3, {7: 107, 5: 0}),
+    ("zz23", ["x", "y", "xy"], [9, 7], 700, 3, {7: 107}),
+], ids=["braid3-7-6", "braid3-6-7", "zz23-8-6", "zz23-7-5-8", "zz23-9-7"])
+def test_fibers_budget_leaves_out_the_n_a_ball_of_radius_n_would(tmp_path, model, gens, n_values, budget, code,
+                                                                  domains):
+    # a thick window reaching 1 makes each census search norms next to its
+    # ball; the ledgers grow the experiment's index to B(10), and a larger n
+    # may come first, yet each census holds B(n) and searches within what
+    # it leaves, so the reports are those of a fresh ball per n (these
+    # values were read from runs that built one)
+    doc = {"experiments": [{"kind": "fibers", "name": "fib", "model": model, "phi": "aB" if model == "braid3" else "xy",
+                            "n_values": n_values, "ledger": _WIDE}]}
+    if gens:
+        doc["experiments"][0]["gens"] = gens
+    assert run(doc, tmp_path, 7, "scaled", budget) == code
+    reports = json.loads((tmp_path / "fib.json").read_text())["reports"]
+    assert {r["n"]: r["domain"] for r in reports} == domains
+    assert [r["n"] for r in reports] == [n for n in n_values if n in domains]
+
+
 def test_verify_lemmas_budget_binds_the_concatenation_ledgers(tmp_path):
     # the concatenation suite measures an F2 and a B3 ledger; a ledger that
     # outgrows the budget leaves the suite out, and the run is partial

@@ -328,12 +328,48 @@ def test_ledger_node_budget_binds_every_search(braid, bass_serre):
     assert ledger(400) == ledger(None)
 
 
+def _handing(monkeypatch, index_of):
+    """Make the ledger hand ``lipschitz_projection_bound`` ``index_of`` of
+    the index it would hand it (None where it hands none)."""
+
+    def handed(model, gens, action, segment, keys, node_budget=None, ball=None):
+        return lipschitz_projection_bound(model, gens, action, segment, keys, node_budget=node_budget,
+                                          ball=index_of(ball))
+
+    monkeypatch.setattr(contraction, "lipschitz_projection_bound", handed)
+
+
+def _radius_recorder(radii: list):
+    """An ``index_of`` for :func:`_handing` that hands on the same index and
+    records its radius."""
+
+    def recorded(ball):
+        if ball is not None:
+            radii.append(ball.radius)
+        return ball
+
+    return recorded
+
+
+def _built_indices(monkeypatch) -> list:
+    """The indices the ledger builds, recorded as it builds them."""
+    built = []
+
+    def recorded(model, gens, radius, budget):
+        built.append(BallIndex(model, gens, radius, budget))
+        return built[-1]
+
+    monkeypatch.setattr(contraction, "BallIndex", recorded)
+    return built
+
+
 @pytest.mark.parametrize("words", [["a", "b"], ["a", "b", "aba"]], ids=["ab", "ab-aba"])
 def test_ledger_reads_the_same_distances_from_its_ball(braid, bass_serre, words, monkeypatch):
     # braid3 has no closed-form norm: the ledger reads its Lipschitz
-    # distances from one ball of twice the sample radius, and must measure
-    # what a search per distance measures.  Both kinds of search count: the
-    # bidirectional word_distance and the search beyond a complete index.
+    # distances from its index grown to twice the sample radius, and must
+    # measure what a search per distance measures.  Both kinds of search
+    # count: the bidirectional word_distance and the search beyond a
+    # complete index.
     searches = []
     norm_beyond = BallIndex.norm_beyond
 
@@ -352,14 +388,17 @@ def test_ledger_reads_the_same_distances_from_its_ball(braid, bass_serre, words,
 
     monkeypatch.setattr(contraction, "word_distance", counted)
     monkeypatch.setattr(BallIndex, "norm_beyond", counted_beyond)
+    radii = []
+    _handing(monkeypatch, _radius_recorder(radii))
     with_ball, searched_with_ball = ledger(), len(searches)
+    assert radii == [8]
     # a radius-0 index holds the identity alone, so every other distance is a search
-    monkeypatch.setattr(contraction, "BallIndex", lambda model, gens, radius, budget: BallIndex(model, gens, 0, budget))
+    _handing(monkeypatch, lambda ball: BallIndex(ball.model, ball.gens, 0, ball.node_budget))
     assert ledger() == with_ball
     assert len(searches) > searched_with_ball + 300
     # with no index every distance is a bidirectional word_distance search,
     # the oracle for both the index and the search beyond it
-    monkeypatch.setattr(contraction, "BallIndex", lambda model, gens, radius, budget: None)
+    _handing(monkeypatch, lambda ball: None)
     assert ledger() == with_ball
     assert len(searches) > searched_with_ball + 300 and set(searches) == {"word_distance"}
 
@@ -370,32 +409,32 @@ def test_ledger_reads_the_same_distances_from_its_ball(braid, bass_serre, words,
     ("free:2", ["a", "b", "ab"], []),  # #B(5) = 2,047 > 2 * 396 queries: B(10) could outgrow the searches
 ], ids=["braid3", "f2", "f2-ab"])
 def test_ledger_indexes_its_pairs_only_where_it_pays(model_id, words, indexed, monkeypatch):
-    radii = []
-
-    def recorded(model, gens, radius, budget):
-        radii.append(radius)
-        return BallIndex(model, gens, radius, budget)
-
-    monkeypatch.setattr(contraction, "BallIndex", recorded)
+    # the radius of the index the ledger hands lipschitz_projection_bound;
+    # where it hands none, its index stays at the sample radius
+    radii, built = [], _built_indices(monkeypatch)
+    _handing(monkeypatch, _radius_recorder(radii))
     model = make_model(model_id)
     gens = model.standard_gens() if words is None else GeneratingSet(model, words)
     phi = model.element("aB" if model_id == "braid3" else "a")
     measure_scaled_ledger(model, gens, model.tree_action(), phi, random.Random(0), sample_radius=5)
     assert radii == indexed
+    assert [index.radius for index in built] == (indexed or [5])
 
 
 def test_ledger_enumerates_its_sample_ball_once(braid, bass_serre, monkeypatch):
-    # the weak contraction profile samples from the ledger's own sample ball
-    radii = []
+    # the ledger builds one index, and the weak contraction profile samples
+    # from it, grown to the sample radius
+    radii, built = [], _built_indices(monkeypatch)
 
-    def counted(model, gens, radius, **kwargs):
-        radii.append(radius)
-        return enumerate_ball(model, gens, radius, **kwargs)
+    def sampled(*args, ball, **kwargs):
+        radii.append(ball.radius)
+        assert ball is built[0]
+        return weak_contraction_profile(*args, ball=ball, **kwargs)
 
-    monkeypatch.setattr(contraction, "enumerate_ball", counted)
+    monkeypatch.setattr(contraction, "weak_contraction_profile", sampled)
     measure_scaled_ledger(braid, braid.standard_gens(), bass_serre[2], braid.element("aB"), random.Random(0),
                           segment_length=2, sample_radius=4)
-    assert radii == [4]
+    assert radii == [4] and len(built) == 1
 
 
 @pytest.mark.parametrize("words", [["a", "b"], ["a", "b", "aba"]], ids=["ab", "ab-aba"])
