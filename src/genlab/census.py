@@ -22,7 +22,10 @@ a head bitmask of its candidates (by prefix key and window) with a tail
 bitmask (by suffix key), and the linkage of a replacement, with its output
 key, is decided once per (prefix key, suffix key) pair, from segments read
 per prefix key and spliced keys with their tails per suffix key.  A fiber
-census reads only those output keys; an
+census works on keys alone: per shell key, one walk back through the
+index's parents to the shallowest cut index its windows read, the thick
+verdict of the loop that the thick search runs too, and the output keys
+of the linkages; it builds no element, search result or certificate.  An
 :class:`~genlab.alignment.AlignmentReport` is built only for a
 certificate, a replacement or a failure that is returned.  The censuses of
 an experiment share one table, its index trimmed or grown to each n; with
@@ -236,20 +239,22 @@ class SegmentTable:
     A radius-0 ball is the plain search path: every query but the
     identity's falls back to ``geodesic_representative`` or
     ``word_distance``.  ``cuts(g)`` gives the keys of every prefix and
-    suffix of the ball's geodesic of g.  For a g in the ball the prefixes
-    are read off the ball's parents, g's ancestors in its BFS tree, and the
-    suffixes are running products of the letter keys read along them; for
-    a g outside it both are running products of the searched geodesic's
-    letter keys.  A census visits one g at a time, so one memo slot serves
-    its thick search and all its replacement maps.  Every alignment
-    sequence of the thick search and the replacement maps is (basepoint,
-    segment, h x0).  Its first pair depends on the segment alone, so it is
-    stored, and ``tail`` gives the pair (segment, h x0): the integers
-    (n - i, 0), from the two tree distances that place h x0's projection at
-    index i of the length-n segment.  For a segment based at b those distances are
-    d(b^-1 h x0, x0) and d(b^-1 h x0, phi^L x0), since the action is an
-    isometry, so ``tail_at`` reads the pair by the key of b^-1 h alone, off
-    phi's identity-based segment, and computes it once per key.
+    suffix of the ball's geodesic of g, kept in one memo slot for the thick
+    search and the replacement maps of one g.  For a g in the ball they
+    are ``cut_keys`` taken to depth 0: the prefixes are read off the ball's
+    parents, g's ancestors in its BFS tree, and the suffixes are running
+    products of the letter keys read along them; a fiber census stops that
+    walk at the shallowest index its windows read.  For a g outside the
+    ball both are running products of the searched geodesic's letter
+    keys.  Every alignment sequence of the thick search and the replacement
+    maps is (basepoint, segment, h x0).  Its first pair depends on the
+    segment alone, so it is stored, and ``tail`` gives the pair (segment,
+    h x0): the integers (n - i, 0), from the two tree distances that place
+    h x0's projection at index i of the length-n segment.  For a segment
+    based at b those distances are d(b^-1 h x0, x0) and
+    d(b^-1 h x0, phi^L x0), since the action is an isometry, so ``tail_at``
+    reads the pair by the key of b^-1 h alone, off phi's identity-based
+    segment, and computes it once per key.
 
     The maps decide on those integers, and each verdict depends on one cut
     key or on a pair of them, so the table memoizes the verdicts per key.
@@ -268,7 +273,10 @@ class SegmentTable:
       the output key of w s phi^L t v, or the first least-worst pair when
       none does (then each read raises :class:`LinkageFailure`).
 
-    The maps build an :class:`~genlab.alignment.AlignmentReport` only for
+    ``first_thick`` is the one loop of the thick search over cut keys, for
+    ``a_thick_search`` and the census alike: it reads ``thick_heads`` and
+    ``thick_tails`` from their memos and calls them only on a miss.  The
+    maps build an :class:`~genlab.alignment.AlignmentReport` only for
     what they return.  The ledger constants the maps use are computed here
     once: the alignment ``level``, the excised ``block`` length, the spliced
     ``power`` phi^L, the linkage ``candidates`` (the identity, then S) with
@@ -290,6 +298,7 @@ class SegmentTable:
         self.inverse_keys = [self.model.inverse_key(c.key) for c in self.candidates]
         self.spliced_keys = [self.model.mul_keys(self.power.key, c.key) for c in self.candidates]
         self._letter_keys = {s: self.gens.letter_element(s).key for s in self.gens.signed_letters()}
+        self._identity_key = self.model.identity_key()
         self._basepoint = as_geodesic(action.space.basepoint)
         self._entries: dict = {}
         self._windows: dict = {}
@@ -309,22 +318,36 @@ class SegmentTable:
         of g; kept for the last g asked about."""
         memo = self._last_cut
         if memo is None or memo[0] != g.key:
-            mul, ident, letter_keys = self.model.mul_keys, self.model.identity_key(), self._letter_keys
-            if g.key in self.ball:  # walked back: g first, its last letter first
-                prefix, letters = self.ball.walk(g.key)
-                prefix.reverse()
-            else:
+            if g.key in self.ball:
+                prefix, suffix = self.cut_keys(g.key, self.ball.norm(g.key))
+            else:  # running products of the searched geodesic's letter keys
+                mul, ident, letter_keys = self.model.mul_keys, self._identity_key, self._letter_keys
                 s_letters = self.ball.geodesic(g).s_letters
-                prefix = [ident]
+                prefix, suffix = [ident], [ident]
                 for s in s_letters:
                     prefix.append(mul(prefix[-1], letter_keys[s]))
-                letters = reversed(s_letters)
-            suffix = [ident]
-            for s in letters:
-                suffix.append(mul(letter_keys[s], suffix[-1]))
-            suffix.reverse()
+                for s in reversed(s_letters):
+                    suffix.append(mul(letter_keys[s], suffix[-1]))
+                suffix.reverse()
             memo = self._last_cut = (g.key, prefix, suffix)
         return memo[1], memo[2]
+
+    def cut_keys(self, key, n: int, depth: int = 0) -> tuple:
+        """``cuts`` of the element of norm n with this key in the ball, from
+        index ``depth`` up; the entries below it are None.  One walk back
+        through the ball's parents, the key first, reads prefix[n], ...,
+        prefix[depth] and forms suffix[j] = s_(j+1) suffix[j+1] on the way:
+        n - depth products.  It reads the index's last-letter and parent
+        maps in place, as ``BallIndex.walk`` does, without building its
+        lists."""
+        last, parent, letter_keys, mul = self.ball._last, self.ball._parent, self._letter_keys, self.model.mul_keys
+        prefix, suffix = [None] * (n + 1), [None] * (n + 1)
+        v = suffix[n] = self._identity_key
+        prefix[n] = key
+        for j in range(n - 1, depth - 1, -1):
+            v = suffix[j] = mul(letter_keys[last[key]], v)
+            key = prefix[j] = parent[key]
+        return prefix, suffix
 
     def entry(self, base: GroupElement, segment: Optional[OrbitSegment] = None) -> SegmentEntry:
         """The entry of the segment based at ``base``; a new entry takes
@@ -411,6 +434,29 @@ class SegmentTable:
                     mask |= 1 << c
             self._thick_tails[key] = mask
         return mask
+
+    def first_thick(self, prefix, suffix, lo: int, hi: int, top: int) -> Optional[tuple]:
+        """The thick search's verdict on cut keys in the window [lo, hi]:
+        (i, c) for the least index i in [lo, top] and then the least
+        candidate c whose head verdict at prefix[i] (``thick_heads``) and
+        tail verdict at suffix[i] (``thick_tails``) both hold; None if no
+        pair does.  Each verdict is a memo read, and its method runs only
+        on a miss; a tail is read only where some head verdict holds."""
+        heads, tails = self._thick_heads, self._thick_tails
+        for i in range(lo, top + 1):
+            w, v = prefix[i], suffix[i]
+            head = heads.get((w, lo, hi))
+            if head is None:
+                head = self.thick_heads(w, lo, hi)
+            if not head:  # no candidate to test a tail for
+                continue
+            tail = tails.get(v)
+            if tail is None:
+                tail = self.thick_tails(v)
+            passing = head & tail
+            if passing:
+                return i, (passing & -passing).bit_length() - 1  # the first candidate that passes
+        return None
 
     def segments_at(self, key) -> list:
         """(s, key of w s, entry of the segment based at w s) for each
@@ -522,22 +568,22 @@ class ThickSearchResult:
 def a_thick_search(table: SegmentTable, g: GroupElement) -> ThickSearchResult:
     """Window scan along the table ball's geodesic of g, with the left
     perturbations of ``table.candidates``.  Candidate (i, s) passes iff its
-    head verdict at prefix[i] and its tail verdict at suffix[i] both hold,
-    each read from the table's memos; the first that passes is certified by
-    :func:`a_thick_certify`.  Sound when it answers yes; a no is heuristic."""
+    head verdict at prefix[i] and its tail verdict at suffix[i] both hold;
+    ``table.first_thick`` finds the first that passes, the verdict a fiber
+    census reads, and here it is certified by :func:`a_thick_certify`.
+    Sound when it answers yes; a no is heuristic."""
     prefix, suffix = table.cuts(g)
     n = len(prefix) - 1
     lo, hi = table.thick_window(n)
     if lo < 1 or lo > hi:
         return ThickSearchResult(False, degenerate=True)
-    for i in range(lo, min(hi, n) + 1):  # a window may end beyond the geodesic
-        passing = table.thick_heads(prefix[i], lo, hi) & table.thick_tails(suffix[i])
-        if passing:
-            first = (passing & -passing).bit_length() - 1  # the first candidate that passes
-            _, _, entry = table.segments_at(prefix[i])[first]
-            cert = a_thick_certify(table, g, entry.segment, norm=n)
-            return ThickSearchResult(True, witness=entry.segment, certificate=cert)
-    return ThickSearchResult(False)
+    first = table.first_thick(prefix, suffix, lo, hi, min(hi, n))  # a window may end beyond the geodesic
+    if first is None:
+        return ThickSearchResult(False)
+    i, c = first
+    _, _, entry = table.segments_at(prefix[i])[c]
+    cert = a_thick_certify(table, g, entry.segment, norm=n)
+    return ThickSearchResult(True, witness=entry.segment, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -624,36 +670,42 @@ def fiber_census(table: SegmentTable, n: int, shell: Fraction = Fraction(99, 100
 
     The table's index, trimmed or grown to radius n, supplies the shell and
     answers every query of the maps as an index built at n would, its
-    searches held to what B(n) leaves of the budget.  A cut's image is the
-    output key of the table's ``linkage`` at its cut keys, the one value of
-    the map read here; the memos are keyed by keys and windows, not by n,
-    so one table serves every n.  Raises :class:`BudgetExceeded` if the
-    index cannot grow to n.
+    searches held to what B(n) leaves of the budget.  Each shell key is
+    decided on its cut keys alone, by the searches ``a_thick_search`` and
+    ``replacement_map`` would make, in their order: ``cut_keys`` walks back
+    only to the shallowest index that the thick and cut windows read,
+    ``first_thick`` gives the thick verdict, and a cut's image is the
+    output key of the table's ``linkage`` at its cut keys.  No element,
+    search result or certificate is built.  The memos are keyed by keys and
+    windows, not by n, so one table serves every n.  Raises
+    :class:`BudgetExceeded` if the index cannot grow to n.
     """
     ball, model, ledger = table.ball, table.model, table.ledger
     ball.trim(n)
     if not ball.grow(n):
         raise BudgetExceeded(f"the radius-{n} ball outgrew the node budget {ball.node_budget}")
     inner = math.floor(shell * n)
+    block, linkage = table.block, table.linkage
     fibers: dict = {}
     domain = 0
     thick_skipped = 0
     degenerate = 0
     for r in range(inner + 1, n + 1):
-        lo, hi = table.cut_window(r)
-        indices = [i for i in range(max(lo, 1), hi + 1) if i + table.block <= r]
+        lo, hi = table.thick_window(r)
+        top = min(hi, r) if 1 <= lo <= hi else lo - 1  # a degenerate window has no thick index
+        clo, chi = table.cut_window(r)
+        indices = [i for i in range(max(clo, 1), chi + 1) if i + block <= r]
+        depth = min(([lo] if lo <= top else []) + indices[:1], default=r)  # the shallowest cut index read
         for key in ball.spheres[r]:
-            g = GroupElement(model, key)
-            found = a_thick_search(table, g)
-            if found.found:
+            prefix, suffix = table.cut_keys(key, r, depth)
+            if table.first_thick(prefix, suffix, lo, hi, top) is not None:
                 thick_skipped += 1
                 continue
             if not indices:
                 degenerate += 1
                 continue
-            prefix, suffix = table.cuts(g)
             for i in indices:
-                out = table.linkage(prefix[i], suffix[i + table.block])[2]
+                out = linkage(prefix[i], suffix[i + block])[2]
                 fibers[out] = fibers.get(out, 0) + 1
             domain += len(indices)
     histogram: dict = {}

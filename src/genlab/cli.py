@@ -565,21 +565,13 @@ def run(doc: dict, out_dir: Path, seed: int, profile: str, budget_nodes: int | N
 
 
 def _single_experiment_doc(args) -> dict:
+    """The config of one subcommand: every option given, an empty one too,
+    so the subcommand validates what the same config file would."""
     raw = {"kind": args.command, "name": args.name}
-    if getattr(args, "model", None):
-        raw["model"] = args.model
-    if getattr(args, "gens", None):
-        raw["gens"] = args.gens
-    if getattr(args, "radius", None) is not None:
-        raw["radius"] = args.radius
-    if getattr(args, "words", None):
-        raw["words"] = args.words
-    if getattr(args, "n_values", None):
-        raw["n_values"] = args.n_values
-    if getattr(args, "trials", None) is not None:
-        raw["trials"] = args.trials
-    if getattr(args, "phi", None):
-        raw["phi"] = args.phi
+    for field in ("model", "gens", "radius", "words", "n_values", "trials", "phi"):
+        value = getattr(args, field, None)
+        if value is not None:
+            raw[field] = value
     return {"experiments": [raw]}
 
 

@@ -739,14 +739,15 @@ def test_fiber_census_decides_each_cut_key_pair_once(monkeypatch):
 
 
 def test_fiber_census_products_are_pinned():
-    # the same census forms 90,401 products: the prefixes of each shell
-    # element's cuts are read from the ball's parents, so only the suffixes
-    # are running products (160,385 when the prefixes were formed too)
+    # the same census forms 72,905 products: each shell element's walk back
+    # through the ball's parents stops at the shallowest cut index that the
+    # windows read, and forms only the suffixes from there (90,401 when it
+    # walked to the identity, 160,385 when the prefixes were formed too)
     counting = CountingModel(make_model("free:2"))
     report = fiber_census(_search_table(counting, counting.standard_gens(), counting.tree_action(),
                                         counting.element("a"), _fibers_f2_ledger()), 8)
     assert report.domain_size == 15066
-    assert counting.calls == 90401
+    assert counting.calls == 72905
 
 
 _RANDOM_SETS = random_generating_sets()
@@ -792,6 +793,12 @@ def test_cuts_read_from_parents_equal_the_running_products(which, zz23_ledger):
         assert table.cuts(g) == want
         if n < 3:
             assert search.cuts(g) == want
+        # the census's walk, stopped at each depth, agrees from there up
+        norm = len(want[0]) - 1
+        for depth in range(norm + 1):
+            prefix, suffix = table.cut_keys(g.key, norm, depth)
+            assert (prefix[depth:], suffix[depth:]) == (want[0][depth:], want[1][depth:])
+            assert prefix[:depth] == suffix[:depth] == [None] * depth
 
 
 def _reference_census(table, shell):
@@ -833,6 +840,13 @@ def test_half_shell_census_matches_the_distance_reference(which):
     assert want is not None and want["domain_size"] and want["thick_skipped"]
     report = fiber_census(_fresh_table(table), n, shell=shell)
     assert {field: getattr(report, field) for field in want} == want
+    # the census decides thick verdicts on cut keys and builds no
+    # certificate: it skips exactly the keys on which a_thick_search
+    # answers found, and each of those answers certifies
+    thick = [found for found in (a_thick_search(table, GroupElement(table.model, key))
+                                 for r in radii for key in table.ball.spheres[r]) if found.found]
+    assert report.thick_skipped == len(thick)
+    assert all(found.certificate.certified for found in thick)
 
 
 _WINDOWS = {"window": (Fraction(1, 4), Fraction(2, 5)), "cut_window": (Fraction(1, 4), Fraction(2, 5))}

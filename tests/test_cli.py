@@ -713,3 +713,20 @@ def test_a_thick_window_ending_beyond_the_geodesic_runs(tmp_path):
     }]}
     assert run(doc, tmp_path, 0, "scaled", None) == 0
     assert [r["n"] for r in json.loads((tmp_path / "fib.json").read_text())["reports"]] == [8]
+
+
+@pytest.mark.parametrize("argv, doc, error", [
+    (["enumerate", "--model", "free:2", "--gens", "--radius", "2"],
+     {"kind": "enumerate", "model": "free:2", "gens": [], "radius": 2}, "gens: empty generating set"),
+    (["fibers", "--model", "zz23", "--phi", "", "--n-values", "6"],
+     {"kind": "fibers", "model": "zz23", "phi": "", "n_values": [6]}, "phi: element does not act loxodromically"),
+], ids=["empty-gens", "empty-phi"])
+def test_an_empty_option_is_validated_as_its_config_field(tmp_path, capsys, argv, doc, error):
+    # an option given empty is kept, so the subcommand exits 2 with the
+    # error of the same field in a config, not a run on the default
+    assert _main_with_config(tmp_path, {"experiments": [doc]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at $.experiments[0].{error}")
+    assert main(["--out-dir", str(tmp_path / "sub")] + argv) == 2
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "sub").exists()
