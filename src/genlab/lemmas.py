@@ -12,11 +12,21 @@ agree.  The quadratic-length corollary needs the two metrics to differ --
 its hypotheses are unsatisfiable when they coincide -- so its instances
 are built in the 3-strand braid group acting on the Bass-Serre tree of its
 central quotient, with all word norms certified exactly through the
-exponent-sum homomorphism.
+exponent-sum homomorphism.  The chain checks walk [g, h]_S as keys and
+place each point on a segment by its median index, from two distances.
+
+The appendix suite checks the hyperbolic-space facts (projection near the
+median, synchronized projections, projection diameter, subsegment capture,
+the projection dichotomy).  On small graphs it runs the generic ``check_*``
+functions exhaustively; on random points of free-group Cayley trees the
+``_tree_*`` checks decide the same facts on the integer indices and
+distances of ``alignment.tree_projection``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,12 +34,16 @@ from typing import Optional
 
 from .alignment import (
     AlignmentReport,
-    check_alignment,
+    as_geodesic,
+    assemble_report,
     behrstock_dichotomy,
+    check_alignment,
     fellow_traveling,
     gromov_product,
+    pair_diameters,
     project,
     set_diameter,
+    tree_projection,
 )
 from .contraction import measure_scaled_ledger
 from .groups import Braid3, FreeGroup, GeneratingSet, GroupElement
@@ -50,12 +64,11 @@ class InequalityVerdict:
     lhs: Fraction
     rhs: Fraction
     passed: bool
-    witness: object = None
 
     @classmethod
-    def decide(cls, instance_id, lemma_id, lhs, rhs, witness=None):
+    def decide(cls, instance_id, lemma_id, lhs, rhs):
         lhs, rhs = Fraction(lhs), Fraction(rhs)
-        return cls(instance_id, lemma_id, lhs, rhs, lhs <= rhs, witness)
+        return cls(instance_id, lemma_id, lhs, rhs, lhs <= rhs)
 
     def to_json(self) -> dict:
         return {
@@ -98,6 +111,7 @@ class ChainInstance:
     segments: list  # OrbitSegments, each of even length M
     _report: Optional[AlignmentReport] = field(default=None, init=False, repr=False, compare=False)
     _path: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _gaps: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def space(self):
@@ -127,14 +141,32 @@ class ChainInstance:
         distance between the two keys."""
         return self.space.distance(u.key, v.key)
 
+    def gaps(self) -> list:
+        """d_S between consecutive points of (g, the segment midpoints, h)
+        (one list, shared by every call)."""
+        if self._gaps is None:
+            keys = [self.g.key, *(p.key for p in self.midpoints()), self.h.key]
+            self._gaps = list(map(self.space.distance, keys, keys[1:]))
+        return self._gaps
+
+
+@functools.cache
+def _letter_pools(letters: tuple) -> dict:
+    """For each banned letter, and for None, the other letters in order."""
+    return {b: tuple(c for c in letters if c != b) for b in (None, *letters)}
+
 
 def random_reduced_word(rng: random.Random, letters, n: int, avoid_first=None) -> tuple:
     """A freely reduced word of length n, one ``rng.choice`` per letter from
     ``letters`` in their order, whose first letter is not ``avoid_first``."""
+    pools = _letter_pools(letters)
+    choice = rng.choice
     out: list = []
+    banned = avoid_first
     for _ in range(n):
-        banned = -out[-1] if out else avoid_first
-        out.append(rng.choice([c for c in letters if c != banned]))
+        c = choice(pools.get(banned, pools[None]))
+        out.append(c)
+        banned = -c
     return tuple(out)
 
 
@@ -203,10 +235,38 @@ def random_chain_instance(
 
 def _middle_third_ok(space, segment: OrbitSegment, p_point) -> bool:
     """Every projection index i of the point onto the segment's length-n
-    geodesic has n/3 <= i <= 2n/3, decided as n <= 3i <= 2n."""
+    geodesic has n/3 <= i <= 2n/3, decided as n <= 3i <= 2n.  On a tree the
+    one index is the median, from two distances (``tree_projection``)."""
     proj = segment.projected
     n = len(proj)
+    if space.is_tree:
+        i = tree_projection(space, p_point, proj)[0]
+        return n <= 3 * i <= 2 * n
     return all(n <= 3 * i <= 2 * n for i in project(space, p_point, proj).indices)
+
+
+def _skip(instance: ChainInstance, lemma: str, threshold) -> Optional[SkippedInstance]:
+    """Why the lemma skips the chain instance: a segment not above
+    ``threshold``, or a failed alignment hypothesis; None when neither."""
+    for seg in instance.segments:
+        if not seg.length > threshold:
+            return SkippedInstance(instance.instance_id, lemma,
+                                   f"segment length {seg.length} not above threshold {threshold}")
+    report = instance.hypothesis_report()
+    if not report.aligned:
+        return SkippedInstance(instance.instance_id, lemma, "alignment hypothesis failed", report)
+    return None
+
+
+def _nearest_capture(instance: ChainInstance, seg: OrbitSegment, start: int = 0):
+    """(d_S(p, q), position) of the first point p of [g, h]_S from ``start``
+    on nearest the segment's midpoint q, among the points (walked as keys)
+    projecting into the segment's middle third; None when none does."""
+    path = instance.word_geodesic_elements()
+    space = instance.space
+    q = seg.midpoint_element().key
+    return min(((space.distance(path[pos].key, q), pos) for pos in range(start, len(path))
+                if _middle_third_ok(space, seg, path[pos].key)), default=None)
 
 
 def verify_midpoint_capture(instance: ChainInstance):
@@ -214,37 +274,24 @@ def verify_midpoint_capture(instance: ChainInstance):
     to the segment midpoint (within one percent of the flanking distances)."""
     if len(instance.segments) != 1:
         raise ValueError("midpoint capture takes a single-segment instance")
+    skip = _skip(instance, "midpoint-capture", instance.ledger.capture_threshold(instance.level))
+    if skip is not None:
+        return skip
     seg = instance.segments[0]
-    threshold = instance.ledger.capture_threshold(instance.level)
-    if not seg.length > threshold:
-        return SkippedInstance(instance.instance_id, "midpoint-capture",
-                               f"segment length {seg.length} not above threshold {threshold}")
-    report = instance.hypothesis_report()
-    if not report.aligned:
-        return SkippedInstance(instance.instance_id, "midpoint-capture",
-                               "alignment hypothesis failed", report)
-    q = seg.midpoint_element()
-    space = instance.space
-    best = None
-    witness = None
-    for p in instance.word_geodesic_elements():
-        if not _middle_third_ok(space, seg, instance.action.proj(p)):
-            continue
-        d = instance.d(p, q)
-        if best is None or d < best:
-            best, witness = d, p
-    if best is None:
+    nearest = _nearest_capture(instance, seg)
+    if nearest is None:
         return InequalityVerdict(instance.instance_id, "midpoint-capture",
                                  Fraction(10**9), Fraction(0), False)
+    q = seg.midpoint_element()
     rhs = Fraction(instance.d(instance.g, q) + instance.d(q, instance.h), 100)
-    return InequalityVerdict.decide(instance.instance_id, "midpoint-capture", best, rhs, witness)
+    return InequalityVerdict.decide(instance.instance_id, "midpoint-capture", nearest[0], rhs)
 
 
 def chain_weight_bound(instance: ChainInstance, i: int) -> Fraction:
-    """The exponentially weighted gap sum bounding d_S(p_i, q_i)."""
-    pts = [instance.g] + instance.midpoints() + [instance.h]
+    """The exponentially weighted gap sum bounding d_S(p_i, q_i), over the
+    instance's gaps (computed once per instance)."""
+    gaps = instance.gaps()
     n = len(instance.segments)
-    gaps = [Fraction(instance.d(pts[j], pts[j + 1])) for j in range(n + 1)]
     total = Fraction(0)
     for l in range(1, i + 1):
         total += Fraction(1, 30**l) * gaps[i - l]
@@ -256,35 +303,18 @@ def chain_weight_bound(instance: ChainInstance, i: int) -> Fraction:
 def verify_chain_capture(instance: ChainInstance):
     """Chain version: ordered points p_1 <= ... <= p_n of [g, h]_S, each
     word-close to its segment midpoint with exponentially decaying weights."""
-    threshold = instance.ledger.chain_threshold(instance.level)
-    for seg in instance.segments:
-        if not seg.length > threshold:
-            return SkippedInstance(instance.instance_id, "chain-capture",
-                                   f"segment length {seg.length} not above threshold {threshold}")
-    report = instance.hypothesis_report()
-    if not report.aligned:
-        return SkippedInstance(instance.instance_id, "chain-capture",
-                               "alignment hypothesis failed", report)
-    space = instance.space
-    path = instance.word_geodesic_elements()
+    skip = _skip(instance, "chain-capture", instance.ledger.chain_threshold(instance.level))
+    if skip is not None:
+        return skip
     verdicts = []
     cursor = 0
     for i, seg in enumerate(instance.segments, start=1):
-        q = seg.midpoint_element()
-        best = None
-        best_pos = cursor
-        for pos in range(cursor, len(path)):
-            p = path[pos]
-            if not _middle_third_ok(space, seg, instance.action.proj(p)):
-                continue
-            d = instance.d(p, q)
-            if best is None or d < best:
-                best, best_pos = d, pos
-        if best is None:
+        nearest = _nearest_capture(instance, seg, cursor)
+        if nearest is None:
             verdicts.append(InequalityVerdict(instance.instance_id, f"chain-capture[{i}]",
                                               Fraction(10**9), Fraction(0), False))
             continue
-        cursor = best_pos
+        best, cursor = nearest
         rhs = chain_weight_bound(instance, i)
         verdicts.append(InequalityVerdict.decide(instance.instance_id, f"chain-capture[{i}]", best, rhs))
     return verdicts
@@ -293,20 +323,12 @@ def verify_chain_capture(instance: ChainInstance):
 def verify_distance_sum(instance: ChainInstance):
     """Sum of distances from [g, h]_S to the segment midpoints is at most
     half of d_S(g, h)."""
-    threshold = instance.ledger.chain_threshold(instance.level)
-    for seg in instance.segments:
-        if not seg.length > threshold:
-            return SkippedInstance(instance.instance_id, "distance-sum",
-                                   f"segment length {seg.length} not above threshold {threshold}")
-    report = instance.hypothesis_report()
-    if not report.aligned:
-        return SkippedInstance(instance.instance_id, "distance-sum",
-                               "alignment hypothesis failed", report)
-    path = instance.word_geodesic_elements()
-    total = Fraction(0)
-    for seg in instance.segments:
-        q = seg.midpoint_element()
-        total += min(instance.d(p, q) for p in path)
+    skip = _skip(instance, "distance-sum", instance.ledger.chain_threshold(instance.level))
+    if skip is not None:
+        return skip
+    dist = instance.space.distance
+    keys = [p.key for p in instance.word_geodesic_elements()]
+    total = sum(min(dist(k, seg.midpoint_element().key) for k in keys) for seg in instance.segments)
     rhs = Fraction(instance.d(instance.g, instance.h), 2)
     return InequalityVerdict.decide(instance.instance_id, "distance-sum", total, rhs)
 
@@ -437,11 +459,12 @@ def verify_quadratic_length(instance: QuadraticInstance):
                                    f"segment length {seg.length} not above threshold {threshold}")
     space = instance.action.space
     proj = instance.action.proj
+    # the pairs (g, seg_1, ..., seg_N) are shared by both endpoints
+    items = [as_geodesic(proj(instance.g)), *(seg.projected for seg in instance.segments)]
+    pairs = [pair_diameters(space, a, b) for a, b in zip(items, items[1:])]
     for endpoint in (instance.h1, instance.h2):
-        seq = [proj(instance.g)]
-        seq.extend(seg.projected for seg in instance.segments)
-        seq.append(proj(endpoint))
-        report = check_alignment(space, seq, instance.level)
+        last = pair_diameters(space, items[-1], as_geodesic(proj(endpoint)))
+        report = assemble_report(instance.level, math.ceil(instance.level), pairs + [last])
         if not report.aligned:
             return SkippedInstance(instance.instance_id, "quadratic-length",
                                    "alignment hypothesis failed", report)
@@ -603,6 +626,55 @@ def check_subsegment_capture(space, x, y, geo: Geodesic, delta) -> Optional[bool
     return False
 
 
+# The same checks on a tree at delta = 0, each deciding as the generic one on
+# the same points: x projects onto a geodesic at the one index that
+# ``tree_projection`` reads off two distances, and two points of one
+# geodesic lie |i - j| apart.
+
+
+def _tree_near_median(tree, x, y, z, geo: Geodesic) -> bool:
+    """x's index on [y, z] is the Gromov product (x, z)_y."""
+    i = tree_projection(tree, x, geo)[0]
+    return 2 * i == tree.distance(x, y) + tree.distance(y, z) - tree.distance(x, z)
+
+
+def _tree_synchronized(tree, x, gamma: Geodesic, eta: Geodesic) -> bool:
+    """The one distance between x's medians on gamma and on eta."""
+    eps = max(map(tree.distance, gamma.points, eta.points))
+    diam = tree.distance(gamma.points[tree_projection(tree, x, gamma)[0]],
+                         eta.points[tree_projection(tree, x, eta)[0]])
+    return diam == 0 if eps == 0 else diam < 2 * eps
+
+
+def _tree_projection_diameter(tree, x, y, geo: Geodesic) -> bool:
+    return abs(tree_projection(tree, x, geo)[0] - tree_projection(tree, y, geo)[0]) <= tree.distance(x, y)
+
+
+def _tree_subsegment_capture(tree, x, y, geo: Geodesic) -> Optional[bool]:
+    """The window between the medians i and j of x and y on geo against the
+    subsegment of [x, y] between the window ends' medians.  At delta 0 a
+    fellow traveler of the window has its ends, which are then their own
+    medians, so no other subsegment can pass."""
+    i = tree_projection(tree, x, geo)[0]
+    j = tree_projection(tree, y, geo)[0]
+    if i == j:
+        return None
+    window = geo.subsegment(min(i, j), max(i, j))
+    if i > j:
+        window = window.reverse()
+    path = tree.geodesic(x, y)
+    a = tree_projection(tree, geo.points[i], path)[0]
+    b = tree_projection(tree, geo.points[j], path)[0]
+    return fellow_traveling(tree, path.subsegment(min(a, b), max(a, b)), window, 0, strict=False)
+
+
+def _tree_dichotomy_sides(tree, x, g1: Geodesic, g2: Geodesic, level: int) -> tuple:
+    """The sides of ``behrstock_dichotomy`` for a pair aligned at the integer
+    level: (x, g2) is aligned when x's index on g2 is below it, and (g1, x)
+    when x's median on g1 is closer than it to g1's end."""
+    return tree_projection(tree, x, g2)[0] < level, len(g1) - tree_projection(tree, x, g1)[0] < level
+
+
 def appendix_suite_tree(rank: int, trials: int, rng: random.Random) -> SuiteReport:
     """Randomized appendix checks on a free-group Cayley tree (delta = 0)."""
     tree, _ = build_cayley_tree(rank)
@@ -624,32 +696,23 @@ def appendix_suite_tree(rank: int, trials: int, rng: random.Random) -> SuiteRepo
         if y == z:
             continue
         geo = tree.geodesic(y, z)
-        report.record("projection-near-median",
-                      check_projection_near_median(tree, x, y, z, 0, geo), (x, y, z))
+        report.record("projection-near-median", _tree_near_median(tree, x, y, z, geo), (x, y, z))
 
         gamma = rand_geodesic(min_len=2)
         e1 = rng.randrange(0, 3)
         e2 = rng.randrange(0, 3)
         eta = _perturbed_parallel(tree, gamma, e1, e2, rng)
         if eta is not None:
-            report.record("synchronized-projections",
-                          check_synchronized_projections(tree, x, gamma, eta, 0), (x,))
+            report.record("synchronized-projections", _tree_synchronized(tree, x, gamma, eta), (x,))
 
-        report.record("projection-diameter",
-                      check_projection_diameter(tree, x, y, geo, 0), (x, y))
+        report.record("projection-diameter", _tree_projection_diameter(tree, x, y, geo), (x, y))
 
-        cap = check_subsegment_capture(tree, x, y, geo, 0)
+        cap = _tree_subsegment_capture(tree, x, y, geo)
         if cap is not None:
             report.record("subsegment-capture", cap, (x, y))
 
-        pair = _aligned_tree_pair(tree, rng)
-        if pair is not None:
-            g1, g2, level = pair
-            try:
-                behrstock_dichotomy(tree, x, g1, g2, level, 0)
-                report.record("projection-dichotomy", True)
-            except AssertionError:
-                report.record("projection-dichotomy", False, (x,))
+        g1, g2, level = _aligned_tree_pair(tree, rng)
+        report.record("projection-dichotomy", any(_tree_dichotomy_sides(tree, x, g1, g2, level)), (x,))
     return report
 
 
@@ -658,37 +721,30 @@ def _perturbed_parallel(tree, gamma: Geodesic, e1: int, e2: int, rng) -> Optiona
     of equal length off interior trunk points at both ends."""
     L = len(gamma)
     if e1 + e2 + 1 > L or (e1 == 0 and e2 == 0):
-        return Geodesic(gamma.points)
-    start_anchor = gamma.points[e1]
-    end_anchor = gamma.points[L - e2]
+        return gamma
 
-    def branch(anchor, forbidden, steps):
+    def branch(anchor, steps):
         pts = [anchor]
-        cur = anchor
-        for _ in range(steps):
-            d_cur = tree.distance(cur, anchor)
-            options = [v for v in tree.neighbors(cur) if v not in forbidden and tree.distance(v, anchor) > d_cur]
+        for d in range(steps):  # pts[-1] is d steps from the anchor
+            options = [v for v in tree.neighbors(pts[-1]) if v not in trunk and tree.distance(v, anchor) > d]
             if not options:
                 return None
-            cur = rng.choice(options)
-            pts.append(cur)
+            pts.append(rng.choice(options))
         return pts
 
-    b1 = branch(start_anchor, set(gamma.points), e1)
-    b2 = branch(end_anchor, set(gamma.points), e2)
+    trunk = set(gamma.points)
+    b1 = branch(gamma.points[e1], e1)
+    b2 = branch(gamma.points[L - e2], e2)
     if b1 is None or b2 is None:
         return None
-    mid = list(gamma.points[e1 : L - e2 + 1])
-    pts = list(reversed(b1))[:-1] + mid + b2[1:]
-    eta = Geodesic(tuple(pts))
-    if len(eta) != L:
-        return None
-    return eta
+    return Geodesic((*b1[:0:-1], *gamma.points[e1 : L - e2 + 1], *b2[1:]))
 
 
 def _aligned_tree_pair(tree, rng):
-    """Two segments in order along a common geodesic of length 24; returns
-    the least integer level making the pair aligned (strictly)."""
+    """Two segments in order along a common geodesic of length 24, and the
+    least integer level making the pair aligned (strictly): one more than
+    its larger pair diameter, read off the endpoints' medians as
+    ``pair_diameters`` does on trees."""
     group = tree.group
     word = random_reduced_word(rng, _tree_letters(tree), 24)
     line = tree.geodesic(tree.basepoint, group.normalize(word))
@@ -696,14 +752,12 @@ def _aligned_tree_pair(tree, rng):
     a = rng.randrange(0, L - 8)
     b = a + rng.randrange(2, 5)
     c = b + rng.randrange(1, 3)
-    d = min(c + rng.randrange(2, 5), L)
-    if d <= c:
-        return None
+    d = min(c + rng.randrange(2, 5), L)  # c <= L - 3, so d > c
     g1 = line.subsegment(a, b)
     g2 = line.subsegment(c, d)
-    rep = check_alignment(tree, [g1, g2], 1)
-    level = Fraction(rep.worst() + 1)
-    return g1, g2, level
+    fwd = len(g1) - min(tree_projection(tree, p, g1)[0] for p in (g2.start, g2.end))
+    bwd = max(tree_projection(tree, p, g2)[0] for p in (g1.start, g1.end))
+    return g1, g2, max(fwd, bwd) + 1
 
 
 def appendix_suite_graph(graph, delta) -> SuiteReport:

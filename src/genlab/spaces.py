@@ -97,6 +97,16 @@ class MetricSpaceModel:
 # Cayley trees of free groups
 
 
+def _common_prefix(p, q) -> int:
+    """The length of the longest common prefix of two keys."""
+    n = 0
+    for a, b in zip(p, q):
+        if a != b:
+            break
+        n += 1
+    return n
+
+
 class CayleyTree(MetricSpaceModel):
     """The Cayley graph of a free group w.r.t. its standard basis (a tree).
 
@@ -123,11 +133,7 @@ class CayleyTree(MetricSpaceModel):
         return (len(p) - n) + (len(q) - n)
 
     def geodesic(self, p, q) -> Geodesic:
-        n = 0
-        for a, b in zip(p, q):
-            if a != b:
-                break
-            n += 1
+        n = _common_prefix(p, q)
         pts = [p[:i] for i in range(len(p), n - 1, -1)]
         pts.extend(q[: i + 1] for i in range(n, len(q)))
         return Geodesic(tuple(pts))
@@ -145,9 +151,20 @@ class CayleyTree(MetricSpaceModel):
 # representative: it never ends with an x-syllable for kind 0, nor with a
 # y-syllable for kind 1.  Dropping the last syllable steps toward the root
 # (0, b""); the two roots (0, b"") and (1, b"") are joined by the edge of
-# the identity.
+# the identity.  So the chain from (k, name) to the root holds the
+# vertices (k ^ ((L - j) & 1), name[:j]) for j = L, ..., 0, with L the
+# name's length, then (0, b"") when its empty-name vertex has kind 1.  Two
+# chains whose empty-name vertices share a kind agree exactly on the common
+# prefix of the names; otherwise they share only the root.
 
 KIND_X, KIND_Y = 0, 1
+
+
+def _up(v, stop: int) -> list:
+    """The chain from v toward the root, through prefix length ``stop``."""
+    kind, name = v
+    n = len(name)
+    return [(kind ^ ((n - j) & 1), name[:j]) for j in range(n, stop - 1, -1)]
 
 
 class BassSerreTree(MetricSpaceModel):
@@ -160,7 +177,6 @@ class BassSerreTree(MetricSpaceModel):
         self.name = "bass-serre:zz23"
         self.delta = Fraction(0)
         self.basepoint = (KIND_X, b"")
-        self._chain_cache = {}
 
     @staticmethod
     def vertex(kind: int, sylls: Sequence[int]) -> tuple:
@@ -171,56 +187,17 @@ class BassSerreTree(MetricSpaceModel):
             sylls = sylls[:-1]
         return (kind, sylls)
 
-    @staticmethod
-    def _parent(v):
-        kind, name = v
-        if name:
-            return (1 - kind, name[:-1])
-        if kind == KIND_Y:
-            return (KIND_X, b"")
-        return None
-
-    def _chain(self, v) -> list:
-        cached = self._chain_cache.get(v)
-        if cached is not None:
-            return cached
-        out = [v]
-        while True:
-            p = self._parent(out[-1])
-            if p is None:
-                break
-            cached = self._chain_cache.get(p)
-            if cached is not None:
-                out.extend(cached)
-                break
-            out.append(p)
-        if len(self._chain_cache) < 200000:
-            self._chain_cache[v] = out
-        return out
-
-    def _meet(self, p, q) -> tuple:
-        """The chains of p and q, and the number of vertices they share.
-
-        Both chains end at the root, so they share a tail: the chain of
-        the vertex where the geodesic [p, q] turns.  It is found by
-        comparing the chains from the root end."""
-        cp, cq = self._chain(p), self._chain(q)
-        common = 0
-        for a, b in zip(reversed(cp), reversed(cq)):
-            if a != b:
-                break
-            common += 1
-        return cp, cq, common
-
     def distance(self, p, q) -> int:
-        if p == q:
-            return 0
-        cp, cq, common = self._meet(p, q)
-        return len(cp) + len(cq) - 2 * common
+        lp, lq = len(p[1]), len(q[1])
+        if (p[0] ^ lp) & 1 != (q[0] ^ lq) & 1:
+            return lp + lq + 1
+        return lp + lq - 2 * _common_prefix(p[1], q[1])
 
     def geodesic(self, p, q) -> Geodesic:
-        cp, cq, common = self._meet(p, q)
-        return Geodesic(tuple(cp[: len(cp) - common + 1]) + tuple(reversed(cq[: len(cq) - common])))
+        if (p[0] ^ len(p[1])) & 1 != (q[0] ^ len(q[1])) & 1:
+            return Geodesic(tuple(_up(p, 0) + _up(q, 0)[::-1]))
+        c = _common_prefix(p[1], q[1])
+        return Geodesic(tuple(_up(p, c) + _up(q, c + 1)[::-1]))
 
     def neighbors(self, v) -> list:
         kind, name = v

@@ -938,7 +938,7 @@ def test_project_tree_guard_never_fires(which, monkeypatch):
         seen.append((space.distance(x, geo.start) + n - space.distance(x, geo.end), n))
         return tree_projection(space, x, geo)
 
-    for module in (alignment, census):
+    for module in (alignment, census, lemmas):
         monkeypatch.setattr(module, "tree_projection", recording_tree_projection)
     if which == "appendix-tree":
         assert lemmas.appendix_suite_tree(2, 200, random.Random(13)).all_green()

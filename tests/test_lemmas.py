@@ -18,6 +18,10 @@ from genlab.lemmas import (
     central_mix_norm,
     certified_braid_norm,
     chain_weight_bound,
+    check_projection_diameter,
+    check_projection_near_median,
+    check_subsegment_capture,
+    check_synchronized_projections,
     random_chain_instance,
     random_quadratic_instance,
     verify_chain_capture,
@@ -25,7 +29,7 @@ from genlab.lemmas import (
     verify_midpoint_capture,
     verify_quadratic_length,
 )
-from genlab.alignment import project
+from genlab.alignment import behrstock_dichotomy, check_alignment, project
 from genlab.spaces import CayleyTree, OrbitSegment, build_cayley_tree, cycle_graph, measure_delta
 from genlab.groups import Braid3
 
@@ -270,6 +274,74 @@ def test_a_chain_instance_builds_its_report_and_geodesic_once(monkeypatch):
     digests = {rel: hashlib.sha256(text.encode()).hexdigest() for rel, text, _ in outcome.outputs}
     assert digests == {"lemmas.json": "2071c4739d7ecbd4c9fc4ebd99d4975f0754c0b0a5e8374b6d7918e4f6469824",
                        "lemmas.txt": "4b7a4e3df8cb7d1194b41dfc7a5d21befe5eb1e82737021a59f14f294d346b15"}
+
+
+def test_lemma_digests_at_seed_13_and_rank_3():
+    # the lemma experiment's outputs at a second seed and rank
+    exp = cli.validate_config({"experiments": [{"kind": "verify-lemmas", "name": "lemmas", "trials": 120,
+                                                "rank": 3}]})[0]
+    outcome = cli._run_one(exp, 13, None)
+    digests = {rel: hashlib.sha256(text.encode()).hexdigest() for rel, text, _ in outcome.outputs}
+    assert digests == {"lemmas.json": "d9bb698bdfe23bbb8989e5f4126dbbd1cbdac7db23a64d1ae0d49d28756ee9b7",
+                       "lemmas.txt": "aa5c3925892d79e2ad2e2dfafab28e2720318d44f014854d59f33f28c333f357"}
+
+
+class _ScanView:
+    """A tree's metric and geodesics without ``is_tree``: every projection
+    scans the geodesic's points, as on a graph."""
+
+    is_tree = False
+
+    def __init__(self, tree):
+        self.distance, self.geodesic = tree.distance, tree.geodesic
+
+
+def _generic_dichotomy_sides(view, x, g1, g2, level):
+    try:
+        branch = behrstock_dichotomy(view, x, g1, g2, level, 0)
+    except AssertionError:
+        return False, False
+    return {"both": (True, True), "first": (True, False), "second": (False, True)}[branch]
+
+
+_GENERIC_CHECKS = {
+    "_tree_near_median": lambda view, x, y, z, geo: check_projection_near_median(view, x, y, z, 0, geo),
+    "_tree_synchronized": lambda view, x, gamma, eta: check_synchronized_projections(view, x, gamma, eta, 0),
+    "_tree_projection_diameter": lambda view, x, y, geo: check_projection_diameter(view, x, y, geo, 0),
+    "_tree_subsegment_capture": lambda view, x, y, geo: check_subsegment_capture(view, x, y, geo, 0),
+    "_tree_dichotomy_sides": _generic_dichotomy_sides,
+}
+
+
+@pytest.mark.parametrize("rank, trials, seed", [(2, 300, 1), (2, 300, 2), (2, 300, 3), (3, 200, 4),
+                                                (3, 200, 5), (26, 60, 6), (26, 60, 7)])
+def test_tree_suite_decides_as_the_generic_checks(rank, trials, seed, monkeypatch):
+    # every verdict of the tree suite, and each pair's level, equals the
+    # generic check's on the same points through a view that scans
+    calls = []
+    for name in (*_GENERIC_CHECKS, "_aligned_tree_pair"):
+        def spy(*args, _check=getattr(lemmas, name), _name=name):
+            out = _check(*args)
+            calls.append((_name, args, out))
+            return out
+
+        monkeypatch.setattr(lemmas, name, spy)
+    rep = appendix_suite_tree(rank, trials, random.Random(seed))
+    assert rep.all_green(), rep.summary()
+    for name, args, out in calls:
+        view = _ScanView(args[0])
+        if name == "_aligned_tree_pair":
+            g1, g2, level = out
+            assert level == check_alignment(view, [g1, g2], 1).worst() + 1
+            continue
+        assert _GENERIC_CHECKS[name](view, *args[1:]) == out, name
+    counts = {name: sum(c[0] == name and c[2] is not None for c in calls) for name, _, _ in calls}
+    assert counts == {"_tree_near_median": rep.trials["projection-near-median"],
+                      "_tree_synchronized": rep.trials["synchronized-projections"],
+                      "_tree_projection_diameter": rep.trials["projection-diameter"],
+                      "_tree_subsegment_capture": rep.trials["subsegment-capture"],
+                      "_tree_dichotomy_sides": rep.trials["projection-dichotomy"],
+                      "_aligned_tree_pair": rep.trials["projection-dichotomy"]}
 
 
 def test_appendix_suite_six_cycle_exhaustive():

@@ -130,6 +130,53 @@ def test_bass_serre_metric_matches_bfs():
             assert tree.geodesic(p, q).points == tuple(reversed(path))
 
 
+def _root_chain(v):
+    # the vertices from v to the root (0, b""): drop the name's last
+    # syllable and flip the kind; (1, b"") steps to (0, b"")
+    chain = [v]
+    while chain[-1] != (0, b""):
+        kind, name = chain[-1]
+        chain.append((1 - kind, name[:-1]) if name else (0, b""))
+    return chain
+
+
+def _random_name(rng, length):
+    # alternating x-syllables (0) and y-syllables (1 or 2), from either kind
+    out, x_next = [], rng.random() < 0.5
+    for _ in range(length):
+        out.append(0 if x_next else rng.choice((1, 2)))
+        x_next = not x_next
+    return bytes(out)
+
+
+def test_bass_serre_names_measure_like_root_chains():
+    # the closed form on names against a walk of both root chains, on long
+    # names of both root kinds, with shared prefixes and the two roots
+    tree = BassSerreTree()
+    rng = random.Random(5)
+    verts = [(0, b""), (1, b"")]  # the two roots
+    for _ in range(40):
+        name = _random_name(rng, rng.randrange(40, 61))
+        verts.append(tree.vertex(rng.randrange(2), name))
+        cut = rng.randrange(len(name) + 1)  # a shared prefix, then a fresh tail
+        tail = _random_name(rng, rng.randrange(0, 20))
+        verts.append(tree.vertex(rng.randrange(2), name[:cut] + tail))
+    assert {(1, b"") in _root_chain(v) for v in verts[2:]} == {True, False}  # both root kinds
+    shared = 0
+    for p in verts:
+        cp = _root_chain(p)
+        for q in verts:
+            cq = _root_chain(q)
+            common = 0
+            while common < min(len(cp), len(cq)) and cp[-1 - common] == cq[-1 - common]:
+                common += 1
+            shared += common > 2
+            path = cp[: len(cp) - common + 1] + cq[: len(cq) - common][::-1]
+            assert tree.distance(p, q) == len(path) - 1
+            assert tree.geodesic(p, q).points == tuple(path)
+    assert shared > len(verts)
+
+
 def test_axis_basepoint(bass_serre, zz23):
     tree, quot_action, _ = bass_serre
     phi = zz23.element("xy")
