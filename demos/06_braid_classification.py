@@ -9,15 +9,15 @@ from genlab import Braid3, center_coset_census, classify, translation_length
 
 braid = Braid3()
 for word in ("a", "aB", "ab", "ababab", "aabb", "abaB"):
-    c = classify(braid, None, braid.element(word))
+    c = classify(braid, braid.element(word))
     print(f"  {word:>7}: {c.verdict:<15} trace {c.evidence['trace']:>3}  "
           f"central exponent {c.evidence['central_exponent']}")
 
 print("\nclassification is a class function modulo the center:")
 g = braid.element("aB")
 h = braid.element("bba")
-print("  aB conjugated:", classify(braid, None, h * g * h.inverse()).verdict)
-print("  aB times Delta^2:", classify(braid, None, g * braid.element("ababab")).verdict)
+print("  aB conjugated:", classify(braid, h * g * h.inverse()).verdict)
+print("  aB times Delta^2:", classify(braid, g * braid.element("ababab")).verdict)
 
 print("\ncenter in word-metric balls (undistorted, linear count):")
 cc = center_coset_census(braid, braid.standard_gens(), 6)

@@ -231,6 +231,14 @@ class AlignmentError(ValueError):
         self.report = report
 
 
+def _require_aligned(space: MetricSpaceModel, sequence: Sequence[SequenceItem], level, what: str) -> None:
+    """A lemma's hypothesis: raise :class:`AlignmentError` unless the
+    sequence is aligned at ``level``; ``what`` names it in the message."""
+    pre = check_alignment(space, sequence, level)
+    if not pre.aligned:
+        raise AlignmentError(f"{what} is not aligned at the stated level", pre)
+
+
 def behrstock_dichotomy(space: MetricSpaceModel, x, gamma1: Geodesic, gamma2: Geodesic, level, delta) -> str:
     """For a K-aligned pair, a point aligns with at least one side.
 
@@ -239,9 +247,7 @@ def behrstock_dichotomy(space: MetricSpaceModel, x, gamma1: Geodesic, gamma2: Ge
     loudly -- if neither branch holds, which would falsify the dichotomy on
     this exact model.
     """
-    pre = check_alignment(space, [gamma1, gamma2], level)
-    if not pre.aligned:
-        raise AlignmentError("input pair is not aligned at the stated level", pre)
+    _require_aligned(space, [gamma1, gamma2], level, "input pair")
     bumped = Fraction(level) + 60 * Fraction(delta)
     first = check_alignment(space, [x, gamma2], bumped).aligned
     second = check_alignment(space, [gamma1, x], bumped).aligned
@@ -270,9 +276,7 @@ def chain_alignment(space: MetricSpaceModel, sequence: Sequence[SequenceItem], l
     for g in items[1:-1]:
         if len(g) <= min_len:
             raise ValueError(f"interior geodesic of length {len(g)} not longer than {min_len}")
-    pre = check_alignment(space, items, level)
-    if not pre.aligned:
-        raise AlignmentError("sequence is not aligned at the stated level", pre)
+    _require_aligned(space, items, level, "sequence")
     bumped = level + 60 * delta
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
@@ -310,10 +314,7 @@ def aligned_subsegments(
     for g in gammas:
         if len(g) <= 2 * level + 140 * delta:
             raise ValueError(f"chain geodesic of length {len(g)} too short for capture")
-    seq = [x] + list(gammas) + [y]
-    pre = check_alignment(space, seq, level)
-    if not pre.aligned:
-        raise AlignmentError("sequence is not aligned at the stated level", pre)
+    _require_aligned(space, [x, *gammas, y], level, "sequence")
 
     path = space.geodesic(x, y)
     out = []

@@ -230,46 +230,47 @@ def word_distance(
     if g.key == h.key:
         return 0
     target = model.mul_keys(model.inverse_key(g.key), h.key)
-    if gens.standard:
-        n = model.exact_length(target)
-        if n is not None:
-            return n if n <= r_max else None
+    n = gens.exact_length(target)
+    if n is not None:
+        return n if n <= r_max else None
 
+    mul, gen_keys = model.mul_keys, [x.key for x in gens.elements]
     ident = model.identity_key()
-    gen_keys = [x.key for x in gens.elements]
     fwd = {ident: 0}
     bwd = {target: 0}
     f_frontier, b_frontier = [ident], [target]
     dist_f = dist_b = 0
     while dist_f + dist_b < r_max and (f_frontier or b_frontier):
-        # expand the smaller frontier
+        # expand the smaller frontier; gens are closed under inversion, so
+        # right multiplication also searches back from the target
         if f_frontier and (len(f_frontier) <= len(b_frontier) or not b_frontier):
             dist_f += 1
-            nxt = []
-            for k in f_frontier:
-                for gk in gen_keys:
-                    nk = model.mul_keys(k, gk)
-                    if nk not in fwd:
-                        fwd[nk] = dist_f
-                        if nk in bwd:
-                            return dist_f + bwd[nk]
-                        nxt.append(nk)
-            f_frontier = nxt
+            f_frontier, met = _layer(mul, gen_keys, f_frontier, fwd, dist_f, bwd)
         else:
             dist_b += 1
-            nxt = []
-            for k in b_frontier:
-                for gk in gen_keys:
-                    nk = model.mul_keys(k, gk)  # gens closed under inversion
-                    if nk not in bwd:
-                        bwd[nk] = dist_b
-                        if nk in fwd:
-                            return fwd[nk] + dist_b
-                        nxt.append(nk)
-            b_frontier = nxt
+            b_frontier, met = _layer(mul, gen_keys, b_frontier, bwd, dist_b, fwd)
+        if met is not None:
+            return fwd[met] + bwd[met]
         if node_budget is not None and len(fwd) + len(bwd) > node_budget:
             raise BudgetExceeded(f"a distance search outgrew the node budget {node_budget}")
     return None
+
+
+def _layer(mul, gen_keys: list, frontier: list, seen: dict, depth: int, goal) -> tuple:
+    """One BFS layer by right multiplication by ``gen_keys``: each product
+    of a ``frontier`` key not yet in ``seen`` is stored there at ``depth``.
+    Returns (the new keys in discovery order, None), or (None, key) for the
+    first new key that lies in ``goal``."""
+    nxt = []
+    for k in frontier:
+        for gk in gen_keys:
+            nk = mul(k, gk)
+            if nk not in seen:
+                seen[nk] = depth
+                if nk in goal:
+                    return None, nk
+                nxt.append(nk)
+    return nxt, None
 
 
 @dataclass
@@ -296,7 +297,7 @@ def _closed_form_geodesic(model: GroupModel, gens: GeneratingSet, key) -> Option
     set's S-letters; None when a search is needed."""
     if key == model.identity_key():
         return GeodesicWord((), ())
-    if gens.standard and model.exact_length(key) is not None:
+    if gens.exact_length(key) is not None:
         word = model.key_word(key)
         return GeodesicWord(tuple(map(gens.s_letter.__getitem__, word)), word)
     return None
@@ -468,21 +469,13 @@ class BallIndex:
         outgrow a budget that a bidirectional search respects."""
         if self.truncated:
             raise ValueError("a truncated index is searched both ways, within the budget, by word_distance")
-        ball, mul = self._last, self.model.mul_keys
         gen_keys = [gk for _, gk in self._follow[0]]  # the distinct generator keys
-        seen, frontier, n = {key}, [key], self.radius
+        seen, frontier, n = {key: self.radius}, [key], self.radius
         while n < cap and frontier:
             n += 1
-            nxt = []
-            for k in frontier:
-                for gk in gen_keys:
-                    nk = mul(k, gk)
-                    if nk in ball:
-                        return n
-                    if nk not in seen:
-                        seen.add(nk)
-                        nxt.append(nk)
-            frontier = nxt
+            frontier, met = _layer(self.model.mul_keys, gen_keys, frontier, seen, n, self._last)
+            if met is not None:
+                return n
             if node_budget is not None and len(seen) > node_budget:
                 raise BudgetExceeded(f"a distance search outgrew the node budget {node_budget}")
         return None
@@ -490,11 +483,9 @@ class BallIndex:
     def distance_from_identity(self, h: GroupElement, cap: int) -> Optional[int]:
         """``word_distance(model, gens, identity, h, cap)``: exact d_S(id, h)
         when it is at most ``cap``, else None."""
-        if self.gens.standard:
-            n = self.model.exact_length(h.key)
-            if n is not None:
-                return n if n <= cap else None
-        d = self.norm(h.key)
+        d = self.gens.exact_length(h.key)
+        if d is None:
+            d = self.norm(h.key)
         if d is not None:
             return d if d <= cap else None
         if cap <= self.radius:

@@ -71,10 +71,10 @@ class Classification:
     evidence: dict
 
 
-def classify(model: GroupModel, action: Optional[GroupAction], g: GroupElement) -> Classification:
+def classify(model: GroupModel, g: GroupElement) -> Classification:
     """The model's verdict on g (``GroupModel.verdict``): the Nielsen-Thurston
     type for 3-braids, loxodromy by exact tree translation length for the
-    tree models.  ``action`` is not read."""
+    tree models."""
     verdict, evidence = model.verdict(g.key)
     return Classification(model.alphabet.format(g.word), verdict, evidence)
 
@@ -301,8 +301,6 @@ class SegmentTable:
         self._identity_key = self.model.identity_key()
         self._basepoint = as_geodesic(action.space.basepoint)
         self._entries: dict = {}
-        self._windows: dict = {}
-        self._cut_windows: dict = {}
         self._last_cut = None  # (key, prefix keys, suffix keys) of the last element cut
         self._origin = self.entry(self.model.identity())  # phi's identity-based segment
         self._tails: dict = {}  # key of b^-1 h -> tail of (b's segment, h x0)
@@ -349,13 +347,11 @@ class SegmentTable:
             key = prefix[j] = parent[key]
         return prefix, suffix
 
-    def entry(self, base: GroupElement, segment: Optional[OrbitSegment] = None) -> SegmentEntry:
-        """The entry of the segment based at ``base``; a new entry takes
-        ``segment`` when one is given."""
+    def entry(self, base: GroupElement) -> SegmentEntry:
+        """The entry of the segment based at ``base``."""
         found = self._entries.get(base.key)
         if found is None:
-            if segment is None:
-                segment = OrbitSegment(self.action, base, self.phi, self.ledger.segment_length)
+            segment = OrbitSegment(self.action, base, self.phi, self.ledger.segment_length)
             head = pair_diameters(self.action.space, self._basepoint, segment.projected)
             found = self._entries[base.key] = SegmentEntry(segment, head, max(head))
         return found
@@ -368,12 +364,12 @@ class SegmentTable:
     def thick_window(self, norm: int) -> tuple:
         """The integers in the ledger's distance window times ``norm``, as
         (least, greatest); norms are integers, so this is the window."""
-        return _scaled_window(self._windows, self.ledger.window, norm)
+        return _scaled_window(self.ledger.window, norm)
 
     def cut_window(self, norm: int) -> tuple:
         """The integers in the ledger's cut window times ``norm``, as
         (least, greatest)."""
-        return _scaled_window(self._cut_windows, self.ledger.cut_window, norm)
+        return _scaled_window(self.ledger.cut_window, norm)
 
     def least_norm(self, entry: SegmentEntry, cap: int) -> Optional[int]:
         """The least d_S(id, h) over the segment's points h, among those at
@@ -511,12 +507,9 @@ class SegmentTable:
         return None, None, None, best[1], best[2]
 
 
-def _scaled_window(memo: dict, window: tuple, norm: int) -> tuple:
-    bounds = memo.get(norm)
-    if bounds is None:
-        lo, hi = window
-        bounds = memo[norm] = (math.ceil(lo * norm), math.floor(hi * norm))
-    return bounds
+def _scaled_window(window: tuple, norm: int) -> tuple:
+    lo, hi = window
+    return math.ceil(lo * norm), math.floor(hi * norm)
 
 
 def _norm(ball: BallIndex, g: GroupElement) -> int:
@@ -545,7 +538,7 @@ def a_thick_certify(
         )
     if segment.phi != table.phi:
         raise ValueError("the segment is not of the table's distinguished element")
-    entry = table.entry(segment.base, segment)
+    entry = table.entry(segment.base)
     if norm is None:
         norm = _norm(table.ball, g)
     lo, hi = table.thick_window(norm)
@@ -772,10 +765,6 @@ class GenericityCurve:
         }
 
 
-def _count_leq(sorted_vals, cut) -> int:
-    return bisect.bisect_right(sorted_vals, cut)
-
-
 def _least_squares_slope(points) -> Optional[float]:
     """Slope of the least-squares line through float points (x, y), exact
     over their rationals and rounded once; None without two distinct x."""
@@ -838,7 +827,7 @@ def genericity_experiment(
             cut = max(Fraction(tree_threshold), word_threshold * r)
             for rr in range(r + 1):
                 total += len(taus[rr])
-                count += _count_leq(taus[rr], cut)
+                count += bisect.bisect_right(taus[rr], cut)
             special.append(count)
             totals.append(total)
             ratios.append(Fraction(count, total))

@@ -306,7 +306,7 @@ def _run_classify(spec, seed: int, budget: int | None) -> Outcome:
 
     verdicts = []
     for w, g in spec.words:
-        c = census.classify(spec.model, None, g)
+        c = census.classify(spec.model, g)
         verdicts.append({"word": w, "verdict": c.verdict, "evidence": {k: str(v) for k, v in c.evidence.items()}})
     return Outcome([(f"{spec.name}.json", _json_text(verdicts), None)])
 

@@ -464,7 +464,7 @@ def measure_scaled_ledger(
     # its search stops at the index.  An index the budget cuts short is no
     # error; a query outside it is a bidirectional search.
     n = len(sample_keys)
-    searched = not (gens.standard and model.exact_length(model.identity_key()) is not None)
+    searched = gens.exact_length(model.identity_key()) is None
     pairs = ball if searched and len(all_keys) <= 2 * (n * len(seg.points) + n * (n - 1) // 2) else None
     if pairs is not None:
         pairs.grow(2 * sample_radius)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional, Sequence, Tuple
 
-from .words import Word, invert, parse_word, format_word
+from .words import Word, invert, parse_word, format_word, signed_letters
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,7 @@ class GeneratorAlphabet:
         return len(self.labels)
 
     def signed_letters(self) -> Tuple[int, ...]:
-        k = self.size
-        return tuple(range(1, k + 1)) + tuple(range(-1, -k - 1, -1))
+        return signed_letters(self.size)
 
     def parse(self, text: str) -> Word:
         return parse_word(text, self.labels)
@@ -255,8 +254,13 @@ class GeneratingSet:
         return self._by_letter[s_letter]
 
     def signed_letters(self) -> Tuple[int, ...]:
-        n = len(self.elements)
-        return tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
+        return signed_letters(len(self.elements))
+
+    def exact_length(self, key) -> Optional[int]:
+        """|key|_S by the model's closed form (``GroupModel.exact_length``)
+        under the standard generators, in any order; None under any other
+        set, where the closed form does not measure S."""
+        return self.model.exact_length(key) if self.standard else None
 
     def spell(self, s_letters: Sequence[int]) -> Word:
         """Flatten a sequence of signed S-letters to an alphabet word."""

@@ -13,14 +13,22 @@ re-checked and recorded rather than assumed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _largest_input(led: "ConstantLedger") -> Fraction:
+    """The largest measured input, and at least 1: what ``dominating``
+    covers.  ``axis_step`` is not one; it scales the thresholds."""
+    return max(led.gen_displacement, led.axis_word_norm, led.linkage_bound, led.contraction_bound,
+               led.proj_lipschitz, led.recovery_lipschitz, led.delta, Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,8 @@ class ConstantLedger:
     segment_length: int  # length of distinguished orbit segments
     coeff: Fraction  # threshold coefficient (10^6 in the faithful profile)
     power: int  # threshold exponent (5 in the faithful profile)
-    window: tuple = (Fraction(1, 4), Fraction(3, 10))  # thick-set distance window
-    cut_window: tuple = (Fraction(27, 100), Fraction(28, 100))  # prefix-cut window
+    window: tuple  # thick-set distance window
+    cut_window: tuple  # prefix-cut window
 
     # -- derived formulas ----------------------------------------------
 
@@ -60,19 +68,10 @@ class ConstantLedger:
         return self.linkage_bound + 8 * self.delta + 1
 
     def derived_checks(self) -> dict:
-        measured = [
-            self.gen_displacement,
-            self.axis_word_norm,
-            self.linkage_bound,
-            self.contraction_bound,
-            self.proj_lipschitz,
-            self.recovery_lipschitz,
-            self.delta,
-            Fraction(1),
-        ]
+        largest = _largest_input(self)
         return {
-            "dominating_covers_inputs": self.dominating >= max(measured),
-            "dominating_has_faithful_margin": self.dominating >= 10**4 * max(measured),
+            "dominating_covers_inputs": self.dominating >= largest,
+            "dominating_has_faithful_margin": self.dominating >= 10**4 * largest,
             "dominating_square_margin": self.dominating**2 >= 1000 * self.dominating,
             "segment_covers_chain_threshold": Fraction(self.segment_length)
             >= self.chain_threshold(10 * self.dominating),
@@ -104,27 +103,14 @@ class ConstantLedger:
     @classmethod
     def faithful(cls, delta, gen_displacement, axis_step, axis_word_norm,
                  linkage_bound, contraction_bound, proj_lipschitz, recovery_lipschitz) -> "ConstantLedger":
-        vals = [_frac(v) for v in (gen_displacement, axis_word_norm, linkage_bound,
-                                   contraction_bound, proj_lipschitz, recovery_lipschitz, delta, 1)]
-        dominating = 10**4 * max(vals)
-        coeff = Fraction(10**6)
-        power = 5
-        seg = 10 * coeff * dominating**power / _frac(axis_step)
-        return cls(
-            profile="faithful",
-            delta=_frac(delta),
-            gen_displacement=_frac(gen_displacement),
-            axis_step=_frac(axis_step),
-            axis_word_norm=_frac(axis_word_norm),
-            linkage_bound=_frac(linkage_bound),
-            contraction_bound=_frac(contraction_bound),
-            proj_lipschitz=_frac(proj_lipschitz),
-            recovery_lipschitz=_frac(recovery_lipschitz),
-            dominating=dominating,
-            segment_length=math.ceil(seg),
-            coeff=coeff,
-            power=power,
-        )
+        """The scaled ledger with the published constants: ``dominating``
+        10^4 times the largest input, coefficient 10^6, exponent 5 and the
+        cut window 27/100 to 28/100."""
+        inputs = (delta, gen_displacement, axis_step, axis_word_norm,
+                  linkage_bound, contraction_bound, proj_lipschitz, recovery_lipschitz)
+        led = cls.scaled(*inputs, dominating=10**4 * _largest_input(cls.scaled(*inputs)), coeff=Fraction(10**6),
+                         power=5, cut_window=(Fraction(27, 100), Fraction(28, 100)))
+        return dataclasses.replace(led, profile="faithful")
 
     @classmethod
     def scaled(cls, delta, gen_displacement, axis_step, axis_word_norm,
@@ -134,27 +120,14 @@ class ConstantLedger:
                coeff=Fraction(1), power: int = 1,
                window=(Fraction(1, 4), Fraction(3, 10)),
                cut_window=(Fraction(1, 4), Fraction(3, 10))) -> "ConstantLedger":
-        vals = [_frac(v) for v in (gen_displacement, axis_word_norm, linkage_bound,
-                                   contraction_bound, proj_lipschitz, recovery_lipschitz, delta, 1)]
-        if dominating is None:
-            dominating = max(vals)
-        dominating = _frac(dominating)
+        """The ledger of the measured inputs with these entries: by default
+        ``dominating`` is the largest input and ``segment_length`` is
+        10 coeff dominating^power / axis_step, rounded up."""
+        led = cls("scaled", *map(_frac, (delta, gen_displacement, axis_step, axis_word_norm, linkage_bound,
+                                         contraction_bound, proj_lipschitz, recovery_lipschitz)),
+                  dominating=None, segment_length=None, coeff=_frac(coeff), power=int(power),
+                  window=tuple(map(_frac, window)), cut_window=tuple(map(_frac, cut_window)))
+        dominating = _largest_input(led) if dominating is None else _frac(dominating)
         if segment_length is None:
-            segment_length = math.ceil(10 * _frac(coeff) * dominating**power / _frac(axis_step))
-        return cls(
-            profile="scaled",
-            delta=_frac(delta),
-            gen_displacement=_frac(gen_displacement),
-            axis_step=_frac(axis_step),
-            axis_word_norm=_frac(axis_word_norm),
-            linkage_bound=_frac(linkage_bound),
-            contraction_bound=_frac(contraction_bound),
-            proj_lipschitz=_frac(proj_lipschitz),
-            recovery_lipschitz=_frac(recovery_lipschitz),
-            dominating=dominating,
-            segment_length=int(segment_length),
-            coeff=_frac(coeff),
-            power=int(power),
-            window=tuple(_frac(w) for w in window),
-            cut_window=tuple(_frac(w) for w in cut_window),
-        )
+            segment_length = math.ceil(10 * led.coeff * dominating**led.power / led.axis_step)
+        return dataclasses.replace(led, dominating=dominating, segment_length=int(segment_length))

@@ -46,7 +46,7 @@ from .alignment import (
     tree_projection,
 )
 from .contraction import measure_scaled_ledger
-from .groups import Braid3, FreeGroup, GeneratingSet, GroupElement
+from .groups import Braid3, FreeGroup, GroupElement
 from .ledger import ConstantLedger
 from .spaces import (
     Geodesic,
@@ -55,6 +55,7 @@ from .spaces import (
     build_bass_serre_tree,
     build_cayley_tree,
 )
+from .words import signed_letters
 
 
 @dataclass
@@ -102,7 +103,6 @@ class ChainInstance:
 
     instance_id: str
     group: FreeGroup
-    gens: GeneratingSet
     action: GroupAction
     ledger: ConstantLedger
     level: Fraction  # the alignment level K of the hypothesis
@@ -170,13 +170,6 @@ def random_reduced_word(rng: random.Random, letters, n: int, avoid_first=None) -
     return tuple(out)
 
 
-def _tree_letters(tree) -> tuple:
-    """The signed letters 1..k, then -1..-k, of a rank-k Cayley tree: every
-    generator, also past z, where the group's alphabet of names stops."""
-    k = tree.rank
-    return (*range(1, k + 1), *range(-1, -k - 1, -1))
-
-
 def random_chain_instance(
     rng: random.Random,
     n_segments: int,
@@ -196,13 +189,12 @@ def random_chain_instance(
     """
     tree, action = build_cayley_tree(2)
     group = tree.group
-    gens = group.standard_gens()
     phi_letters = group.alphabet.parse(phi_word)
     phi = group.element(phi_letters)
     if segment_length is None:
         m = int(ledger.chain_threshold(level)) + 1
         segment_length = m + (m % 2)  # even, above the chain threshold
-    letters = _tree_letters(tree)
+    letters = signed_letters(tree.rank)
     first, last = phi_letters[0], phi_letters[-1]
 
     base = group.element(random_reduced_word(rng, letters, rng.randrange(0, 5)))
@@ -223,7 +215,6 @@ def random_chain_instance(
     return ChainInstance(
         instance_id=f"chain-{rng.randrange(10**9)}",
         group=group,
-        gens=gens,
         action=action,
         ledger=ledger,
         level=Fraction(level),
@@ -245,13 +236,22 @@ def _middle_third_ok(space, segment: OrbitSegment, p_point) -> bool:
     return all(n <= 3 * i <= 2 * n for i in project(space, p_point, proj).indices)
 
 
-def _skip(instance: ChainInstance, lemma: str, threshold) -> Optional[SkippedInstance]:
-    """Why the lemma skips the chain instance: a segment not above
-    ``threshold``, or a failed alignment hypothesis; None when neither."""
+def _short_segment(instance, lemma: str, threshold) -> Optional[SkippedInstance]:
+    """The skip of an instance with a segment not above ``threshold``, the
+    length each lemma's bound needs; None when every segment is above it."""
     for seg in instance.segments:
         if not seg.length > threshold:
             return SkippedInstance(instance.instance_id, lemma,
                                    f"segment length {seg.length} not above threshold {threshold}")
+    return None
+
+
+def _skip(instance: ChainInstance, lemma: str, threshold) -> Optional[SkippedInstance]:
+    """Why the lemma skips the chain instance: a segment not above
+    ``threshold``, or a failed alignment hypothesis; None when neither."""
+    short = _short_segment(instance, lemma, threshold)
+    if short is not None:
+        return short
     report = instance.hypothesis_report()
     if not report.aligned:
         return SkippedInstance(instance.instance_id, lemma, "alignment hypothesis failed", report)
@@ -378,7 +378,6 @@ class QuadraticInstance:
 
     instance_id: str
     group: Braid3
-    gens: GeneratingSet
     action: GroupAction
     ledger: ConstantLedger
     level: Fraction
@@ -403,7 +402,6 @@ def random_quadratic_instance(
     metric while all three project to the chain's near end or beyond."""
     tree, _, action = build_bass_serre_tree()
     group: Braid3 = action.group
-    gens = group.standard_gens()
     phi = group.element("aB")
 
     gaps = [rng.randrange(1, 3) for _ in range(n_segments - 1)]
@@ -434,7 +432,6 @@ def random_quadratic_instance(
     return QuadraticInstance(
         instance_id=f"quad-{rng.randrange(10**9)}",
         group=group,
-        gens=gens,
         action=action,
         ledger=ledger,
         level=Fraction(level),
@@ -452,11 +449,9 @@ def verify_quadratic_length(instance: QuadraticInstance):
     """Both-ended alignment across N segments forces the endpoints at least
     quadratically far apart: d_S(h1, h2) >= dominating * (N - M - 1)^2."""
     led = instance.ledger
-    threshold = led.chain_threshold(instance.level)
-    for seg in instance.segments:
-        if not seg.length > threshold:
-            return SkippedInstance(instance.instance_id, "quadratic-length",
-                                   f"segment length {seg.length} not above threshold {threshold}")
+    short = _short_segment(instance, "quadratic-length", led.chain_threshold(instance.level))
+    if short is not None:
+        return short
     space = instance.action.space
     proj = instance.action.proj
     # the pairs (g, seg_1, ..., seg_N) are shared by both endpoints
@@ -680,7 +675,7 @@ def appendix_suite_tree(rank: int, trials: int, rng: random.Random) -> SuiteRepo
     tree, _ = build_cayley_tree(rank)
     group = tree.group
     report = SuiteReport(f"appendix-tree-f{rank}")
-    letters = _tree_letters(tree)
+    letters = signed_letters(tree.rank)  # also past z, where the group's alphabet of names stops
 
     def rand_point():
         return group.normalize(random_reduced_word(rng, letters, rng.randrange(0, 12)))
@@ -746,7 +741,7 @@ def _aligned_tree_pair(tree, rng):
     its larger pair diameter, read off the endpoints' medians as
     ``pair_diameters`` does on trees."""
     group = tree.group
-    word = random_reduced_word(rng, _tree_letters(tree), 24)
+    word = random_reduced_word(rng, signed_letters(tree.rank), 24)
     line = tree.geodesic(tree.basepoint, group.normalize(word))
     L = len(line)
     a = rng.randrange(0, L - 8)

@@ -423,9 +423,6 @@ class OrbitSegment:
     def midpoint_element(self) -> GroupElement:
         return self.points[self.length // 2]
 
-    def translate(self, g: GroupElement) -> "OrbitSegment":
-        return OrbitSegment(self.action, g * self.base, self.phi, self.length)
-
 
 # ---------------------------------------------------------------------------
 # Hyperbolicity measurement (thin triangles, exhaustive scan)

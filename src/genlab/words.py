@@ -24,6 +24,18 @@ def invert(word: Sequence[int]) -> Word:
     return tuple(-a for a in reversed(word))
 
 
+def signed_letters(n: int) -> Word:
+    """The signed letters of n generators in their fixed order: 1..n, then
+    -1..-n.
+
+    >>> signed_letters(2)
+    (1, 2, -1, -2)
+    >>> signed_letters(0)
+    ()
+    """
+    return (*range(1, n + 1), *range(-1, -n - 1, -1))
+
+
 def free_reduce(word: Iterable[int]) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 

@@ -246,6 +246,22 @@ def test_behrstock_dichotomy_branches(tree2):
         behrstock_dichotomy(tree, (), g2, g1, 1, 0)
 
 
+def test_each_alignment_lemma_refuses_a_misaligned_hypothesis(tree2):
+    tree, _ = tree2
+    line = tree.geodesic((), (1,) * 16)
+    g1, g2 = line.subsegment(1, 5), line.subsegment(7, 11)
+    refusals = [
+        (lambda: behrstock_dichotomy(tree, (), g2, g1, 1, 0), "input pair"),
+        (lambda: chain_alignment(tree, [g2, g1, g2], 1, 0), "sequence"),
+        (lambda: aligned_subsegments(tree, (1,) * 16, [g1, g2], (-1,), 1, 0), "sequence"),
+    ]
+    for call, what in refusals:
+        with pytest.raises(AlignmentError) as raised:
+            call()
+        assert str(raised.value) == f"{what} is not aligned at the stated level"
+        assert raised.value.report.level == 1 and not raised.value.report.aligned
+
+
 def test_chain_alignment(tree2):
     tree, _ = tree2
     line = tree.geodesic((), (1,) * 20)

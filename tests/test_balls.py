@@ -577,6 +577,31 @@ def _metric_answers(model, gens, radius):
     return norms, [translation_length(model, gens, g, 3) for g in elements[-3:]]
 
 
+@pytest.mark.parametrize("model", [FreeGroup(2), FreeProductZ2Z3(), Braid3()], ids=["f2", "zz23", "braid3"])
+def test_a_set_reads_the_closed_form_under_the_standard_letters_only(model):
+    ball = BallIndex(model, model.standard_gens(), 5)
+    keys = [k for sphere in ball.spheres for k in sphere]
+    letters = [(a,) for a in range(1, model.alphabet.size + 1)]
+    for words in (letters, letters[::-1]):
+        gens = GeneratingSet(model, words, standard=True)
+        assert [gens.exact_length(k) for k in keys] == [model.exact_length(k) for k in keys]
+        if model.exact_length(model.identity_key()) is not None:
+            assert [gens.exact_length(k) for k in keys] == [ball.norm(k) for k in keys]
+    # the same letters not declared standard, and sets of longer words
+    assert all(GeneratingSet(model, letters).exact_length(k) is None for k in keys)
+    other = GeneratingSet(model, [*letters, (1, 2)], standard=True)
+    assert all(other.exact_length(k) is None for k in keys)
+
+
+def test_a_random_set_reads_no_closed_form():
+    for _, gens, _ in _RANDOM_SETS:
+        keys = [k for sphere in BallIndex(gens.model, gens.model.standard_gens(), 3).spheres for k in sphere]
+        assert all(gens.exact_length(k) is None for k in keys)
+    f2 = FreeGroup(2)
+    assert GeneratingSet(f2, ["a", "b", "ab"], standard=True).exact_length(f2.element("ab").key) is None
+    assert Braid3().standard_gens().exact_length(Braid3().element("aB").key) is None
+
+
 @pytest.mark.parametrize("model_id,gens,radius", _RANDOM_SETS, ids=_RANDOM_IDS)
 def test_no_closed_form_is_asked_under_a_random_set(model_id, gens, radius):
     spy = ClosedFormSpy(gens.model)

@@ -38,13 +38,13 @@ from conftest import CountingModel, random_generating_sets, random_reduced_word,
 
 
 def test_classify_worked_examples(braid):
-    assert classify(braid, None, braid.element("a")).verdict == "reducible"
-    aB = classify(braid, None, braid.element("aB"))
+    assert classify(braid, braid.element("a")).verdict == "reducible"
+    aB = classify(braid, braid.element("aB"))
     assert aB.verdict == "pseudoAnosov" and aB.evidence["trace"] == 3
-    ab = classify(braid, None, braid.element("ab"))
+    ab = classify(braid, braid.element("ab"))
     assert ab.verdict == "periodic" and ab.evidence["trace"] == 1
-    assert classify(braid, None, braid.identity()).verdict == "periodic"
-    assert classify(braid, None, braid.element("ababab")).verdict == "periodic"
+    assert classify(braid, braid.identity()).verdict == "periodic"
+    assert classify(braid, braid.element("ababab")).verdict == "periodic"
 
 
 def test_classify_conjugation_and_center_invariant(braid):
@@ -53,24 +53,24 @@ def test_classify_conjugation_and_center_invariant(braid):
         g = braid.element(random_word(rng, 2, rng.randrange(0, 9)))
         h = braid.element(random_word(rng, 2, rng.randrange(0, 7)))
         conj = h * g * h.inverse()
-        base = classify(braid, None, g).verdict
-        assert classify(braid, None, conj).verdict == base
-        assert classify(braid, None, g.inverse()).verdict == base
-        assert classify(braid, None, g * braid.element("ababab")).verdict == base
+        base = classify(braid, g).verdict
+        assert classify(braid, conj).verdict == base
+        assert classify(braid, g.inverse()).verdict == base
+        assert classify(braid, g * braid.element("ababab")).verdict == base
 
 
 def test_classify_tree_models(f2, zz23):
-    assert classify(f2, None, f2.element("abA")).verdict == "contracting-loxodromic"
-    assert classify(f2, None, f2.identity()).verdict == "non-loxodromic"
-    assert classify(zz23, None, zz23.element("xy")).verdict == "contracting-loxodromic"
-    assert classify(zz23, None, zz23.element("yxY")).verdict == "non-loxodromic"
+    assert classify(f2, f2.element("abA")).verdict == "contracting-loxodromic"
+    assert classify(f2, f2.identity()).verdict == "non-loxodromic"
+    assert classify(zz23, zz23.element("xy")).verdict == "contracting-loxodromic"
+    assert classify(zz23, zz23.element("yxY")).verdict == "non-loxodromic"
 
 
 def test_classify_unsupported():
     from genlab.groups import FiniteSample
 
     with pytest.raises(ValueError):
-        classify(FiniteSample.cyclic(4), None, FiniteSample.cyclic(4).identity())
+        classify(FiniteSample.cyclic(4), FiniteSample.cyclic(4).identity())
 
 
 def test_counting_oracles_match_enumeration(f2):

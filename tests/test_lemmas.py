@@ -48,8 +48,7 @@ def collinear_instance(n_segments, f2_ledger):
         cur = cur * phi**length
     g = group.element("A") * group.element("b")
     h = cur * phi * group.element("b")
-    return ChainInstance("collinear", group, group.standard_gens(), action,
-                         f2_ledger, Fraction(2), g, h, segs)
+    return ChainInstance("collinear", group, action, f2_ledger, Fraction(2), g, h, segs)
 
 
 def test_midpoint_capture_trivial(f2_ledger):
@@ -72,6 +71,20 @@ def test_midpoint_capture_skips_below_threshold(f2_ledger):
     out = verify_midpoint_capture(inst)
     assert isinstance(out, SkippedInstance)
     assert "threshold" in out.reason
+
+
+def test_every_lemma_skips_a_short_segment_for_one_reason(f2_ledger, braid_ledger):
+    inst = collinear_instance(2, f2_ledger)
+    inst.segments = [OrbitSegment(inst.action, seg.base, seg.phi, 2) for seg in inst.segments]
+    quad = random_quadratic_instance(random.Random(0), n_segments=3, segment_length=2, ledger=braid_ledger)
+    for verify, instance, threshold in [
+        (verify_chain_capture, inst, f2_ledger.chain_threshold(2)),
+        (verify_distance_sum, inst, f2_ledger.chain_threshold(2)),
+        (verify_quadratic_length, quad, braid_ledger.chain_threshold(2)),
+    ]:
+        out = verify(instance)
+        assert isinstance(out, SkippedInstance) and out.report is None
+        assert out.reason == f"segment length 2 not above threshold {threshold}"
 
 
 def test_misaligned_instance_is_skipped_with_certificate(f2_ledger):
@@ -99,8 +112,7 @@ def test_chain_capture_trivial_and_weights(f2_ledger):
         cur = cur * phi**length
     g = group.element("A" * 600)  # first gap dwarfs the rest
     h = cur * phi
-    inst2 = ChainInstance("dominated", group, group.standard_gens(), action,
-                          f2_ledger, Fraction(2), g, h, segs)
+    inst2 = ChainInstance("dominated", group, action, f2_ledger, Fraction(2), g, h, segs)
     bounds = [chain_weight_bound(inst2, i) for i in range(1, 5)]
     assert all(b > nxt for b, nxt in zip(bounds, bounds[1:]))
     assert bounds[0] / bounds[1] > 10  # close to the weight ratio of thirty

@@ -301,6 +301,34 @@ def test_ledger_faithful_formulas_bit_exact():
     assert all(checks.values())
 
 
+_LEDGER_INPUTS = dict(delta=Fraction(3, 2), gen_displacement=2, axis_step=3, axis_word_norm=5,
+                      linkage_bound=1, contraction_bound=4, proj_lipschitz=2, recovery_lipschitz=7)
+_INPUTS_JSON = {"delta": "3/2", "gen_displacement": "2", "axis_step": "3", "axis_word_norm": "5",
+                "linkage_bound": "1", "contraction_bound": "4", "proj_lipschitz": "2", "recovery_lipschitz": "7"}
+
+
+def test_ledger_json_is_pinned():
+    checks = {"dominating_covers_inputs": True, "dominating_has_faithful_margin": True,
+              "dominating_square_margin": True, "segment_covers_chain_threshold": True}
+    assert ConstantLedger.faithful(**_LEDGER_INPUTS).to_json() == {
+        "profile": "faithful", **_INPUTS_JSON, "dominating": "70000",
+        "segment_length": 5602333333333333333333333333334, "coeff": "1000000", "power": 5,
+        "window": ["1/4", "3/10"], "cut_window": ["27/100", "7/25"], "derived_checks": checks,
+    }
+    no_margin = {**checks, "dominating_has_faithful_margin": False, "dominating_square_margin": False}
+    assert ConstantLedger.scaled(**_LEDGER_INPUTS).to_json() == {
+        "profile": "scaled", **_INPUTS_JSON, "dominating": "7", "segment_length": 24, "coeff": "1", "power": 1,
+        "window": ["1/4", "3/10"], "cut_window": ["1/4", "3/10"],
+        "derived_checks": {**no_margin, "segment_covers_chain_threshold": False},
+    }
+    set_entries = ConstantLedger.scaled(**_LEDGER_INPUTS, dominating=9, coeff=2, power=2,
+                                        window=(Fraction(1, 5), "1/3"), cut_window=(0.25, Fraction(2, 5)))
+    assert set_entries.to_json() == {
+        "profile": "scaled", **_INPUTS_JSON, "dominating": "9", "segment_length": 540, "coeff": "2", "power": 2,
+        "window": ["1/5", "1/3"], "cut_window": ["1/4", "2/5"], "derived_checks": no_margin,
+    }
+
+
 def test_ledger_scaled_records_checks():
     led = ConstantLedger.scaled(0, 1, 1, 1, 0, 0, 1, 1, segment_length=3)
     checks = led.derived_checks()
