@@ -8,15 +8,17 @@ content hashes, so identical config and seed reproduce identical bytes.
 its kind, its name, and every input its kind's runner reads.  A name is
 the stem of the experiment's output files, so it is one path component
 of at most 250 bytes (no ``/`` or NUL; not ``.``, ``..`` or
-``manifest``), unique in the config.  Each kind has one runner, which reads only its spec, returns its
-output texts and writes nothing; ledgers and tree actions are built
-there, one experiment at a time.  With ``--workers N`` above 1, up to N
-experiments run at once in worker processes forked with ``os.fork``
-(never more than there are experiments or usable cores): each takes the
-next experiment's index from a pipe and sends its outcome back pickled,
-and ``multiprocessing`` is never imported.  This process writes every
-output and the manifest in config order either way.  ``--budget-nodes`` bounds each experiment on
-its own, and only the scaled profile is accepted.
+``manifest``), unique in the config.  Each kind is declared once, in
+``_KINDS``: its spec builder, the modules its runner imports, its runner
+and its subcommand's options.  A runner reads only its spec, returns its
+output texts and writes nothing; ledgers are measured there, one
+experiment at a time.  With ``--workers N`` above 1, N worker processes
+forked with ``os.fork`` (never more than there are experiments or usable
+cores) take fixed shares: worker w runs experiments w, w + N, w + 2N, ...
+and sends each outcome back pickled on a pipe of its own, and
+``multiprocessing`` is never imported.  This process writes every output
+and the manifest in config order either way.  ``--budget-nodes`` bounds
+each experiment on its own, and only the scaled profile is accepted.
 
 The manifest hashes every output, and the config, with the interpreter's
 built-in SHA-256 (``_sha2``, or ``_sha256`` before Python 3.12): the same
@@ -45,6 +47,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import balls
 from .groups import FreeGroup, GeneratingSet, make_model
@@ -124,8 +127,8 @@ def _element(model, word, path: str):
 
 
 def _model_spec(raw: dict, path: str) -> dict:
-    """The ``model``, its generating set ``gens`` (the standard one unless
-    listed) and ``phi`` (the model's default unless given)."""
+    """The ``model`` and its generating set ``gens`` (the standard one
+    unless listed)."""
     model_id = _require(raw, "model", path)
     if not isinstance(model_id, str):
         raise ConfigError(f"{path}.model", "must be a string")
@@ -143,7 +146,7 @@ def _model_spec(raw: dict, path: str) -> dict:
             gens = GeneratingSet(model, gens_words, standard=is_std)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"{path}.gens", str(e))
-    return {"model": model, "gens": gens, "phi": _element(model, raw.get("phi", model.default_phi), f"{path}.phi")}
+    return {"model": model, "gens": gens}
 
 
 # One builder per kind: the inputs its runner reads, parsed from the raw
@@ -183,19 +186,21 @@ def _spec_fibers(raw: dict, path: str) -> dict:
     from .contraction import NonLoxodromicError, require_loxodromic
 
     spec = _model_spec(raw, path)
-    action = spec["model"].tree_action()  # checked here, built again by the runner
+    model = spec["model"]
+    phi = spec["phi"] = _element(model, raw.get("phi", model.default_phi), f"{path}.phi")
+    action = spec["action"] = model.tree_action()  # forked workers inherit it, unpickled
     if action is None:
-        raise ConfigError(f"{path}.model", f"no tree action for {spec['model'].name}")
+        raise ConfigError(f"{path}.model", f"no tree action for {model.name}")
     try:
-        require_loxodromic(action, spec["phi"])
+        require_loxodromic(action, phi)
     except NonLoxodromicError as e:
         raise ConfigError(f"{path}.phi", str(e))
     # a finite subgroup of these models has at most 3 elements, and cannot
     # hold phi, which has infinite order
-    if not balls.enumerate_ball(spec["model"], spec["gens"], 3, node_budget=3).truncated:
+    if not balls.enumerate_ball(model, spec["gens"], 3, node_budget=3).truncated:
         raise ConfigError(f"{path}.gens", "generates a finite subgroup, which does not contain phi")
     # otherwise the ledger's search for |phi|_S would never end
-    if spec["model"].subgroup_contains([g.key for g in spec["gens"]], spec["phi"].key) is False:
+    if model.subgroup_contains([g.key for g in spec["gens"]], phi.key) is False:
         raise ConfigError(f"{path}.gens", "generates a subgroup that does not contain phi")
     spec["n_values"] = _ints(raw, "n_values", path)
     lraw, path = raw.get("ledger", {}), f"{path}.ledger"
@@ -244,8 +249,8 @@ def validate_config(doc: dict) -> list[SimpleNamespace]:
         if not isinstance(raw, dict):
             raise ConfigError(path, "must be an object")
         kind = _require(raw, "kind", path)
-        if kind not in _KINDS:
-            raise ConfigError(f"{path}.kind", f"unknown kind {kind!r} (choose from {_KINDS})")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"{path}.kind", f"unknown kind {kind!r} (choose from {tuple(_KINDS)})")
         # every output is the name and a suffix of at most 5 bytes, written
         # next to manifest.json, and a file name holds at most 255 bytes
         name = raw.get("name", f"{kind}-{idx}")
@@ -258,10 +263,9 @@ def validate_config(doc: dict) -> list[SimpleNamespace]:
                                               f"and 'manifest', got {name!r}")
         if any(spec.name == name for spec in specs):
             raise ConfigError(f"{path}.name", f"{name!r} names an earlier experiment")
-        build, modules = _SPECS[kind]
-        for module in modules:
+        for module in _KINDS[kind].modules:
             importlib.import_module(f".{module}", __package__)
-        specs.append(SimpleNamespace(kind=kind, name=name, **build(raw, path)))
+        specs.append(SimpleNamespace(kind=kind, name=name, **_KINDS[kind].build(raw, path)))
     return specs
 
 
@@ -325,8 +329,7 @@ def _run_fibers(spec, seed: int, budget: int | None) -> Outcome:
     from . import census
     from .contraction import measure_scaled_ledger
 
-    model, gens, phi = spec.model, spec.gens, spec.phi
-    action = model.tree_action()
+    model, gens, phi, action = spec.model, spec.gens, spec.phi, spec.action
     ball = balls.BallIndex(model, gens, 0, budget)  # the one ball: the ledger grows it, each census sets it to n
     reports, over_budget = [], False
     try:
@@ -372,31 +375,29 @@ def _run_probe(spec, seed: int, budget: int | None) -> Outcome:
                    partial=probe.truncated)
 
 
-_RUNNERS = {
-    "enumerate": _run_enumerate,
-    "classify": _run_classify,
-    "genericity": _run_genericity,
-    "fibers": _run_fibers,
-    "verify-lemmas": _run_verify_lemmas,
-    "probe-negligibility": _run_probe,
+class _Kind(NamedTuple):
+    build: Callable  # the spec builder
+    modules: tuple  # what the runner imports besides balls and groups: validate_config imports them
+    run: Callable  # the runner
+    options: tuple  # the subcommand's options besides --name, as config fields
+
+
+_KINDS = {
+    "enumerate": _Kind(_spec_enumerate, (), _run_enumerate, ("model", "gens", "radius")),
+    "classify": _Kind(_spec_classify, ("census",), _run_classify, ("model", "gens", "words")),
+    "genericity": _Kind(_spec_genericity, ("census",), _run_genericity, ("model", "gens", "radius")),
+    "fibers": _Kind(_spec_fibers, ("census", "contraction"), _run_fibers, ("model", "gens", "phi", "n_values")),
+    "verify-lemmas": _Kind(_spec_verify_lemmas, ("lemmas",), _run_verify_lemmas, ("trials",)),
+    "probe-negligibility": _Kind(_spec_probe, ("census",), _run_probe, ("model", "gens", "n_values")),
 }
-_KINDS = tuple(_RUNNERS)
-# each kind's spec builder, and the modules its runner imports besides
-# balls and groups: validate_config imports them, so a runner's own import
-# statements only look them up
-_SPECS = {
-    "enumerate": (_spec_enumerate, ()),
-    "classify": (_spec_classify, ("census",)),
-    "genericity": (_spec_genericity, ("census",)),
-    "fibers": (_spec_fibers, ("census", "contraction")),
-    "verify-lemmas": (_spec_verify_lemmas, ("lemmas",)),
-    "probe-negligibility": (_spec_probe, ("census",)),
-}
+# each option's argparse keywords
+_OPTIONS = {"model": {}, "gens": {"nargs": "*"}, "phi": {}, "radius": {"type": int}, "words": {"nargs": "+"},
+            "n_values": {"type": int, "nargs": "+"}, "trials": {"type": int}}
 
 
 def _run_one(spec, seed: int, budget: int | None) -> Outcome:
     # the runner is looked up where the experiment runs, in a worker too
-    return _RUNNERS[spec.kind](spec, seed, budget)
+    return _KINDS[spec.kind].run(spec, seed, budget)
 
 
 def _usable_cores() -> int:
@@ -428,66 +429,45 @@ def _fork_map(size: int, fn, items: list):
 
     Workers start from this process's memory, so neither ``fn`` nor the
     items are pickled; forking is safe because genlab starts no threads.
-    Each worker takes the next index from one shared pipe and sends back
-    ``(index, ok, value)`` on a pipe of its own.  A worker's exception is
-    raised here when its item's turn comes, and a worker that exits without
-    sending its result raises RuntimeError.
+    Worker w takes a fixed share, items w, w + size, w + 2 size, ..., and
+    sends back ``(ok, value)`` for each, in turn, on a pipe of its own, so
+    item i's outcome is the next message on pipe i mod size.  This waits
+    only on the worker that owns the next item, whose earlier outcomes it
+    has read, so no worker waits on it for good.  A worker's exception is
+    raised here when its item's turn comes, and a worker that exits
+    without sending its result raises RuntimeError.
     """
     import pickle  # imported only when workers fork
-    import select
 
-    # four bytes an index, written at most PIPE_BUF at a time: each write
-    # lands whole, so a worker's four-byte read takes exactly one index
-    tasks = b"".join(i.to_bytes(4, "big") for i in range(len(items)))
-    task_r, task_w = os.pipe()
-    pipes = {}  # result pipe -> its worker's pid
+    pipes, pids = [], []  # worker w's result pipe and pid
     try:
-        for _ in range(size):
-            r, w = os.pipe()
+        for w in range(size):
+            r, out = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, items, task_r, w, inherited=(task_w, r, *pipes))
-            os.close(w)
-            pipes[r] = pid
-        done = {}
+                _work(fn, items[w::size], out, inherited=(r, *pipes))
+            os.close(out)
+            pipes.append(r)
+            pids.append(pid)
         for i in range(len(items)):
-            while i not in done:
-                if not pipes:
-                    raise RuntimeError(f"no worker sent the result of item {i}")
-                readable, writable, _ = select.select(list(pipes), [task_w] if tasks else [], [])
-                if writable:  # a pipe with room takes PIPE_BUF bytes without blocking
-                    tasks = tasks[os.write(task_w, tasks[: select.PIPE_BUF]):]
-                    if not tasks:
-                        os.close(task_w)  # so the workers read the end of it
-                for r in readable:
-                    data = _receive(r)
-                    if data is None:  # the worker has exited
-                        os.close(r)
-                        pid = pipes.pop(r)
-                        if os.waitpid(pid, 0)[1]:
-                            raise RuntimeError(f"worker {pid} died without sending its result")
-                    else:
-                        j, ok, value = pickle.loads(data)
-                        done[j] = ok, value
-            ok, value = done.pop(i)
+            data = _receive(pipes[i % size])
+            if data is None:  # the worker has exited
+                raise RuntimeError(f"worker {pids[i % size]} died without sending its result")
+            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             yield value
     finally:
-        os.close(task_r)
-        if tasks:
-            os.close(task_w)
-        for r, pid in pipes.items():
+        for r, pid in zip(pipes, pids):
             os.close(r)
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
 
 
-def _work(fn, items: list, tasks: int, out: int, inherited: tuple):
+def _work(fn, items: list, out: int, inherited: tuple):
     """A forked worker's life: close the ``inherited`` descriptors it has no
-    use for, then run ``fn`` on the item of each index read from ``tasks``
-    and send ``(index, ok, value)`` on ``out``, pickled and length first,
-    until ``tasks`` ends.  It never returns."""
+    use for, then send ``(ok, value)`` for ``fn`` of each of ``items`` on
+    ``out``, pickled and length first.  It never returns."""
     import pickle
 
     status = 1
@@ -495,12 +475,11 @@ def _work(fn, items: list, tasks: int, out: int, inherited: tuple):
         for fd in inherited:
             os.close(fd)
         with os.fdopen(out, "wb") as sink:
-            while index := os.read(tasks, 4):
-                i = int.from_bytes(index, "big")
+            for item in items:
                 try:
-                    message = (i, True, fn(items[i]))
+                    message = (True, fn(item))
                 except Exception as e:  # the parent raises it
-                    message = (i, False, e)
+                    message = (False, e)
                 data = pickle.dumps(message)
                 sink.write(len(data).to_bytes(8, "big") + data)
                 sink.flush()
@@ -568,8 +547,8 @@ def _single_experiment_doc(args) -> dict:
     """The config of one subcommand: every option given, an empty one too,
     so the subcommand validates what the same config file would."""
     raw = {"kind": args.command, "name": args.name}
-    for field in ("model", "gens", "radius", "words", "n_values", "trials", "phi"):
-        value = getattr(args, field, None)
+    for field in _KINDS[args.command].options:
+        value = getattr(args, field)
         if value is not None:
             raw[field] = value
     return {"experiments": [raw]}
@@ -587,20 +566,11 @@ def main(argv=None) -> int:
 
     sub.add_parser("run", help="run every experiment in the config")
 
-    for kind in _KINDS:
+    for kind, row in _KINDS.items():
         p = sub.add_parser(kind)
         p.add_argument("--name", default=kind)
-        p.add_argument("--model")
-        p.add_argument("--gens", nargs="*")
-        p.add_argument("--phi")
-        if kind == "enumerate" or kind == "genericity":
-            p.add_argument("--radius", type=int)
-        if kind == "classify":
-            p.add_argument("--words", nargs="+")
-        if kind in ("fibers", "probe-negligibility"):
-            p.add_argument("--n-values", dest="n_values", type=int, nargs="+")
-        if kind == "verify-lemmas":
-            p.add_argument("--trials", type=int)
+        for field in row.options:
+            p.add_argument("--" + field.replace("_", "-"), **_OPTIONS[field])
 
     args = parser.parse_args(argv)
     try:

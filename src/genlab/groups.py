@@ -411,6 +411,33 @@ def _syllable_exponent(sylls: bytes) -> int:
     return sum(3 if s == X_SYL else 2 * s for s in sylls)
 
 
+# S_3 = Sym{0, 1, 2}, a permutation p being the tuple (p(0), p(1), p(2)):
+# the image of each syllable under Z/2 * Z/3 -> S_3, x -> (0 1), y -> (0 1 2)
+_S3_SYLLABLE = ((1, 0, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _s3_image(sylls: bytes) -> tuple:
+    p = (0, 1, 2)
+    for s in sylls:
+        p = tuple(p[i] for i in _S3_SYLLABLE[s])  # (p o q)(i) = p(q(i)): a product maps to a composition
+    return p
+
+
+def _s3_rules_out(gen_sylls, sylls: bytes) -> bool:
+    """Whether the image of the syllable word ``sylls`` in S_3 lies outside
+    the subgroup that the images of ``gen_sylls`` generate.  That subgroup
+    holds the image of every member of the subgroup the words generate,
+    so True proves ``sylls`` is no member, and False proves nothing."""
+    images = {_s3_image(g) for g in gen_sylls}
+    group = [(0, 1, 2)]
+    for p in group:  # S_3 is finite, so products of the images close it
+        for q in images:
+            pq = tuple(p[i] for i in q)
+            if pq not in group:
+                group.append(pq)
+    return _s3_image(sylls) not in group
+
+
 class FreeProductZ2Z3(GroupModel):
     """Z/2 * Z/3 = <x, y | x^2, y^3>, keys are alternating syllable bytes.
 
@@ -499,10 +526,12 @@ class FreeProductZ2Z3(GroupModel):
         return len(core) if len(core) >= 2 else 0
 
     def subgroup_contains(self, gen_keys, key) -> Optional[bool]:
-        """False when the image of ``key`` in the abelianization Z/6 lies
-        outside the subgroup that those of ``gen_keys`` generate, which holds
-        the image of every member (an image inside proves nothing: None)."""
-        return False if _syllable_exponent(key) % math.gcd(6, *map(_syllable_exponent, gen_keys)) else None
+        """False when the image of ``key`` in the abelianization Z/6, or in
+        S_3, lies outside the subgroup that those of ``gen_keys`` generate,
+        which holds the image of every member (an image inside proves
+        nothing: None)."""
+        outside = _syllable_exponent(key) % math.gcd(6, *map(_syllable_exponent, gen_keys))
+        return False if outside or _s3_rules_out(gen_keys, key) else None
 
     def tree_action(self):
         from .spaces import build_bass_serre_tree  # spaces imports groups
@@ -687,9 +716,11 @@ class Braid3(GroupModel):
 
     def subgroup_contains(self, gen_keys, key) -> Optional[bool]:
         """As for Z/2 * Z/3, in the abelianization B_3 -> Z, the exponent
-        sum (the quotient's image in Z/6 is that sum modulo 6)."""
+        sum (the quotient's image in Z/6 is that sum modulo 6), and in S_3
+        through the quotient, where the center maps to 1."""
         e, d = self.exponent_sum_key(key), math.gcd(*map(self.exponent_sum_key, gen_keys))
-        return False if (e % d if d else e) else None
+        outside = e % d if d else e
+        return False if outside or _s3_rules_out([k[1] for k in gen_keys], key[1]) else None
 
     def sl2_image(self, word: Sequence[int]) -> Tuple[int, int, int, int]:
         m = (1, 0, 0, 1)

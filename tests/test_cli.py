@@ -292,7 +292,7 @@ def test_runner_failure_is_the_same_in_workers(tmp_path, monkeypatch, error):
     def fail(*args):
         raise error
 
-    monkeypatch.setitem(cli._RUNNERS, "genericity", fail)  # forked workers inherit it
+    monkeypatch.setitem(cli._KINDS, "genericity", cli._KINDS["genericity"]._replace(run=fail))  # workers inherit it
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # a pool even on one core
     doc = {"experiments": [
         {"kind": "enumerate", "name": "before", "model": "free:2", "radius": 3},
@@ -310,7 +310,7 @@ def test_runner_failure_is_the_same_in_workers(tmp_path, monkeypatch, error):
 
 
 def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli._RUNNERS, "genericity", lambda *args: os._exit(3))
+    monkeypatch.setitem(cli._KINDS, "genericity", cli._KINDS["genericity"]._replace(run=lambda *args: os._exit(3)))
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
     doc = {"experiments": [
         {"kind": "enumerate", "name": "before", "model": "free:2", "radius": 3},
@@ -324,7 +324,7 @@ def test_a_worker_that_dies_makes_the_run_raise(tmp_path, monkeypatch):
 
 
 def test_fork_map_yields_in_order_and_kills_its_workers_when_closed():
-    items = list(range(20000))  # more indices than a pipe holds at once
+    items = list(range(20000))  # more results than a pipe holds
     results = cli._fork_map(2, lambda i: i * i, items)
     assert [next(results) for _ in range(10)] == [i * i for i in range(10)]
     results.close()  # both workers are still running or not yet reaped
@@ -333,6 +333,14 @@ def test_fork_map_yields_in_order_and_kills_its_workers_when_closed():
     _assert_no_child_left()
     sizes = [3 * 2**20, 3, 2**21]  # results far larger than a pipe holds
     assert list(cli._fork_map(2, lambda n: "x" * n, sizes)) == ["x" * n for n in sizes]
+    _assert_no_child_left()
+
+
+def test_fork_map_gives_each_worker_a_fixed_share():
+    # worker w runs items w, w + 2, w + 4, ...: one pid per class mod 2
+    pids = list(cli._fork_map(2, lambda i: os.getpid(), list(range(7))))
+    assert len(set(pids[0::2])) == len(set(pids[1::2])) == 1
+    assert pids[0] != pids[1] and os.getpid() not in pids
     _assert_no_child_left()
 
 
@@ -377,11 +385,12 @@ def _main_with_config(tmp_path, doc) -> int:
                      {"kind": "fibers", "model": "free:1", "n_values": [4]}]},
     {"experiments": [{"kind": "enumerate", "model": "free:2", "radius": 2},
                      {"kind": "verify-lemmas", "rank": 1}]},
+    {"experiments": [{"kind": ["enumerate"], "model": "free:2", "radius": 2}]},
 ], ids=["top-level-list", "radius-string", "radius-negative", "genericity-radius-negative",
         "word-threshold", "word-threshold-infinite", "n-values-float", "n-values-string", "n-values-scalar",
         "experiment-not-object", "seed-list", "seed-word", "seed-decimal", "ledger-window", "ledger-dominating",
         "second-model-unknown", "gens-scalar", "gens-int-word", "phi-int", "words-scalar", "words-int",
-        "fibers-rank-1", "lemmas-rank-1"])
+        "fibers-rank-1", "lemmas-rank-1", "kind-list"])
 def test_malformed_config_exits_2(tmp_path, doc, capsys):
     assert _main_with_config(tmp_path, doc) == 2
     assert "config error at $" in capsys.readouterr().err
@@ -639,17 +648,77 @@ def test_a_run_builds_each_model_once(tmp_path, monkeypatch, workload, models):
     assert len(calls) == models
 
 
-@pytest.mark.parametrize("trials", [20, None])
-def test_the_lemma_subcommand_and_its_config_write_the_same_bytes(tmp_path, trials):
-    # each default is stated once, in the spec builder: the subcommand
-    # leaves an unset --trials out of its config, as a config file does
-    args = [] if trials is None else ["--trials", str(trials)]
-    exp = {"kind": "verify-lemmas", "name": "verify-lemmas"}
-    if trials is not None:
-        exp["trials"] = trials
-    assert main(["--out-dir", str(tmp_path / "sub"), "verify-lemmas"] + args) == 0
+# a subcommand's options, and the config experiment they make; the first
+# two are verify-lemmas with and without --trials
+_SUBCOMMANDS = {
+    "20": (["--trials", "20"], {"kind": "verify-lemmas", "trials": 20}),
+    "None": ([], {"kind": "verify-lemmas"}),
+    "enumerate": (["--model", "free:2", "--gens", "a", "b", "ab", "--radius", "4"],
+                  {"kind": "enumerate", "model": "free:2", "gens": ["a", "b", "ab"], "radius": 4}),
+    "classify": (["--model", "braid3", "--words", "a", "aB"],
+                 {"kind": "classify", "model": "braid3", "words": ["a", "aB"]}),
+    "genericity": (["--model", "braid3", "--radius", "5"], {"kind": "genericity", "model": "braid3", "radius": 5}),
+    "fibers": (["--model", "zz23", "--gens", "x", "y", "--phi", "xy", "--n-values", "6"],
+               {"kind": "fibers", "model": "zz23", "gens": ["x", "y"], "phi": "xy", "n_values": [6]}),
+    "probe-negligibility": (["--model", "free:2", "--n-values", "4", "5"],
+                            {"kind": "probe-negligibility", "model": "free:2", "n_values": [4, 5]}),
+}
+
+
+@pytest.mark.parametrize("options, exp", _SUBCOMMANDS.values(), ids=list(_SUBCOMMANDS))
+def test_the_lemma_subcommand_and_its_config_write_the_same_bytes(tmp_path, options, exp):
+    # each kind's options are read from its row of cli._KINDS, and each
+    # default is stated once, in the spec builder: a subcommand leaves an
+    # unset option out of its config, as a config file does
+    exp = {**exp, "name": exp["kind"]}
+    assert main(["--out-dir", str(tmp_path / "sub"), exp["kind"]] + options) == 0
     assert _main_with_config(tmp_path, {"experiments": [exp]}) == 0
     assert _hashes(tmp_path / "sub") == _hashes(tmp_path / "o")
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--model", "free:2", "--radius", "2", "--phi", "x"],
+    ["classify", "--model", "braid3", "--words", "a", "--phi", "a"],
+    ["genericity", "--model", "braid3", "--radius", "2", "--phi", "aB"],
+    ["probe-negligibility", "--model", "free:2", "--n-values", "2", "--phi", "a"],
+    ["verify-lemmas", "--phi", "a"],
+    ["verify-lemmas", "--model", "braid3"],
+    ["verify-lemmas", "--gens", "a"],
+], ids=["enumerate-phi", "classify-phi", "genericity-phi", "probe-phi", "lemmas-phi", "lemmas-model", "lemmas-gens"])
+def test_an_option_the_kind_does_not_read_exits_2(tmp_path, capsys, argv):
+    # a subcommand takes only the fields its runner reads
+    with pytest.raises(SystemExit) as exited:
+        main(["--out-dir", str(tmp_path / "o")] + argv)
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_phi_in_a_kind_that_does_not_read_it_is_ignored(tmp_path):
+    exp = {"kind": "enumerate", "name": "e", "model": "free:2", "radius": 3}
+    assert run({"experiments": [exp]}, tmp_path / "a", 0, "scaled", None) == 0
+    assert run({"experiments": [{**exp, "phi": 5}]}, tmp_path / "b", 0, "scaled", None) == 0
+    assert (tmp_path / "a" / "e.json").read_bytes() == (tmp_path / "b" / "e.json").read_bytes()
+    assert not hasattr(validate_config({"experiments": [{**exp, "phi": "a"}]})[0], "phi")
+
+
+def test_a_fibers_run_builds_each_tree_action_once(tmp_path, monkeypatch):
+    # validation checks phi against the action and keeps it in the spec,
+    # which the runner reads
+    calls = []
+    make_model = cli.make_model
+
+    def spied(model_id):
+        model = make_model(model_id)
+        tree_action = model.tree_action
+        model.tree_action = lambda: calls.append(model_id) or tree_action()
+        return model
+
+    monkeypatch.setattr(cli, "make_model", spied)
+    doc = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "fibers.json")
+                     .read_text())
+    assert run(doc, tmp_path, 7, "scaled", None, workers=1) == 0
+    assert calls == ["zz23", "free:2", "braid3"]
 
 
 def test_the_readme_config_example_validates():
@@ -698,6 +767,34 @@ def test_fibers_gens_whose_abelian_image_lacks_phi_exit_2(tmp_path, capsys, mode
     assert _main_with_config(tmp_path, doc) == 2
     assert "config error at $.experiments[0].gens: generates a subgroup that does not contain phi" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("model_id, gens, phi", [("zz23", ["xY"], "xy"), ("braid3", ["aa", "b"], "a")])
+def test_fibers_gens_whose_s3_image_lacks_phi_exit_2(tmp_path, capsys, model_id, gens, phi):
+    # the abelian images hold phi's, but the S_3 images do not (zz23:
+    # x -> (0 1), y -> (0 1 2), so xY and xy map to two distinct
+    # transpositions; braid3: s1^2 -> 1 and s2 -> a transposition other
+    # than s1's), so validation exits 2 with no budget, where the ledger's
+    # search for |phi|_S would never end (so validation is asked first: a
+    # config it let through would run without bound)
+    doc = {"experiments": [{"kind": "fibers", "model": model_id, "gens": gens, "phi": phi, "n_values": [4]}]}
+    with pytest.raises(ConfigError) as raised:
+        validate_config(doc)
+    assert raised.value.path == "$.experiments[0].gens"
+    assert _main_with_config(tmp_path, doc) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error at $.experiments[0].gens: generates a subgroup that does not contain phi")
+    assert not (tmp_path / "o").exists()
+
+
+def test_fibers_gens_of_a_power_of_phi_validate():
+    # <(xy)^7> lacks xy, but (xy)^7 and xy have the same image in Z/6 (5)
+    # and in S_3 (a transposition), so neither image decides it: None, and
+    # validation lets the config through (README names it as unbounded)
+    zz23 = cli.make_model("zz23")
+    assert zz23.subgroup_contains([zz23.element("xy" * 7).key], zz23.element("xy").key) is None
+    validate_config({"experiments": [{"kind": "fibers", "model": "zz23", "gens": ["xy" * 7], "phi": "xy",
+                                      "n_values": [4]}]})
 
 
 def test_fibers_gens_whose_abelian_image_holds_phi_validate():

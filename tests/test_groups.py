@@ -1,5 +1,6 @@
 """Normal forms and the word machinery behind them."""
 
+import functools
 import itertools
 import json
 import random
@@ -446,9 +447,9 @@ _ABELIAN_CHECKED = [
     ("zz23", ["xyxy"], "xy", False), ("zz23", ["x", "yxY"], "xy", False), ("zz23", ["xyxy"], "xyxyxyxy", None),
     ("zz23", ["x", "y"], "xy", None), ("zz23", ["xyxy", "xy"], "xy", None),
     ("braid3", ["aa", "bb"], "a", False), ("braid3", ["aa"], "aaa", False), ("braid3", ["a", "bb"], "a", None),
-    # s1 is not in <s1^2, s2>, whose image in S_3 lacks s1's transposition,
-    # but the exponent sums cannot tell
-    ("braid3", ["aa", "b"], "a", None),
+    # s1 is not in <s1^2, s2>: the exponent sums cannot tell, but the image
+    # of <s1^2, s2> in S_3 lacks s1's transposition
+    ("braid3", ["aa", "b"], "a", False),
 ]
 
 
@@ -471,11 +472,28 @@ def _abelian_image(model, key) -> int:
     return sum(3 if abs(a) == 1 else a for a in word) % 6
 
 
+# a letter's image in S_3, as the tuple (p(0), p(1), p(2)): zz23 x -> (0 1),
+# y -> (0 1 2); braid3 s1 -> (0 1), s2 -> (1 2), which is B_3 -> Z/2 * Z/3
+# -> S_3 up to an automorphism of S_3 (every map of B_3 onto S_3 sends s1
+# and s2 to two distinct transpositions)
+_S3_LETTERS = {"zz23": {1: (1, 0, 2), -1: (1, 0, 2), 2: (1, 2, 0), -2: (2, 0, 1)},
+               "braid3": {1: (1, 0, 2), -1: (1, 0, 2), 2: (0, 2, 1), -2: (0, 2, 1)}}
+
+
+def _s3_image(model, key) -> tuple:
+    p = (0, 1, 2)
+    for a in model.key_word(key):
+        p = tuple(_S3_LETTERS[model.name][a][i] for i in p)
+    return p
+
+
 def test_abelian_image_never_rules_out_a_member(zz23, braid):
     """On seeded random subgroups of zz23 and braid3, every key of a ball
     of the subgroup answers None, and each letter answers False exactly
-    when no small combination of the generators' images reaches its image
-    (generators of length at most 4 need coefficients of at most 4)."""
+    when no small combination of the generators' abelian images reaches its
+    image, or no product of their S_3 images reaches its S_3 image
+    (generators of length at most 4 need coefficients of at most 4, and a
+    subgroup of S_3 is reached by products of at most 5 generators)."""
     rng = random.Random(25)
     ruled_out = Counter()
     for model in (zz23, braid) * 6:
@@ -488,9 +506,14 @@ def test_abelian_image_never_rules_out_a_member(zz23, braid):
                      for cs in itertools.product(range(-6, 7), repeat=len(gen_keys))}
         if model is zz23:
             generated = {v % 6 for v in generated}
+        images = [_s3_image(model, k) for k in gen_keys]
+        s3_generated = {(0, 1, 2)}
+        for n in range(1, 6):
+            for ps in itertools.product(images, repeat=n):
+                s3_generated.add(functools.reduce(lambda p, q: tuple(q[i] for i in p), ps))
         for letter in (1, -1, 2, -2):
             key = model.element((letter,)).key
-            outside = _abelian_image(model, key) not in generated
+            outside = _abelian_image(model, key) not in generated or _s3_image(model, key) not in s3_generated
             assert model.subgroup_contains(gen_keys, key) is (False if outside else None), (words, letter)
             ruled_out[model.name] += outside
     assert ruled_out["zz23"] and ruled_out["braid3"]
