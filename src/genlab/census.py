@@ -33,8 +33,10 @@ a thick window below 1 a census asks for no norm outside B(n).
 The negligibility probe decides core norms by membership in the spheres
 of its enumerated ball, and builds the set of conjugates h^-1 C h of the
 short cores C by the short h once per n, so it tests each shell element
-by one set lookup.  ``genericity`` and the probe stop at the last radius
-their ball completes within a node budget.
+by one set lookup.  A genericity curve counts each element once, at the
+first radius that counts it (its cut max(T, w r) never falls for T >= 0).
+``genericity`` and the probe stop at the last radius their ball completes
+within a node budget.
 All ratios are exact rationals; only fitted decay exponents are floating
 point, each an exact least-squares slope over the float logs, rounded
 once.
@@ -42,9 +44,9 @@ once.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -793,45 +795,40 @@ def genericity_experiment(
     balls.  For a model with a center quotient (3-braids) the count is of
     center cosets whose elements are not pseudo-Anosov, following the
     coset-counting reduction; for a model with a tree translation length
-    it is of elements with small translation length or small stable word
-    norm.  ``action`` is not read.  If the ball outgrows ``node_budget``
-    the curve stops at its last complete radius and is ``truncated``."""
+    it is of the g in B(r) with translation length at most the cut
+    max(tree_threshold, word_threshold r), each from its first such r on
+    (the cut never falls: ``tree_threshold`` must be >= 0).  ``action`` is
+    not read.  If the ball outgrows ``node_budget`` the curve stops at its
+    last complete radius and is ``truncated``."""
     ident = model.identity_key()
     coset_mode = model.quotient_key(ident) is not None
     if not coset_mode and model.translation_length_exact(ident) is None:
         raise ValueError(f"genericity unsupported for model {model.name}")
+    if tree_threshold < 0:
+        raise ValueError(f"tree_threshold must be >= 0, got {tree_threshold}")
     census = enumerate_ball(model, gens, r_max, keep_elements=True, node_budget=node_budget)
     r_max = census.radius
     radii = list(range(r_max + 1))
-    special, totals, ratios = [], [], []
+    # what each radius adds to the total and to the special count
     if coset_mode:
-        seen = set()
-        running_special = 0
+        added, slow, seen = [], [], set()
         coset_verdict = model.coset_verdicts()
-        for r in range(r_max + 1):
-            for key in census.elements[r]:
-                q = model.quotient_key(key)
-                if q not in seen:
-                    seen.add(q)
-                    running_special += coset_verdict(q) != "pseudoAnosov"
-            special.append(running_special)
-            totals.append(len(seen))
-            ratios.append(Fraction(running_special, len(seen)))
+        for sphere in census.elements:
+            new = [q for q in dict.fromkeys(map(model.quotient_key, sphere)) if q not in seen]
+            seen.update(new)
+            added.append(len(new))
+            slow.append(sum(coset_verdict(q) != "pseudoAnosov" for q in new))
         mode = "braid-cosets"
     else:
-        taus = [sorted(map(model.translation_length_exact, sphere)) for sphere in census.elements]
-        for r in range(r_max + 1):
-            count = total = 0
-            # the stable-norm threshold moves with the radius, so recount
-            # per radius, but over precomputed sorted translation lengths
-            cut = max(Fraction(tree_threshold), word_threshold * r)
-            for rr in range(r + 1):
-                total += len(taus[rr])
-                count += bisect.bisect_right(taus[rr], cut)
-            special.append(count)
-            totals.append(total)
-            ratios.append(Fraction(count, total))
+        # g counts from the first r >= |g| whose cut reaches tau(g); r_max + 1 is never
+        added, slow = [len(sphere) for sphere in census.elements], [0] * (r_max + 2)
+        for rr, sphere in enumerate(census.elements):
+            for tau, n in Counter(map(model.translation_length_exact, sphere)).items():
+                first = 0 if tau <= tree_threshold else math.ceil(tau / word_threshold) if word_threshold > 0 else r_max + 1
+                slow[min(max(rr, first), r_max + 1)] += n
         mode = "tree"
+    special, totals = list(itertools.accumulate(slow))[: r_max + 1], list(itertools.accumulate(added))
+    ratios = [Fraction(s, t) for s, t in zip(special, totals)]
     tail = [q for r, q in zip(radii, ratios) if r >= max(2, r_max // 2)]
     tail_monotone = all(b <= a for a, b in zip(tail, tail[1:]))
     return GenericityCurve(

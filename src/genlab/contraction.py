@@ -142,13 +142,19 @@ def weak_contraction_profile(
                 profile.truncated = True
                 continue
             radius = int(factor * dist)
-            lo, hi = len(geo), 0
-            for shell in ball.spheres[: radius + 1]:
-                for uk in shell:
-                    idx = project(action.space, action.proj(g * GroupElement(model, uk)), geo).indices
-                    lo, hi = min(lo, idx[0]), max(hi, idx[-1])
-            profile.record(ContractionSample(key, dist, radius, hi - lo))
+            ys = (action.proj(g * GroupElement(model, uk)) for shell in ball.spheres[: radius + 1] for uk in shell)
+            profile.record(ContractionSample(key, dist, radius, _projection_span(action.space, ys, geo)))
     return profile
+
+
+def _projection_span(space: MetricSpaceModel, points, geo: Geodesic) -> int:
+    """The diameter of the projection of ``points`` to ``geo``, whose points
+    are |i - j| apart: the span of the projections' indices."""
+    lo, hi = len(geo), 0
+    for y in points:
+        idx = project(space, y, geo).indices
+        lo, hi = min(lo, idx[0]), max(hi, idx[-1])
+    return hi - lo
 
 
 @dataclass
@@ -181,11 +187,7 @@ def strong_contraction_check(
         if x in geo_pts:
             continue
         dist = min(space.distance(x, p) for p in geo.points)
-        lo, hi = len(geo), 0
-        for y in space.ball(x, dist):
-            idx = project(space, y, geo).indices
-            lo, hi = min(lo, idx[0]), max(hi, idx[-1])
-        diam = hi - lo
+        diam = _projection_span(space, space.ball(x, dist), geo)
         observations.append((dist, diam))
         worst = max(worst, diam)
     passes = all(diam <= level for dist, diam in observations if dist > level)
@@ -409,8 +411,6 @@ def measure_scaled_ledger(
     rng: random.Random,
     segment_length: Optional[int] = None,
     sample_radius: int = 5,
-    coeff: Fraction = Fraction(1),
-    power: int = 1,
     node_budget: Optional[int] = None,
     ball: Optional[BallIndex] = None,
     **overrides,
@@ -480,8 +480,6 @@ def measure_scaled_ledger(
         proj_lipschitz=lip.proj_constant,
         recovery_lipschitz=lip.recovery_constant,
         segment_length=segment_length,
-        coeff=coeff,
-        power=power,
     )
     values.update(overrides)
     return ConstantLedger.scaled(**values)

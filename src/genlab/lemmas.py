@@ -110,7 +110,7 @@ class ChainInstance:
     h: GroupElement
     segments: list  # OrbitSegments, each of even length M
     _report: Optional[AlignmentReport] = field(default=None, init=False, repr=False, compare=False)
-    _path: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _path: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _gaps: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -128,12 +128,12 @@ class ChainInstance:
             self._report = check_alignment(self.space, seq, self.level)
         return self._report
 
-    def word_geodesic_elements(self) -> list:
-        """The vertices of [g, h]_S, which on the standard-basis Cayley tree
-        are the tree geodesic's between the two keys (one list, shared by
-        every call)."""
+    def word_geodesic_keys(self) -> tuple:
+        """The keys of the vertices of [g, h]_S, which on the standard-basis
+        Cayley tree are the tree geodesic's between the two keys (one tuple,
+        shared by every call)."""
         if self._path is None:
-            self._path = [GroupElement(self.group, k) for k in self.space.geodesic(self.g.key, self.h.key).points]
+            self._path = self.space.geodesic(self.g.key, self.h.key).points
         return self._path
 
     def d(self, u: GroupElement, v: GroupElement) -> int:
@@ -260,13 +260,13 @@ def _skip(instance: ChainInstance, lemma: str, threshold) -> Optional[SkippedIns
 
 def _nearest_capture(instance: ChainInstance, seg: OrbitSegment, start: int = 0):
     """(d_S(p, q), position) of the first point p of [g, h]_S from ``start``
-    on nearest the segment's midpoint q, among the points (walked as keys)
-    projecting into the segment's middle third; None when none does."""
-    path = instance.word_geodesic_elements()
+    on nearest the segment's midpoint q, among the points projecting into
+    the segment's middle third; None when none does."""
+    path = instance.word_geodesic_keys()
     space = instance.space
     q = seg.midpoint_element().key
-    return min(((space.distance(path[pos].key, q), pos) for pos in range(start, len(path))
-                if _middle_third_ok(space, seg, path[pos].key)), default=None)
+    return min(((space.distance(path[pos], q), pos) for pos in range(start, len(path))
+                if _middle_third_ok(space, seg, path[pos])), default=None)
 
 
 def verify_midpoint_capture(instance: ChainInstance):
@@ -327,7 +327,7 @@ def verify_distance_sum(instance: ChainInstance):
     if skip is not None:
         return skip
     dist = instance.space.distance
-    keys = [p.key for p in instance.word_geodesic_elements()]
+    keys = instance.word_geodesic_keys()
     total = sum(min(dist(k, seg.midpoint_element().key) for k in keys) for seg in instance.segments)
     rhs = Fraction(instance.d(instance.g, instance.h), 2)
     return InequalityVerdict.decide(instance.instance_id, "distance-sum", total, rhs)

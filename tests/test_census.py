@@ -332,6 +332,59 @@ def test_genericity_zz23_curve(zz23, bass_serre):
         assert curve.ratios[r] <= curve.ratios[r - 2]
 
 
+def _recounted_curve(model, gens, radius, tree_threshold, word_threshold):
+    """Independent reference for a genericity curve: for each r, recount
+    B(r) from a plain BFS.  Tree mode counts the g with
+    tau(g) <= max(T, w r); coset mode counts the distinct quotient keys,
+    and the non-pseudo-Anosov ones by the verdict of one key of each."""
+    spheres, _ = unpruned_bfs(model, gens, radius)
+    special, totals = [], []
+    for r in range(radius + 1):
+        ball = [k for sphere in spheres[: r + 1] for k in sphere]
+        if model.quotient_key(model.identity_key()) is None:
+            cut = max(Fraction(tree_threshold), Fraction(word_threshold) * r)
+            special.append(sum(Fraction(model.translation_length_exact(k)) <= cut for k in ball))
+            totals.append(len(ball))
+        else:
+            reps = {}
+            for k in ball:
+                reps.setdefault(model.quotient_key(k), k)
+            special.append(sum(model.verdict(k)[0] != "pseudoAnosov" for k in reps.values()))
+            totals.append(len(reps))
+    return special, totals
+
+
+@pytest.mark.parametrize("model_name,words,radius,tree_threshold,word_threshold,budget", [
+    ("free:2", None, 8, 0, Fraction(0), None),
+    ("free:2", None, 8, 1, Fraction(1, 3), None),
+    ("free:2", None, 8, 2, Fraction(35, 100), None),
+    ("free:2", None, 8, 0, Fraction(-1, 2), None),
+    ("free:2", ["a", "b", "ab"], 6, 1, Fraction(1, 3), None),
+    ("zz23", None, 20, 2, Fraction(35, 100), None),
+    ("zz23", ["xY"], 40, 1, Fraction(35, 100), None),
+    ("braid3", None, 9, 0, Fraction(35, 100), None),
+    ("braid3", ["a", "b", "aba"], 6, 0, Fraction(35, 100), None),
+    ("free:2", None, 10, 1, Fraction(35, 100), 3000),
+], ids=["f2-0-0", "f2-1-third", "f2-2-35", "f2-0-negative", "f2-a-b-ab", "zz23", "zz23-xY", "braid3",
+        "braid3-a-b-aba", "f2-budget"])
+def test_genericity_curve_equals_a_recount(model_name, words, radius, tree_threshold, word_threshold, budget):
+    model = make_model(model_name)
+    gens = model.standard_gens() if words is None else GeneratingSet(model, words)
+    curve = genericity_experiment(model, None, gens, radius, tree_threshold=tree_threshold,
+                                  word_threshold=word_threshold, node_budget=budget)
+    reached = curve.radii[-1]
+    assert curve.truncated == (reached < radius) == (budget is not None)
+    special, totals = _recounted_curve(model, gens, reached, tree_threshold, word_threshold)
+    assert (curve.special_counts, curve.totals) == (special, totals)
+    assert curve.ratios == [Fraction(s, t) for s, t in zip(special, totals)]
+
+
+def test_genericity_rejects_a_negative_tree_threshold(f2):
+    # below 0 the cut max(T, w r) need not grow with r
+    with pytest.raises(ValueError):
+        genericity_experiment(f2, None, f2.standard_gens(), 3, tree_threshold=-1)
+
+
 def test_genericity_unsupported():
     from genlab.groups import FiniteSample
 

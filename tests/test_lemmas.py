@@ -268,7 +268,7 @@ def test_a_chain_instance_builds_its_report_and_geodesic_once(monkeypatch):
     builds = {"report": 0, "path": 0}
     check, geodesic = lemmas.check_alignment, CayleyTree.geodesic
     report_code = ChainInstance.hypothesis_report.__code__
-    path_code = ChainInstance.word_geodesic_elements.__code__
+    path_code = ChainInstance.word_geodesic_keys.__code__
 
     def count_check(*args):
         builds["report"] += sys._getframe(1).f_code is report_code
@@ -389,8 +389,7 @@ def test_middle_third_matches_the_fraction_reference(f2_ledger):
         inst = random_chain_instance(rng, n_segments=rng.randrange(1, 4), ledger=f2_ledger, segment_length=n)
         slow = Slow(inst.space)
         for seg in inst.segments:
-            for p in inst.word_geodesic_elements():
-                pt = inst.action.proj(p)
+            for pt in inst.word_geodesic_keys():
                 want = _reference_middle_third(inst.space, seg, pt)
                 assert _middle_third_ok(inst.space, seg, pt) == want
                 assert _middle_third_ok(slow, seg, pt) == want
@@ -408,7 +407,7 @@ def test_chain_instance_reads_the_word_metric_from_the_tree(f2_ledger):
         walk = [inst.g]
         for a in inst.group.key_word((inst.g.inverse() * inst.h).key):
             walk.append(walk[-1] * inst.group.element((a,)))
-        assert inst.word_geodesic_elements() == walk
+        assert inst.word_geodesic_keys() == tuple(w.key for w in walk)
         pts = walk + inst.midpoints()
         for u in pts:
             v = pts[rng.randrange(len(pts))]
